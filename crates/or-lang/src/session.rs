@@ -427,9 +427,15 @@ impl PlanCache {
 /// done.  Mutation is explicit and separate: [`SessionCore::commit`] (or
 /// [`SessionCore::bind`]) publishes a binding, with the snapshot's
 /// copy-on-write semantics protecting readers that hold an older clone.
+///
+/// Cloning a core costs O(bindings), not O(data): binding values sit
+/// behind `Arc`s, the snapshot's relations are `Arc`-shared, and the plan
+/// cache is one shared `Arc` — so a server's clone-and-commit write copies
+/// pointers, never rows.
 #[derive(Debug, Clone, Default)]
 pub struct SessionCore {
-    values: Env,
+    /// Binding values, `Arc`-shared across clones of the core.
+    values: HashMap<String, Arc<Value>>,
     types: HashMap<String, Type>,
     /// Interned rows of every set-valued binding, against a frozen base
     /// arena shared by all engine-served queries.  Rebinds accrue garbage
@@ -464,7 +470,7 @@ impl SessionCore {
 
     /// Look up a binding's value.
     pub fn value(&self, name: &str) -> Option<&Value> {
-        self.values.get(name)
+        self.values.get(name).map(Arc::as_ref)
     }
 
     /// The interned-relation snapshot behind the core.
@@ -489,7 +495,7 @@ impl SessionCore {
             self.types.insert(name.clone(), ty);
         }
         self.publish(&name, &value);
-        self.values.insert(name, value);
+        self.values.insert(name, Arc::new(value));
     }
 
     /// Publish a binding's rows into the snapshot (set values) or retract
@@ -539,7 +545,7 @@ impl SessionCore {
         let limits = InterpLimits::new(config.or_budget, config.time_budget);
         let (value, route) = match mode {
             ExecMode::Interp => (
-                interpret_limited(&expr, &self.values, &limits)?,
+                interpret_limited(&expr, &self.interp_env(&expr), &limits)?,
                 Route::Interp,
             ),
             // Engine-first: the engine is the serving path; the interpreter
@@ -547,13 +553,13 @@ impl SessionCore {
             ExecMode::Engine => match self.try_engine(&expr, config)? {
                 Ok((value, route)) => (value, route),
                 Err(fallback) => (
-                    interpret_limited(&expr, &self.values, &limits)?,
+                    interpret_limited(&expr, &self.interp_env(&expr), &limits)?,
                     Route::from_fallback(source, fallback),
                 ),
             },
             // Differential mode: both executors run, answers must agree.
             ExecMode::EngineChecked => {
-                let interpreted = interpret_limited(&expr, &self.values, &limits)?;
+                let interpreted = interpret_limited(&expr, &self.interp_env(&expr), &limits)?;
                 match self.try_engine(&expr, config)? {
                     Ok((engine_value, route)) => {
                         if engine_value != interpreted {
@@ -591,9 +597,24 @@ impl SessionCore {
             }
             self.types.insert(name.clone(), ty.clone());
             self.publish(name, &value);
-            self.values.insert(name.clone(), value.clone());
+            self.values.insert(name.clone(), Arc::new(value.clone()));
         }
         SessionResult { value, ty, bound }
+    }
+
+    /// The interpreter's environment for `expr`: only the bindings the
+    /// statement reads (its free variables).  The interpreter copies its
+    /// environment per comprehension and per `let`, so handing it every
+    /// binding would copy the whole database for a statement over one
+    /// small relation.
+    fn interp_env(&self, expr: &crate::ast::Expr) -> Env {
+        expr.free_vars()
+            .into_iter()
+            .filter_map(|name| {
+                let value = Value::clone(self.values.get(&name)?);
+                Some((name, value))
+            })
+            .collect()
     }
 
     fn type_env(&self) -> TypeEnv {
@@ -1466,6 +1487,87 @@ mod tests {
         // shared core clone, whose cache is the same Arc
         let clone = s.core().clone();
         assert!(Arc::ptr_eq(&clone.plans, &s.core().plans));
+    }
+
+    /// Cloning a core copies pointers, not data: the clone shares every
+    /// binding's storage, and a commit into the clone rebinds only the
+    /// clone.
+    #[test]
+    fn cloned_cores_share_binding_storage() {
+        let mut s = Session::with_engine(ExecConfig::default());
+        s.run("let db = { (1, 10), (2, 20), (3, 30) }").unwrap();
+        let original = s.into_core();
+        let mut clone = original.clone();
+        assert!(std::ptr::eq(
+            original.value("db").unwrap(),
+            clone.value("db").unwrap()
+        ));
+        let evaluated = clone
+            .eval_statement(
+                "let db = { (9, 90) }",
+                ExecMode::Engine,
+                ExecConfig::default(),
+                QueryBudget::unlimited(),
+            )
+            .unwrap();
+        clone.commit(evaluated);
+        assert_eq!(
+            clone.value("db").unwrap(),
+            &Value::set([Value::pair(Value::Int(9), Value::Int(90))])
+        );
+        assert_eq!(
+            original.value("db").unwrap(),
+            &Value::set((1..=3).map(|i| Value::pair(Value::Int(i), Value::Int(10 * i))))
+        );
+        assert_eq!(original.snapshot().get("db").unwrap().rows().len(), 3);
+    }
+
+    /// The interpreter fallback sees only the statement's free variables.
+    /// Statements that shadow a session binding with a generator or a
+    /// `let` must still answer exactly what the interpreter answers over
+    /// the full environment.
+    #[test]
+    fn fallback_env_of_free_variables_respects_shadowing() {
+        let mut s = Session::with_engine(ExecConfig::default());
+        for stmt in [
+            "let db = { 1, 2, 3 }",
+            "let odb = <| 4, 5 |>",
+            "let g = { 7 }",
+            "let k = 100",
+        ] {
+            s.run(stmt).unwrap();
+        }
+        let core = s.into_core();
+        let full: Env = ["db", "odb", "g", "k"]
+            .iter()
+            .map(|n| (n.to_string(), core.value(n).unwrap().clone()))
+            .collect();
+        for stmt in [
+            // a generator shadows a set binding the head also names
+            "<| (db, k) | db <- odb |>",
+            // a later generator shadows `g` after an earlier source read it
+            "<| (a, b) | a <- odb, b <- toorset(g), g <- <| 9 |> |>",
+            // `let` shadows a binding inside the statement only
+            "let k = 1 in <| x + k | x <- odb |>",
+            "let db = toset(odb) in (db, k)",
+        ] {
+            let evaluated = core
+                .eval_statement(
+                    stmt,
+                    ExecMode::Engine,
+                    ExecConfig::default(),
+                    QueryBudget::unlimited(),
+                )
+                .unwrap();
+            assert!(
+                matches!(evaluated.route, Route::Fallback { .. }),
+                "`{stmt}` should take the fallback route: {:?}",
+                evaluated.route
+            );
+            let expected =
+                crate::interp::interpret(&crate::parser::parse(stmt).unwrap(), &full).unwrap();
+            assert_eq!(evaluated.value, expected, "disagreement on `{stmt}`");
+        }
     }
 
     #[test]

@@ -258,6 +258,11 @@ impl Interner {
         }
     }
 
+    /// The frozen arena this one overlays (`None` for a root arena).
+    pub fn base(&self) -> Option<&Arc<Interner>> {
+        self.base.as_ref()
+    }
+
     /// A process-unique token identifying this arena instance.  Caches that
     /// store [`InternId`]s alongside results (e.g. the lazy normalizer's
     /// constant-subtree memo) key them by this token, so an id from one

@@ -14,26 +14,39 @@
 //! [`Snapshot::publish`] binds or rebinds a relation.  When the snapshot is
 //! the **sole owner** of its arena (no reader holds a clone), the rows are
 //! interned in place — the mutation is invisible because nobody else can
-//! observe the arena.  When readers *do* hold the arena, the writer chains
-//! a fresh overlay on the frozen base, interns into the overlay, and
-//! freezes that as the new base: old readers keep their consistent view,
-//! new readers see the new relation.  Published ids are never invalidated —
-//! they refer into the arena chain the reader captured.
+//! observe the arena.  When readers *do* hold the arena, the writer copies
+//! before it writes, and the arena never grows more than **one level**
+//! deep: a frozen **root** plus at most one **delta** overlay on it.
+//!
+//! * a shared root gets a fresh, empty delta chained on it;
+//! * a shared delta is copied (`Interner::clone` keeps the root `Arc` and
+//!   every id) and the rows are interned into the copy.
+//!
+//! Old readers keep their consistent view, new readers see the new
+//! relation, and published ids are never invalidated — they refer into
+//! the arena the reader captured.  A reader's probe therefore visits at
+//! most the delta and the root, however many publishes came before.
 //!
 //! ## Amortized compaction
 //!
-//! Rebinding a name strands the old binding's interned nodes in the arena:
-//! nothing refers to them, but a hash-consing arena cannot free individual
-//! nodes.  The snapshot therefore tracks a node-accurate **garbage hint**
-//! (the arena-length delta each publish contributed, accumulated when that
-//! publish is replaced or retracted) and **re-freezes into a fresh arena**
-//! — re-interning only the live relations — once garbage reaches half the
-//! arena ([`Snapshot::should_compact`]), or once the overlay chain grows
-//! deep enough that probe chains would hurt readers.  Each compaction costs
-//! one pass over the *live* nodes and is triggered only after at least as
-//! many *garbage* nodes accrued, so the total compaction work is linear in
-//! the nodes ever interned — the classic doubling argument — while
-//! `arena_nodes` stays within a constant factor of the live data.
+//! Two rules re-freeze the snapshot into a fresh root
+//! ([`Snapshot::compact`]), re-interning only the live relations:
+//!
+//! * **garbage** — rebinding a name strands the old binding's interned
+//!   nodes (a hash-consing arena cannot free individual nodes).  The
+//!   snapshot tracks a node-accurate **garbage hint** (the arena-length
+//!   delta each publish contributed, accumulated when that publish is
+//!   replaced or retracted) and compacts once garbage reaches half the
+//!   arena;
+//! * **delta size** — the delta is folded into the root once it holds as
+//!   many nodes as the root, so copying it on a shared publish never costs
+//!   more than copying the root would.
+//!
+//! Each compaction costs one pass over the *live* nodes and is triggered
+//! only after at least as many garbage or delta nodes accrued, so the total
+//! compaction work is linear in the nodes ever interned — the classic
+//! doubling argument — while `arena_nodes` stays within a constant factor
+//! of the live data.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -81,15 +94,7 @@ pub struct Snapshot {
     relations: BTreeMap<String, Published>,
     /// Nodes stranded by rebinds/retractions since the last compaction.
     garbage_hint: usize,
-    /// Overlay links chained on the arena since the last compaction (each
-    /// shared-arena publish adds one).
-    depth: usize,
 }
-
-/// Overlay chain depth beyond which a compaction is forced: every reader
-/// probe may walk the whole chain, so unbounded depth turns O(1) lookups
-/// into O(rebinds).
-const MAX_OVERLAY_DEPTH: usize = 32;
 
 /// Arena size below which garbage-ratio compaction is skipped — re-freezing
 /// a tiny arena on every second rebind would cost more than the nodes it
@@ -103,7 +108,6 @@ impl Snapshot {
             arena: Arc::new(Interner::new()),
             relations: BTreeMap::new(),
             garbage_hint: 0,
-            depth: 0,
         }
     }
 
@@ -145,10 +149,18 @@ impl Snapshot {
         self.garbage_hint
     }
 
+    /// Nodes in the delta overlay above the root (0 when the arena is a
+    /// root).
+    fn delta_nodes(&self) -> usize {
+        self.arena
+            .base()
+            .map_or(0, |root| self.arena.len() - root.len())
+    }
+
     /// Publish (or republish) `name` with the given rows, interning them
     /// against the snapshot's arena.  Sole-owner arenas are extended in
-    /// place; shared arenas get a copy-on-write overlay (readers holding a
-    /// clone of this snapshot are unaffected either way).  Compacts
+    /// place; shared arenas are copied at the delta level first (readers
+    /// holding a clone of this snapshot are unaffected either way).  Compacts
     /// afterwards when [`Snapshot::should_compact`] says so.
     pub fn publish(&mut self, name: &str, rows: Vec<Value>) {
         let published = self.intern_rows(rows);
@@ -176,10 +188,11 @@ impl Snapshot {
     }
 
     /// Whether the next publish/retract would compact: garbage has reached
-    /// half the arena (above a small floor), or the overlay chain is deep
-    /// enough to slow reader probes.
+    /// half the arena (above a small floor), or the delta has grown as
+    /// large as the root.
     pub fn should_compact(&self) -> bool {
-        self.depth > MAX_OVERLAY_DEPTH
+        let delta = self.delta_nodes();
+        (delta > 0 && delta >= self.arena.len() - delta)
             || (self.arena.len() >= COMPACT_MIN_NODES && 2 * self.garbage_hint >= self.arena.len())
     }
 
@@ -204,36 +217,24 @@ impl Snapshot {
         self.arena = Arc::new(fresh);
         self.relations = relations;
         self.garbage_hint = 0;
-        self.depth = 0;
     }
 
     /// Intern `rows`, extending the arena in place when this snapshot is
-    /// its sole owner, otherwise chaining a copy-on-write overlay.
+    /// its sole owner.  A shared root gets a fresh delta chained on it; a
+    /// shared delta is copied (`Arc::make_mut`), so the chain never grows
+    /// past root + one delta.
     fn intern_rows(&mut self, rows: Vec<Value>) -> Published {
-        match Arc::get_mut(&mut self.arena) {
-            Some(arena) => {
-                let before = arena.len();
-                let ids: Vec<InternId> = rows.iter().map(|v| arena.intern(v)).collect();
-                let nodes_hint = arena.len() - before;
-                Published {
-                    rows: Arc::new(rows),
-                    ids: Arc::new(ids),
-                    nodes_hint,
-                }
-            }
-            None => {
-                let mut overlay = Interner::with_base(Arc::clone(&self.arena));
-                let before = overlay.len();
-                let ids: Vec<InternId> = rows.iter().map(|v| overlay.intern(v)).collect();
-                let nodes_hint = overlay.len() - before;
-                self.arena = Arc::new(overlay);
-                self.depth += 1;
-                Published {
-                    rows: Arc::new(rows),
-                    ids: Arc::new(ids),
-                    nodes_hint,
-                }
-            }
+        if self.arena.base().is_none() && Arc::get_mut(&mut self.arena).is_none() {
+            self.arena = Arc::new(Interner::with_base(Arc::clone(&self.arena)));
+        }
+        let arena = Arc::make_mut(&mut self.arena);
+        let before = arena.len();
+        let ids: Vec<InternId> = rows.iter().map(|v| arena.intern(v)).collect();
+        let nodes_hint = arena.len() - before;
+        Published {
+            rows: Arc::new(rows),
+            ids: Arc::new(ids),
+            nodes_hint,
         }
     }
 }
@@ -358,28 +359,64 @@ mod tests {
         assert!(snap.garbage_hint() > 0);
     }
 
-    #[test]
-    fn deep_overlay_chains_trigger_compaction() {
-        let mut snap = Snapshot::new();
-        let mut holds = Vec::new();
-        for i in 0..(MAX_OVERLAY_DEPTH as i64 + 8) {
-            // keep a clone alive so every publish is forced onto the
-            // copy-on-write overlay path
-            holds.push(snap.clone());
-            snap.publish(&format!("r{i}"), int_rows(i..i + 2));
+    /// Overlay levels below `arena` (0 for a root).
+    fn chain_depth(arena: &Interner) -> usize {
+        let mut depth = 0;
+        let mut level = arena.base();
+        while let Some(arena) = level {
+            depth += 1;
+            level = arena.base();
         }
-        // compaction must have reset the chain depth at least once
-        assert!(
-            snap.depth <= MAX_OVERLAY_DEPTH,
-            "depth {} unbounded",
-            snap.depth
-        );
-        for i in 0..(MAX_OVERLAY_DEPTH as i64 + 8) {
-            let published = snap.get(&format!("r{i}")).unwrap();
-            assert_eq!(
-                &snap.arena().value(published.ids()[0]),
-                &published.rows()[0]
+        depth
+    }
+
+    /// Nodes a fresh arena needs for the snapshot's live relations.
+    fn live_nodes(snap: &Snapshot) -> usize {
+        let mut fresh = Interner::new();
+        for (_, published) in snap.iter() {
+            for row in published.rows().iter() {
+                fresh.intern(row);
+            }
+        }
+        fresh.len()
+    }
+
+    /// The server's write pattern: a reader holds the current snapshot
+    /// across every publish, so each publish takes the copy-on-write path.
+    /// The arena stays root + one delta, every reader's ids (old and new)
+    /// keep decoding to their rows, and the delta and garbage rules keep
+    /// the arena within a constant factor of the live nodes.
+    #[test]
+    fn reader_held_publishes_keep_the_arena_one_level_deep() {
+        let mut snap = Snapshot::new();
+        snap.publish("base", int_rows(0..2_000));
+        let mut readers = Vec::new();
+        for i in 0..1_000i64 {
+            readers.push(snap.clone());
+            // rebinds cycle through eight names; every third one reuses
+            // rows already in the arena, the others intern new values
+            let rows = if i % 3 == 0 {
+                int_rows(i..i + 40)
+            } else {
+                int_rows(10_000 + 40 * i..10_040 + 40 * i)
+            };
+            snap.publish(&format!("r{}", i % 8), rows);
+            assert!(chain_depth(snap.arena()) <= 1, "publish {i} chained deeper");
+            let live = live_nodes(&snap);
+            assert!(
+                snap.arena_nodes() <= 4 * live + COMPACT_MIN_NODES,
+                "publish {i}: {} arena nodes for {live} live nodes",
+                snap.arena_nodes()
             );
+        }
+        readers.push(snap);
+        for reader in &readers {
+            assert!(chain_depth(reader.arena()) <= 1);
+            for (name, published) in reader.iter() {
+                for (row, &id) in published.rows().iter().zip(published.ids().iter()) {
+                    assert_eq!(&reader.arena().value(id), row, "{name} in a held reader");
+                }
+            }
         }
     }
 }

@@ -12,24 +12,36 @@
 //!   base.  Any number of queries run concurrently against one snapshot.
 //! * **Writes** (`let` statements) serialize on the writer mutex, evaluate
 //!   against the latest core, commit into a *clone* of it, and swap the
-//!   `Arc` — copy-on-write at session granularity, with the snapshot layer
-//!   sharing the interned relation rows underneath.  In-flight readers
-//!   keep the core they started with; new readers see the new one.
+//!   `Arc` — copy-on-write at session granularity.  The clone copies
+//!   `Arc`s, not bindings, and the snapshot layer shares the interned
+//!   relation rows underneath.  In-flight readers keep the core they
+//!   started with; new readers see the new one.
 //!
 //! Statement evaluation is atomic (eval-then-commit, see
 //! `or_lang::session`), so a failed statement — budget rejection, engine
 //! error, worker panic — publishes nothing and corrupts nothing; the
 //! client can simply retry.
 //!
+//! ## The accept loop
+//!
+//! [`Server::serve`] blocks in `accept` and hands each connection to the
+//! pool the moment it arrives.  An `accept` error that concerns one
+//! connection only (interrupted, aborted or reset by the peer) is skipped;
+//! any other error stops the loop, drains the pool and is returned.
+//!
 //! ## Graceful shutdown
 //!
-//! `POST /shutdown` (or [`ServerHandle::shutdown`]) stops the accept loop;
-//! already-accepted connections drain through the pool, the workers are
-//! joined, and [`Server::serve`] returns.
+//! `POST /shutdown` (or [`ServerHandle::shutdown`]) sets the shutdown flag
+//! and then wakes the blocked `accept` by connecting once to the
+//! listener's own address (a wildcard bind address, `0.0.0.0` or `[::]`,
+//! is reached through the matching loopback address).  The loop drops the
+//! connection it accepted once the flag is set; already-accepted
+//! connections drain through the pool, the workers are joined, and
+//! [`Server::serve`] returns.
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, RwLock};
@@ -95,21 +107,69 @@ struct Db {
 struct State {
     dbs: RwLock<BTreeMap<String, Arc<Db>>>,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     started: Instant,
+}
+
+/// The stop signal shared by the accept loop, every [`ServerHandle`] and
+/// `POST /shutdown`.
+#[derive(Debug)]
+struct Shutdown {
+    requested: AtomicBool,
+    /// Where one connection reaches the listener: its own address, with a
+    /// wildcard IP replaced by loopback.
+    wake: SocketAddr,
+}
+
+impl Shutdown {
+    /// Set the flag, then wake the accept loop blocked in `accept`.  A
+    /// refused connect means the listener is already closed, so the loop
+    /// has stopped anyway.
+    fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake);
+    }
+
+    fn is_requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+}
+
+/// The address a client on this host connects to in order to reach a
+/// listener bound to `bound`: wildcard IPs accept on every interface, so
+/// they are reached through the matching loopback address.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Whether an `accept` error concerns only the one connection being
+/// accepted — a signal interrupted the call, or the peer gave up before
+/// the handshake finished — so the loop should keep serving.
+fn is_transient_accept_error(kind: io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        io::ErrorKind::Interrupted
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::ConnectionReset
+    )
 }
 
 /// A handle that can stop a running server from another thread.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
 }
 
 impl ServerHandle {
     /// Request a graceful shutdown: the accept loop stops, in-flight
     /// connections drain, [`Server::serve`] returns.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.request();
     }
 }
 
@@ -125,12 +185,16 @@ impl Server {
     /// ephemeral port — see [`Server::local_addr`]).
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let shutdown = Shutdown {
+            requested: AtomicBool::new(false),
+            wake: wake_addr(listener.local_addr()?),
+        };
         Ok(Server {
             listener,
             state: Arc::new(State {
                 dbs: RwLock::new(BTreeMap::new()),
                 config,
-                shutdown: Arc::new(AtomicBool::new(false)),
+                shutdown: Arc::new(shutdown),
                 started: Instant::now(),
             }),
         })
@@ -180,7 +244,6 @@ impl Server {
     /// from elsewhere to stop it.
     pub fn serve(self) -> io::Result<()> {
         let Server { listener, state } = self;
-        listener.set_nonblocking(true)?;
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
         let workers: Vec<_> = (0..state.config.http_workers.max(1))
@@ -198,26 +261,30 @@ impl Server {
             })
             .collect();
 
-        while !state.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
+        let outcome = loop {
+            let accepted = listener.accept();
+            // a shutdown request wakes this loop with a connection of its
+            // own; whatever was accepted after the flag is dropped
+            if state.shutdown.is_requested() {
+                break Ok(());
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     // workers only exit when the channel closes, so the
                     // send cannot fail while this loop runs
                     let _ = tx.send(stream);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
+                Err(e) if is_transient_accept_error(e.kind()) => {}
+                Err(e) => break Err(e),
             }
-        }
+        };
         // graceful drain: close the queue, let every worker finish its
         // in-flight connection, then join
         drop(tx);
         for worker in workers {
             let _ = worker.join();
         }
-        Ok(())
+        outcome
     }
 }
 
@@ -248,7 +315,7 @@ fn route(state: &State, request: &Request) -> (u16, String) {
         ("GET", "/stats") => stats(state),
         ("POST", "/query") => query(state, &request.body),
         ("POST", "/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.shutdown.request();
             (
                 200,
                 Json::obj([
@@ -510,6 +577,34 @@ mod tests {
             r#"{"db": "d", "statement": "{ x | x <- out }"}"#,
         );
         assert!(response.contains("{1, 2, 3}"), "{response}");
+    }
+
+    /// Errors that concern one connection keep the accept loop serving;
+    /// anything else (say, the process ran out of descriptors) stops it.
+    #[test]
+    fn only_per_connection_accept_errors_are_transient() {
+        use io::ErrorKind::*;
+        for kind in [Interrupted, ConnectionAborted, ConnectionReset] {
+            assert!(is_transient_accept_error(kind), "{kind:?}");
+        }
+        for kind in [
+            WouldBlock,
+            PermissionDenied,
+            InvalidInput,
+            OutOfMemory,
+            Other,
+        ] {
+            assert!(!is_transient_accept_error(kind), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn wildcard_binds_are_woken_through_loopback() {
+        let wake = |addr: &str| wake_addr(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7171"), "127.0.0.1:7171");
+        assert_eq!(wake("[::]:7171"), "[::1]:7171");
+        assert_eq!(wake("127.0.0.1:80"), "127.0.0.1:80");
+        assert_eq!(wake("192.0.2.7:80"), "192.0.2.7:80");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! HTTP clients driving `/query`, `/stats`, and `/healthz`, then a graceful
 //! `POST /shutdown` that must let `serve()` return cleanly.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use or_server::{Json, Server, ServerConfig};
@@ -50,7 +50,7 @@ fn concurrent_clients_then_graceful_shutdown() {
         )
         .expect("load example db");
     let addr = server.local_addr().expect("local addr");
-    let serving = std::thread::spawn(move || server.serve());
+    let serving = serve_in_background(server);
 
     // several client threads hammer all three read endpoints concurrently,
     // sharing the one frozen snapshot
@@ -140,14 +140,57 @@ fn concurrent_clients_then_graceful_shutdown() {
     let (status, body) = http(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("shutting down"), "{body}");
-    serving
-        .join()
-        .expect("serve thread")
-        .expect("serve exits cleanly");
+    expect_stopped(serving, "POST /shutdown after the clients");
     // and the listener is really gone (give the OS a beat to close it)
     std::thread::sleep(Duration::from_millis(100));
     assert!(
         TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
         "listener still accepting after shutdown"
     );
+}
+
+/// Run `serve()` on its own thread and hand back a receiver for its
+/// outcome, so a test waits with a deadline instead of hanging when a
+/// shutdown wake is lost.
+fn serve_in_background(server: Server) -> mpsc::Receiver<io::Result<()>> {
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(server.serve());
+    });
+    // let the loop reach its blocking `accept`, so the wake is what ends it
+    std::thread::sleep(Duration::from_millis(50));
+    outcome
+}
+
+fn expect_stopped(outcome: mpsc::Receiver<io::Result<()>>, what: &str) {
+    match outcome.recv_timeout(Duration::from_secs(10)) {
+        Ok(result) => result.unwrap_or_else(|e| panic!("{what}: serve() failed: {e}")),
+        Err(_) => panic!("{what}: serve() did not return within 10 s"),
+    }
+}
+
+/// An idle server blocks in `accept`; both shutdown paths must wake it and
+/// let `serve()` return.  The wildcard bind exercises the loopback mapping
+/// of the wake connection.
+#[test]
+fn idle_servers_stop_promptly_on_shutdown() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(bind, ServerConfig::default()).expect("bind");
+        let handle = server.handle();
+        let outcome = serve_in_background(server);
+        handle.shutdown();
+        expect_stopped(outcome, &format!("{bind}, ServerHandle::shutdown"));
+
+        let server = Server::bind(bind, ServerConfig::default()).expect("bind");
+        let port = server.local_addr().expect("local addr").port();
+        let outcome = serve_in_background(server);
+        let (status, body) = http(
+            SocketAddr::from((Ipv4Addr::LOCALHOST, port)),
+            "POST",
+            "/shutdown",
+            "",
+        );
+        assert_eq!(status, 200, "{body}");
+        expect_stopped(outcome, &format!("{bind}, POST /shutdown"));
+    }
 }

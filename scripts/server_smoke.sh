@@ -50,10 +50,17 @@ STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/query" \
 [ "$STATUS" = "422" ] || { echo "expected 422 on zero budget, got $STATUS"; exit 1; }
 curl -sf "$BASE/stats" | grep -q '"errors":1'
 
-# graceful shutdown: the server must acknowledge and exit 0 on its own
+# graceful shutdown: the server must acknowledge and exit 0 on its own.
+# The wait is bounded, so a lost accept wake fails here instead of hanging.
 curl -sf -X POST "$BASE/shutdown" | grep -q 'shutting down'
 SERVER_EXIT=0
-wait "$SERVER_PID" || SERVER_EXIT=$?
+if timeout 10 tail --pid="$SERVER_PID" -f /dev/null; then
+    wait "$SERVER_PID" || SERVER_EXIT=$?
+else
+    echo "server did not exit within 10 s of POST /shutdown; log:"
+    cat "$LOG"
+    exit 1
+fi
 trap - EXIT
 if [ "$SERVER_EXIT" -ne 0 ]; then
     echo "server exited non-zero ($SERVER_EXIT); log:"
