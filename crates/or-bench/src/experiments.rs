@@ -742,7 +742,7 @@ impl EngineBenchRow {
     /// sequential time (**lower is better**; `1.0` means the parallel leg
     /// broke even, `0.5` means it halved the wall time).  Rows whose
     /// parallel leg fell back to one worker (below
-    /// [`or_engine::ExecConfig::min_parallel_rows`]) sit near `1.0` by
+    /// [`or_engine::exec::MIN_PARALLEL_ROWS`]) sit near `1.0` by
     /// construction.
     pub fn par_over_seq(&self) -> f64 {
         self.engine_par_ms / self.engine_seq_ms.max(1e-9)
@@ -991,7 +991,7 @@ pub fn e13_planned_query(limit: i64) -> M {
 /// executor **actually used**, via [`or_engine::ExecStats`] — not the
 /// hardware thread count the config asked for).
 fn measure_workload(name: &str, relation: &or_db::Relation, query: &M) -> EngineBenchRow {
-    use or_engine::{run_plan, run_plan_with_stats, ExecConfig};
+    use or_engine::{run_plan, ExecConfig};
     use or_nra::optimize::lower;
 
     let available = hardware_workers();
@@ -1002,8 +1002,12 @@ fn measure_workload(name: &str, relation: &or_db::Relation, query: &M) -> Engine
     // the seq and par legs interleave: par_over_seq is the gated statistic,
     // so machine drift must not land on one leg only
     let ((eng_seq, engine_seq_ms), ((eng_par, stats), engine_par_ms)) = timed_pair(
-        || run_plan(&plan, &[relation], seq).expect("engine sequential"),
-        || run_plan_with_stats(&plan, &[relation], par).expect("engine parallel"),
+        || {
+            run_plan(&plan, &[relation], seq)
+                .expect("engine sequential")
+                .0
+        },
+        || run_plan(&plan, &[relation], par).expect("engine parallel"),
     );
     EngineBenchRow {
         workload: name.to_string(),
@@ -1032,7 +1036,11 @@ fn measure_planned_workload(name: &str, relation: &or_db::Relation, query: &M) -
     let plan = lower(query).expect("workload query is lowerable");
     let (interp, interp_ms) = timed(|| relation.query(query).expect("interpreter"));
     let ((eng_seq, engine_seq_ms), ((eng_par, stats), engine_par_ms)) = timed_pair(
-        || run_plan(&plan, &[relation], seq).expect("engine sequential"),
+        || {
+            run_plan(&plan, &[relation], seq)
+                .expect("engine sequential")
+                .0
+        },
         || {
             let (value, stats, _) =
                 run_plan_optimized(&plan, &[relation], par).expect("engine planned");
@@ -1098,7 +1106,7 @@ pub fn e13_engine_rows(scale: usize) -> Vec<EngineBenchRow> {
 
     // 3. equi-join of (id, group) against (group, tag)
     {
-        use or_engine::{run_plan, run_plan_with_stats, ExecConfig};
+        use or_engine::{run_plan, ExecConfig};
         use or_nra::physical::PhysicalPlan;
 
         let available = hardware_workers();
@@ -1111,7 +1119,7 @@ pub fn e13_engine_rows(scale: usize) -> Vec<EngineBenchRow> {
         .expect("schema");
         let groups = 40i64;
         // full scale (not scale/4): the join must clear the executor's
-        // min_parallel_rows threshold so the parallel leg really runs
+        // MIN_PARALLEL_ROWS threshold so the parallel leg really runs
         // multi-worker and the row exercises morsel stealing
         let left = or_db::Relation::from_records(
             "users",
@@ -1137,10 +1145,13 @@ pub fn e13_engine_rows(scale: usize) -> Vec<EngineBenchRow> {
             or_nra::derived::cartesian_product().then(or_nra::derived::select(predicate));
         let (interp, interp_ms) =
             timed(|| eval(&interp_query, &pair_value).expect("interpreter join"));
-        let (eng_seq, engine_seq_ms) =
-            timed(|| run_plan(&plan, &[&left, &right], seq).expect("engine sequential"));
+        let (eng_seq, engine_seq_ms) = timed(|| {
+            run_plan(&plan, &[&left, &right], seq)
+                .expect("engine sequential")
+                .0
+        });
         let ((eng_par, stats), engine_par_ms) =
-            timed(|| run_plan_with_stats(&plan, &[&left, &right], par).expect("engine parallel"));
+            timed(|| run_plan(&plan, &[&left, &right], par).expect("engine parallel"));
         out.push(EngineBenchRow {
             workload: "equi_join".to_string(),
             rows: left.len(),
@@ -2037,7 +2048,7 @@ mod tests {
 
     #[test]
     fn columnar_filter_project_workload_runs_fully_columnar() {
-        use or_engine::{run_plan_with_stats, ExecConfig};
+        use or_engine::{run_plan, ExecConfig};
         use or_nra::optimize::lower;
 
         // the showcase workload must actually exercise the vectorized
@@ -2045,7 +2056,7 @@ mod tests {
         let relation = wide_relation(256);
         let plan = lower(&columnar_filter_project_query()).expect("lowerable");
         let config = ExecConfig::default().with_batch_size(64);
-        let (value, stats) = run_plan_with_stats(&plan, &[&relation], config).expect("engine");
+        let (value, stats) = run_plan(&plan, &[&relation], config).expect("engine");
         assert!(!value.elements().unwrap().is_empty());
         assert!(stats.columnar_batches >= 1, "{stats:?}");
         assert_eq!(stats.scalar_fallback_batches, 0, "{stats:?}");

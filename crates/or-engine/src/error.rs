@@ -53,12 +53,11 @@ pub enum EngineError {
         /// The configured wall-clock budget, in milliseconds.
         budget_ms: u128,
     },
-    /// A worker thread panicked.  The panic is caught at the join point and
-    /// surfaced as a query error instead of aborting the whole process; on
-    /// the morsel-driven path this covers both morsels a worker claimed
-    /// from its own shard and morsels it stole from a sibling — the
-    /// claiming thread owns the failure regardless of where the rows came
-    /// from.
+    /// A lane panicked.  The panic is caught per lane, one-lane runs
+    /// included, and surfaced as a query error instead of aborting the
+    /// whole process; this covers both morsels a lane claimed from its own
+    /// shard and morsels it stole from a sibling — the claiming lane owns
+    /// the failure regardless of where the rows came from.
     WorkerPanic {
         /// The panic payload, when it was a string.
         message: String,

@@ -1,4 +1,4 @@
-//! Plan execution: sequential and multi-threaded, interned end to end.
+//! Plan execution: one morsel pipeline, interned end to end.
 //!
 //! ## The arena discipline
 //!
@@ -14,52 +14,50 @@
 //! decoded back into [`Value`]s — exactly one decode per result row,
 //! observable as [`ExecStats::value_decodes`].
 //!
-//! ## Morsel-driven parallelism
+//! ## One morsel pipeline
 //!
 //! A plan has one **driving scan** — the leaf reached by following
-//! `input`/`left` children.  The parallel executor does *not* hand each
-//! worker a fixed partition of that input.  Instead the input's row range
-//! goes into a shared [`MorselQueue`]: workers
-//! repeatedly claim **morsels** ([`ExecConfig::morsel_rows`] rows each)
-//! from their own shard of the range, and *steal* morsels from the fullest
-//! sibling shard when their own runs dry — so a skewed workload (one shard
-//! filtering to nothing, another expanding enormously) cannot idle a
-//! worker.  Each claimed morsel runs through the *entire* operator
-//! pipeline, rebuilt per morsel from the shared compiled plan.
+//! `input`/`left` children.  Every run puts that input's row range into a
+//! shared [`MorselQueue`]: lanes repeatedly claim **morsels**
+//! ([`ExecConfig::morsel_rows`] rows each) from their own shard of the
+//! range, and *steal* morsels from the fullest sibling shard when their own
+//! runs dry — so a skewed workload (one shard filtering to nothing, another
+//! expanding enormously) cannot idle a lane.  Each claimed morsel runs
+//! through the *entire* operator pipeline, rebuilt per morsel from the
+//! shared compiled plan, and its ids are sorted and deduped into one run
+//! tagged with its driver offset.
 //!
 //! The logical worker count ([`ExecConfig::workers`]) fixes the queue's
-//! shard/steal topology and is what [`ExecStats::workers`] reports;
-//! the OS threads actually spawned — **lanes** — are clamped to the
-//! machine's core count unless the config is pinned, with surplus shards
-//! drained through the ordinary stealing path.  When more than one lane
-//! runs, the compiled plan and the query arena are frozen into an `Arc`
-//! **base**; each lane chains one private overlay arena on top
-//! ([`Interner::with_base`]) for the whole query, so base ids (inputs,
-//! constants, join keys) mean the same object everywhere while lanes
-//! intern new rows without any synchronization.  A single lane skips the
-//! freeze and interns straight into the query arena — no concurrent
-//! mutation, no overlay, sequential-parity cost.
+//! shard/steal topology and is what [`ExecStats::workers`] reports; the OS
+//! threads actually spawned — **lanes** — are clamped to the machine's
+//! core count unless the config is pinned, with surplus shards drained
+//! through the ordinary stealing path.  The lane count decides only the
+//! morsel size and where a lane's arena comes from.  One lane has nothing
+//! to balance, so its claims coalesce to whole shards — a one-worker run
+//! is one shard and one whole-range morsel — and it interns straight into
+//! the query arena.  Several lanes freeze the query arena into an `Arc`
+//! **base** and each chain one private overlay on top
+//! ([`Interner::with_base`]), so base ids (inputs, constants, join keys)
+//! mean the same object everywhere while lanes intern new rows without any
+//! synchronization.
 //!
-//! Each morsel's ids are sorted and deduped as they are produced, giving
-//! one run per morsel tagged with its driver offset; the final **multi-way
-//! id-merge** combines the runs *as ids*, comparing across overlays with
-//! [`Interner::cmp_across`] (sibling overlays may assign the same numeric
-//! id to different objects, so every merged id stays tagged with its
-//! owning lane).  Runs from row-local pipelines are pairwise disjoint in
-//! driver order, which the merge detects (one boundary comparison per
-//! adjacent pair) and rewards with a straight concatenation; otherwise a
-//! pairwise merge tree with galloping does the work, running its levels
-//! on scoped threads for large results on three or more lanes.  Only the
-//! surviving merged rows are decoded — once per result row, from the
-//! overlay that owns them.  A lane that panics does not abort the
-//! process: the panic is caught at the join point and reported as
+//! One tail finishes every run.  Or-NRA results are sets — no order, no
+//! duplicates — so any split of the driving input merges back by set
+//! union.  The runs are ordered by driver offset; runs from row-local
+//! pipelines are pairwise disjoint in that order, which one boundary
+//! comparison per adjacent pair detects and rewards with a straight
+//! concatenation.  Otherwise a pairwise merge tree with galloping does the
+//! work, running its levels on scoped threads for large results on three
+//! or more lanes.  Ids compare with [`Interner::cmp`] within one arena and
+//! with [`Interner::cmp_across`] between sibling overlays (which may assign
+//! the same numeric id to different objects, so every merged id stays
+//! tagged with its owning lane).  Only the surviving rows are decoded —
+//! once per result row, from the arena that owns them.  A lane that panics
+//! does not abort the process: the panic is caught and reported as
 //! [`EngineError::WorkerPanic`].
 //!
-//! Small inputs stay sequential: below [`ExecConfig::min_parallel_rows`]
-//! driving rows the executor downgrades to one worker (thread spawn plus
-//! merge overhead would dominate), unless the caller pinned the worker
-//! count ([`ExecConfig::with_pinned_workers`]) because a cost model — the
-//! expand planner — already made that call.
+//! Below [`MIN_PARALLEL_ROWS`] driving rows an unpinned run uses one
+//! worker ([`ExecConfig::with_pinned_workers`] bypasses the threshold).
 //!
 //! `AttachEnv` is the one operator that must observe the **whole** input
 //! (its setup morphism runs once against the full set).  Before interning,
@@ -69,7 +67,9 @@
 //! driving path after this rewrite is executed on a single worker.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cmp::Ordering;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::thread;
 
@@ -81,13 +81,19 @@ use or_object::Value;
 use crate::column::ColumnarCounters;
 use crate::error::EngineError;
 use crate::morsel::MorselQueue;
-use crate::ops::{build, compile, drain_within, unpack_setup_result, BuildCtx};
+use crate::ops::{build, compile, drain_within, unpack_setup_result, BuildCtx, CompiledPlan};
+
+/// Driving rows below which an unpinned run uses one worker: on smaller
+/// inputs thread spawn and merge overhead beat the row work (the committed
+/// benchmarks showed a fanout-8 expansion's parallel leg *losing* to its
+/// sequential leg).  [`ExecConfig::pin_workers`] bypasses it.
+pub const MIN_PARALLEL_ROWS: usize = 8192;
 
 /// Execution configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
-    /// Number of worker threads for morsel-driven execution
-    /// (1 = sequential).
+    /// Number of logical workers for morsel-driven execution (1 = one
+    /// lane running one whole-range morsel).
     pub workers: usize,
     /// Rows per operator batch.
     pub batch_size: usize,
@@ -96,17 +102,10 @@ pub struct ExecConfig {
     pub or_budget: Option<u64>,
     /// Rows per morsel — the granularity of the work-stealing queue.
     pub morsel_rows: usize,
-    /// Minimum driving-row count before the executor goes parallel.  Below
-    /// this, thread spawn and merge overhead dominate the row work (the
-    /// committed benchmarks showed a fanout-8 expansion's parallel leg
-    /// *losing* to its sequential leg on small inputs), so the executor
-    /// downgrades to one worker.  Ignored when [`ExecConfig::pin_workers`]
-    /// is set.
-    pub min_parallel_rows: usize,
     /// Honor [`ExecConfig::workers`] exactly (still capped by the driving
-    /// row count).  Set by callers that already made a cost-model decision
-    /// — the expand planner's recommendation, or a differential test
-    /// forcing a worker count.
+    /// row count), bypassing [`MIN_PARALLEL_ROWS`].  Set by callers that
+    /// already made a cost-model decision — the expand planner's
+    /// recommendation, or a differential test forcing a worker count.
     pub pin_workers: bool,
     /// Wall-clock budget for the whole query (`None` = unbounded).  Checked
     /// once at admission — before any row work, so a zero budget rejects
@@ -137,7 +136,6 @@ impl Default for ExecConfig {
             batch_size: 1024,
             or_budget: None,
             morsel_rows: 1024,
-            min_parallel_rows: 8192,
             pin_workers: false,
             time_budget: None,
             columnar: true,
@@ -147,11 +145,6 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// Sequential execution.
-    pub fn sequential() -> ExecConfig {
-        ExecConfig::default()
-    }
-
     /// Use every available hardware thread.
     pub fn parallel() -> ExecConfig {
         ExecConfig {
@@ -185,8 +178,7 @@ impl ExecConfig {
     }
 
     /// Pin the worker count: use exactly `workers` (capped only by the
-    /// driving row count), bypassing the
-    /// [`ExecConfig::min_parallel_rows`] sequential fallback.
+    /// driving row count), bypassing [`MIN_PARALLEL_ROWS`].
     pub fn with_pinned_workers(mut self, workers: usize) -> ExecConfig {
         self.workers = workers.max(1);
         self.pin_workers = true;
@@ -202,13 +194,6 @@ impl ExecConfig {
     /// Override the morsel size (rows claimed per queue access).
     pub fn with_morsel_rows(mut self, morsel_rows: usize) -> ExecConfig {
         self.morsel_rows = morsel_rows.max(1);
-        self
-    }
-
-    /// Override the parallel threshold (driving rows below which execution
-    /// stays sequential).
-    pub fn with_min_parallel_rows(mut self, rows: usize) -> ExecConfig {
-        self.min_parallel_rows = rows;
         self
     }
 
@@ -266,10 +251,10 @@ impl Deadline {
     }
 }
 
-/// Counters reported by [`Executor::run_with_stats`].
+/// Counters reported by [`Executor::run`].
 ///
 /// ```
-/// use or_engine::{ExecConfig, Executor};
+/// use or_engine::{EngineInputs, ExecConfig, Executor};
 /// use or_nra::morphism::Morphism;
 /// use or_object::Value;
 ///
@@ -278,10 +263,12 @@ impl Deadline {
 ///     .map(|i| Value::pair(Value::Int(i), Value::Int(i % 3)))
 ///     .collect();
 /// let plan = or_nra::optimize::lower(&Morphism::map(Morphism::Proj1)).unwrap();
-/// let exec = Executor::new(ExecConfig::sequential());
-/// let (out, stats) = exec.run_with_stats(&plan, &[&rows]).unwrap();
+/// let exec = Executor::new(ExecConfig::default());
+/// let (out, stats) = exec.run(&plan, &EngineInputs::from_values(&[&rows])).unwrap();
+/// let out = out.elements().unwrap();
 ///
 /// assert_eq!(stats.workers, 1);
+/// assert_eq!(stats.morsels, 1);
 /// assert_eq!(stats.rows, out.len());
 /// // interned end to end: exactly one Value materialization per result row
 /// assert_eq!(stats.value_decodes, out.len() as u64);
@@ -292,12 +279,14 @@ impl Deadline {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Workers that actually ran (1 for sequential plans).
+    /// Logical workers the run used (1 below [`MIN_PARALLEL_ROWS`] unless
+    /// pinned).
     pub workers: usize,
     /// Rows in the merged result.
     pub rows: usize,
-    /// Morsels claimed from the work-stealing queue (0 on the sequential
-    /// path, which bypasses the queue).
+    /// Morsels claimed from the work-stealing queue.  A one-worker run
+    /// claims exactly one whole-range morsel (none when the driving input
+    /// is empty).
     pub morsels: u64,
     /// Morsels a worker claimed from a *sibling's* shard — non-zero only
     /// when the queue actually rebalanced a skewed run.
@@ -409,39 +398,15 @@ impl Executor {
         &self.config
     }
 
-    /// Run `plan` over the given inputs, returning the canonical (sorted,
-    /// deduplicated) result rows.
-    pub fn run(&self, plan: &PhysicalPlan, inputs: &[&[Value]]) -> Result<Vec<Value>, EngineError> {
-        self.run_with_stats(plan, inputs).map(|(rows, _)| rows)
-    }
-
-    /// Run `plan` and also report execution counters.
-    pub fn run_with_stats(
-        &self,
-        plan: &PhysicalPlan,
-        inputs: &[&[Value]],
-    ) -> Result<(Vec<Value>, ExecStats), EngineError> {
-        self.run_inputs(plan, &EngineInputs::from_values(inputs))
-    }
-
-    /// Run `plan` and package the rows as a set value (the complex-object
-    /// representation of the result relation).
-    pub fn run_to_value(
-        &self,
-        plan: &PhysicalPlan,
-        inputs: &[&[Value]],
-    ) -> Result<Value, EngineError> {
-        Ok(canonical_set(self.run(plan, inputs)?))
-    }
-
     /// Run `plan` over [`EngineInputs`] (possibly pre-interned against a
-    /// shared base arena) and report execution counters.  This is the
-    /// primary entry point; the slice-based methods wrap it.
-    pub fn run_inputs(
+    /// shared base arena) and return the result relation as a set value —
+    /// the complex-object representation of the canonical (sorted,
+    /// deduplicated) result rows — together with the execution counters.
+    pub fn run(
         &self,
         plan: &PhysicalPlan,
         inputs: &EngineInputs<'_>,
-    ) -> Result<(Vec<Value>, ExecStats), EngineError> {
+    ) -> Result<(Value, ExecStats), EngineError> {
         // Admission: start the wall clock before any work and check it
         // immediately, so a zero budget rejects the query deterministically
         // without touching a single row.
@@ -520,274 +485,93 @@ impl Executor {
                     slot: driver,
                     provided: interned.len(),
                 })?;
-        let workers = if compiled.has_driving_attach_env() {
+        let workers = if compiled.has_driving_attach_env()
+            || (!self.config.pin_workers && driver_rows.len() < MIN_PARALLEL_ROWS)
+        {
             1
         } else {
-            let w = self.config.workers.max(1).min(driver_rows.len().max(1));
-            // Cost-threshold sequential fallback: on small driving inputs
-            // thread spawn + merge overhead beats the row work, so go
-            // sequential — unless the caller pinned the count (the expand
-            // planner's cost model, or a test forcing a worker count).
-            if w > 1
-                && !self.config.pin_workers
-                && driver_rows.len() < self.config.min_parallel_rows
-            {
-                1
-            } else {
-                w
-            }
+            self.config.workers.max(1).min(driver_rows.len().max(1))
         };
-
-        // One set of columnar/scalar batch counters per query, shared by
-        // every operator of every worker lane (plain relaxed atomics).
-        let counters = ColumnarCounters::new();
-        let ctx = BuildCtx {
-            inputs: &interned,
-            batch_size: self.config.batch_size,
-            or_budget: self.config.or_budget,
-            lead_worker: true,
-            columnar: self.config.columnar,
-            counters: &counters,
-        };
-
-        if workers <= 1 {
-            let mut op = build(&compiled, ctx, None)?;
-            let mut ids = drain_within(op.as_mut(), &mut arena, deadline.as_ref())?;
-            // Merge step: the result is a set; sort + dedup on ids (equal
-            // rows ⟺ equal ids), then decode each survivor exactly once.
-            arena.sort_ids(&mut ids);
-            ids.dedup();
-            let rows: Vec<Value> = ids.iter().map(|&id| arena.decode(id)).collect();
-            let (columnar_batches, scalar_fallback_batches) = counters.snapshot();
-            let stats = ExecStats {
-                workers: 1,
-                rows: rows.len(),
-                morsels: 0,
-                steals: 0,
-                value_decodes: arena.decode_count(),
-                arena_nodes: arena.len(),
-                columnar_batches,
-                scalar_fallback_batches,
-            };
-            return Ok((rows, stats));
-        }
-
-        // Never oversubscribe the machine: `workers` is the *logical*
-        // morsel-consumer count (the queue's shard/steal topology, reported
-        // in `ExecStats`); per-thread state — the overlay arena and the
-        // output runs — belongs to **lanes**, one scoped OS thread each,
-        // capped at the hardware parallelism.  A lane drains its own shard
-        // and then steals, so shards beyond the lane count are consumed as
-        // steals from the fullest shard.  Running more OS threads than
-        // cores only adds context-switch overhead — the work-stealing
-        // queue already keeps every thread busy.  Pinned configs get one
-        // lane per worker (tests that force genuine cross-thread
-        // interleaving rely on it).
+        // `workers` is the *logical* morsel-consumer count (the queue's
+        // shard/steal topology, reported in `ExecStats`); per-thread state
+        // — the arena and the output runs — belongs to **lanes**, one OS
+        // thread each, capped at the hardware parallelism: the stealing
+        // queue already keeps every thread busy, so more threads than cores
+        // only add context switches.  Pinned configs get one lane per
+        // worker (tests that force genuine cross-thread interleaving rely
+        // on it).
         let lanes = if self.config.pin_workers {
             workers
         } else {
             workers.min(hardware_lanes())
         };
-
-        // Morsel granularity exists to balance load *between* lanes; with a
-        // single lane there is nothing to balance, so each claim coalesces
-        // to a whole shard — same shard/steal topology (and the same
-        // `ExecStats` claim accounting per shard), far fewer per-morsel
-        // pipeline rebuilds, and sorted runs big enough that the disjoint
-        // concat tail dominates.
-        // Morsel claims hand out whole id-blocks: when a morsel holds at
-        // least one batch, its size is truncated to a multiple of the
-        // batch size, so every claimed range decomposes into full columnar
-        // blocks (plus one tail block at the end of the relation) instead
-        // of leaving a sub-batch stub per morsel.  The defaults (1024 /
-        // 1024) make a morsel exactly one block.
-        let block = self.config.batch_size.max(1);
-        let morsel_rows = if lanes == 1 {
-            driver_rows.len().div_ceil(workers).max(1)
-        } else if self.config.morsel_rows >= block {
-            self.config.morsel_rows - self.config.morsel_rows % block
+        // The one thing the lane count decides: how big a morsel is and
+        // where each lane's arena comes from.
+        let shared_len = arena.len();
+        let (morsel_rows, arenas, frozen) = if lanes == 1 {
+            // One lane has nothing to balance, so each claim coalesces to a
+            // whole shard (a one-worker run is one whole-range morsel), and
+            // nothing mutates the query arena concurrently, so the lane
+            // interns straight into it: no freeze, no overlay.
+            let morsel_rows = driver_rows.len().div_ceil(workers).max(1);
+            (morsel_rows, vec![arena], (0, 0))
         } else {
-            self.config.morsel_rows
+            // A morsel holding at least one batch is truncated to a
+            // multiple of the batch size, so every claimed range decomposes
+            // into full columnar blocks (plus one tail block at the end of
+            // the relation); the defaults (1024 / 1024) make a morsel
+            // exactly one block.
+            let block = self.config.batch_size.max(1);
+            let morsel_rows = if self.config.morsel_rows >= block {
+                self.config.morsel_rows - self.config.morsel_rows % block
+            } else {
+                self.config.morsel_rows
+            };
+            // Freeze the query arena into a shared base; each lane interns
+            // into a private overlay.  Decodes and nodes of the query arena
+            // from before the freeze (e.g. a broadcast-side AttachEnv
+            // setup) still count in the stats.
+            let frozen = (arena.decode_count(), arena.len());
+            let base = Arc::new(arena);
+            let overlays = (0..lanes)
+                .map(|_| Interner::with_base(Arc::clone(&base)))
+                .collect();
+            (morsel_rows, overlays, frozen)
         };
-        let queue = MorselQueue::new(driver_rows.len(), workers, morsel_rows);
 
-        if lanes == 1 {
-            // Single lane ⇒ no concurrent arena mutation, so skip the
-            // freeze: the morsel loop interns straight into the query
-            // arena, paying exactly the sequential path's probe depth —
-            // the morsel/steal accounting and the per-morsel pipelines
-            // stay identical to the multi-lane path.
-            let shared_len = arena.len();
-            let compiled_ref = &compiled;
-            let queue_ref = &queue;
-            let arena_ref = &mut arena;
-            let driver_ref = &driver_rows;
-            let lane = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                move || -> Result<WorkerOutput, EngineError> {
-                    let mut runs: Vec<(usize, Vec<InternId>)> = Vec::new();
-                    let mut morsels = 0u64;
-                    let mut steals = 0u64;
-                    let mut lead = true;
-                    while let Some(morsel) = queue_ref.claim(0) {
-                        morsels += 1;
-                        steals += u64::from(morsel.shard != 0);
-                        let ctx = BuildCtx {
-                            lead_worker: std::mem::take(&mut lead),
-                            ..ctx
-                        };
-                        let start = morsel.rows.start;
-                        let mut op = build(compiled_ref, ctx, Some(&driver_ref[morsel.rows]))?;
-                        let mut ids = drain_within(op.as_mut(), arena_ref, deadline.as_ref())?;
-                        arena_ref.sort_ids(&mut ids);
-                        ids.dedup();
-                        runs.push((start, ids));
-                    }
-                    Ok(WorkerOutput {
-                        overlay: Interner::new(),
-                        runs,
-                        morsels,
-                        steals,
-                    })
-                },
-            ))
-            .unwrap_or_else(|payload| Err(panic_error(payload)))?;
-            let WorkerOutput {
-                mut runs,
-                morsels,
-                steals,
-                ..
-            } = lane;
-            // One lane ⇒ every id lives in the one query arena.  When the
-            // offset-ordered runs are pairwise disjoint (the common case:
-            // row-local pipelines preserve the driving order), the result
-            // is their concatenation — decode straight from the arena like
-            // the sequential tail, skipping the (lane, id) tagging and the
-            // merge copy entirely.
-            runs.retain(|(_, r)| !r.is_empty());
-            runs.sort_unstable_by_key(|&(start, _)| start);
-            let disjoint = runs.windows(2).all(|pair| {
-                let last = *pair[0].1.last().expect("empty runs filtered out");
-                arena.cmp(last, pair[1].1[0]) == std::cmp::Ordering::Less
-            });
-            if disjoint {
-                let total: usize = runs.iter().map(|(_, r)| r.len()).sum();
-                let mut rows: Vec<Value> = Vec::with_capacity(total);
-                for (_, run) in &runs {
-                    rows.extend(run.iter().map(|&id| arena.decode(id)));
-                }
-                let (columnar_batches, scalar_fallback_batches) = counters.snapshot();
-                let stats = ExecStats {
-                    workers,
-                    rows: rows.len(),
-                    morsels,
-                    steals,
-                    value_decodes: arena.decode_count(),
-                    arena_nodes: arena.len(),
-                    columnar_batches,
-                    scalar_fallback_batches,
-                };
-                return Ok((rows, stats));
-            }
-            let outputs = vec![WorkerOutput {
-                overlay: arena,
-                runs,
-                morsels,
-                steals,
-            }];
-            return Ok(finish_parallel(
-                outputs,
-                shared_len,
-                1,
-                workers,
-                0,
-                0,
-                counters.snapshot(),
-            ));
-        }
-
-        // Freeze the query arena; lanes overlay it privately.  The
-        // driving rows go into a shared morsel queue — workers claim
-        // morsel-sized row ranges from their own shard and steal from the
-        // fullest sibling shard once theirs is drained.
-        let base = Arc::new(arena);
-        let shared_len = base.len();
-        // whichever worker builds the first pipeline streams union right
-        // sides (they are independent of the driving rows, so exactly one
-        // pipeline instance of the whole query must emit them)
-        let lead_unclaimed = AtomicBool::new(true);
-        let compiled_ref = &compiled;
-        let base_ref = &base;
-        let queue_ref = &queue;
-        let lead_ref = &lead_unclaimed;
-        let results = run_workers(lanes, |lane| {
-            let mut overlay = Interner::with_base(Arc::clone(base_ref));
-            let mut runs: Vec<(usize, Vec<InternId>)> = Vec::new();
-            let mut morsels = 0u64;
-            let mut steals = 0u64;
-            while let Some(morsel) = queue_ref.claim(lane) {
-                morsels += 1;
-                steals += u64::from(morsel.shard != lane);
-                let ctx = BuildCtx {
-                    lead_worker: lead_ref.swap(false, Ordering::Relaxed),
-                    ..ctx
-                };
-                let start = morsel.rows.start;
-                let mut op = build(compiled_ref, ctx, Some(&driver_rows[morsel.rows]))?;
-                let mut ids = drain_within(op.as_mut(), &mut overlay, deadline.as_ref())?;
-                // sort/dedup per *morsel*, not per worker: a morsel's output
-                // usually arrives already ordered (row-local operators
-                // preserve the driving order), so the sort's O(n) pre-check
-                // passes — whereas a stolen morsel appended to a worker-wide
-                // run would force a full structural re-sort of the run
-                overlay.sort_ids(&mut ids);
-                ids.dedup();
-                runs.push((start, ids));
-            }
-            Ok(WorkerOutput {
-                overlay,
-                runs,
-                morsels,
-                steals,
-            })
-        });
-        let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(lanes);
-        for result in results {
-            outputs.push(result?);
-        }
-        // decodes performed while compiling against the query arena (e.g. a
-        // broadcast-side AttachEnv setup) happened before the freeze and
-        // belong in the sum alongside the per-lane overlay counts
-        Ok(finish_parallel(
-            outputs,
-            shared_len,
-            lanes,
-            workers,
-            base.decode_count(),
-            base.len(),
-            counters.snapshot(),
-        ))
+        // One set of columnar/scalar batch counters per query, shared by
+        // every operator of every lane (plain relaxed atomics).
+        let counters = ColumnarCounters::new();
+        let pipeline = Pipeline {
+            compiled: &compiled,
+            ctx: BuildCtx {
+                inputs: &interned,
+                batch_size: self.config.batch_size,
+                or_budget: self.config.or_budget,
+                lead_worker: true,
+                columnar: self.config.columnar,
+                counters: &counters,
+            },
+            driver_rows,
+            queue: MorselQueue::new(driver_rows.len(), workers, morsel_rows),
+            lead: AtomicBool::new(true),
+            deadline: deadline.as_ref(),
+        };
+        let lanes = run_workers(arenas, |lane, arena| pipeline.lane(lane, arena))
+            .into_iter()
+            .collect::<Result<Vec<Lane>, EngineError>>()?;
+        let (rows, stats) = finish(lanes, shared_len, workers, frozen, counters.snapshot());
+        Ok((canonical_set(rows), stats))
     }
 
-    /// Run over [`EngineInputs`] and package the rows as a set value.
-    pub fn run_inputs_to_value(
-        &self,
-        plan: &PhysicalPlan,
-        inputs: &EngineInputs<'_>,
-    ) -> Result<Value, EngineError> {
-        let (rows, _) = self.run_inputs(plan, inputs)?;
-        Ok(canonical_set(rows))
-    }
-
-    /// [`Executor::run_inputs_to_value`] that also reports execution
-    /// counters — what a serving layer needs to aggregate columnar/scalar
-    /// batch statistics across statements.
+    /// [`Executor::run`] under its older name, kept as a forward because
+    /// the standalone benchmark package (`perfbench/`) calls it.
     pub fn run_inputs_to_value_with_stats(
         &self,
         plan: &PhysicalPlan,
         inputs: &EngineInputs<'_>,
     ) -> Result<(Value, ExecStats), EngineError> {
-        let (rows, stats) = self.run_inputs(plan, inputs)?;
-        Ok((canonical_set(rows), stats))
+        self.run(plan, inputs)
     }
 }
 
@@ -817,44 +601,150 @@ fn hardware_lanes() -> usize {
     })
 }
 
-/// Merge the per-lane outputs and decode the survivors — the tail every
-/// morsel-driven run (single- or multi-lane) shares.  The multi-way
-/// id-merge runs over the lane outputs' runs; each surviving id is decoded
-/// exactly once, from the arena that owns it.  `base_decodes`/`base_nodes`
-/// fold in the frozen base's counters on the multi-lane path (the
-/// single-lane path has no separate base: its one output arena already
-/// carries the whole chain).
-fn finish_parallel(
-    outputs: Vec<WorkerOutput>,
+/// What every lane of one query shares: the compiled plan, the build
+/// context, the driving rows and the morsel queue over them.
+struct Pipeline<'a> {
+    compiled: &'a CompiledPlan,
+    ctx: BuildCtx<'a>,
+    driver_rows: &'a [InternId],
+    queue: MorselQueue,
+    /// Set until the first pipeline is built.  `Union` right sides are
+    /// independent of the driving rows, so exactly one pipeline instance
+    /// of the whole query — whichever is built first — must emit them.
+    lead: AtomicBool,
+    deadline: Option<&'a Deadline>,
+}
+
+impl Pipeline<'_> {
+    /// The lane body: claim morsels (own shard first, then steals) and
+    /// run each into `arena` until the queue is drained.
+    fn lane(&self, lane: usize, mut arena: Interner) -> Result<Lane, EngineError> {
+        let mut runs = Vec::new();
+        let (mut morsels, mut steals) = (0, 0);
+        while let Some(morsel) = self.queue.claim(lane) {
+            morsels += 1;
+            steals += u64::from(morsel.shard != lane);
+            let lead = self.lead.swap(false, AtomicOrdering::Relaxed);
+            runs.push(self.run_morsel(morsel.rows, lead, &mut arena)?);
+        }
+        // An empty driving input hands out no morsel, but its `Union`
+        // right sides must still be emitted: build one pipeline over no
+        // driving rows.
+        if self.lead.swap(false, AtomicOrdering::Relaxed) {
+            runs.push(self.run_morsel(0..0, true, &mut arena)?);
+        }
+        Ok(Lane {
+            arena,
+            runs,
+            morsels,
+            steals,
+        })
+    }
+
+    /// Run the driving rows `rows` through a fresh operator pipeline and
+    /// return their sorted, deduplicated ids tagged with the driver offset.
+    fn run_morsel(
+        &self,
+        rows: Range<usize>,
+        lead_worker: bool,
+        arena: &mut Interner,
+    ) -> Result<(usize, Vec<InternId>), EngineError> {
+        let start = rows.start;
+        let ctx = BuildCtx {
+            lead_worker,
+            ..self.ctx
+        };
+        let mut op = build(self.compiled, ctx, Some(&self.driver_rows[rows]))?;
+        let mut ids = drain_within(op.as_mut(), arena, self.deadline)?;
+        // sort/dedup per *morsel*, not per lane: a morsel's output usually
+        // arrives already ordered (row-local operators preserve the driving
+        // order), so the sort's O(n) pre-check passes — whereas a stolen
+        // morsel appended to a lane-wide run would force a full structural
+        // re-sort of the run
+        arena.sort_ids(&mut ids);
+        ids.dedup();
+        Ok((start, ids))
+    }
+}
+
+/// What one lane hands back: the arena its ids live in (the query arena
+/// on a one-lane run, a private overlay otherwise), one sorted
+/// deduplicated id run per pipeline it ran — each tagged with its
+/// morsel's driver-row offset so the tail can order runs by driving
+/// position — and its queue counters.
+struct Lane {
+    arena: Interner,
+    runs: Vec<(usize, Vec<InternId>)>,
+    morsels: u64,
+    steals: u64,
+}
+
+/// A merge run: each surviving id tagged with the lane whose arena owns it
+/// (sibling overlays may reuse a numeric id for different objects).
+type TaggedRun = Vec<(u32, InternId)>;
+
+/// The tail every run shares: order the lanes' runs by driver offset,
+/// concatenate them when they are pairwise disjoint or merge them
+/// otherwise, decode each survivor once from the arena that owns it, and
+/// report the counters.  `frozen` is the decode and node count of the
+/// frozen query arena under a multi-lane run's overlays (`(0, 0)` on one
+/// lane, whose arena is the query arena itself).
+fn finish(
+    lanes: Vec<Lane>,
     shared_len: usize,
-    lanes: usize,
     workers: usize,
-    base_decodes: u64,
-    base_nodes: usize,
+    (frozen_decodes, frozen_nodes): (u64, usize),
     (columnar_batches, scalar_fallback_batches): (u64, u64),
 ) -> (Vec<Value>, ExecStats) {
-    let morsels: u64 = outputs.iter().map(|o| o.morsels).sum();
-    let steals: u64 = outputs.iter().map(|o| o.steals).sum();
+    let morsels = lanes.iter().map(|l| l.morsels).sum();
+    let steals = lanes.iter().map(|l| l.steals).sum();
+    let mut arenas = Vec::with_capacity(lanes.len());
+    let mut runs: Vec<(usize, u32, Vec<InternId>)> = Vec::new();
+    for (lane, l) in lanes.into_iter().enumerate() {
+        arenas.push(l.arena);
+        runs.extend(
+            l.runs
+                .into_iter()
+                .filter(|(_, ids)| !ids.is_empty())
+                .map(|(start, ids)| (start, lane as u32, ids)),
+        );
+    }
+    runs.sort_unstable_by_key(|&(start, _, _)| start);
 
-    // Multi-way id-merge: per-morsel sorted runs merge *as ids*, each
-    // id tagged with its owning overlay (sibling overlays may reuse the
-    // same numeric id for different objects), compared across overlays
-    // via the shared base.  Only the survivors are decoded — once per
-    // result row, from the overlay that owns them.
-    let merged = merge_worker_runs(&outputs, shared_len, lanes);
-    let mut overlays: Vec<Interner> = outputs.into_iter().map(|o| o.overlay).collect();
-    let rows: Vec<Value> = merged
-        .iter()
-        .map(|&(w, id)| overlays[w as usize].decode(id))
-        .collect();
+    // Row-local pipelines preserve driver order, so runs ordered by driver
+    // offset usually cover strictly increasing value ranges.  One boundary
+    // comparison per adjacent pair proves it; then the result is a single
+    // pass over the runs instead of a merge tree that re-copies every row
+    // log(runs) times.
+    let disjoint = runs.windows(2).all(|pair| {
+        let (_, la, a) = &pair[0];
+        let (_, lb, b) = &pair[1];
+        let last = *a.last().expect("empty runs filtered out");
+        cmp_tagged(&arenas, shared_len, (*la, last), (*lb, b[0])) == Ordering::Less
+    });
+    let merged = (!disjoint).then(|| merge_tree(&runs, &arenas, shared_len));
+    let mut rows: Vec<Value> = Vec::with_capacity(runs.iter().map(|(_, _, r)| r.len()).sum());
+    match merged {
+        None => {
+            for (_, lane, run) in &runs {
+                let arena = &mut arenas[*lane as usize];
+                rows.extend(run.iter().map(|&id| arena.decode(id)));
+            }
+        }
+        Some(merged) => rows.extend(
+            merged
+                .into_iter()
+                .map(|(lane, id)| arenas[lane as usize].decode(id)),
+        ),
+    }
 
-    let value_decodes = base_decodes + overlays.iter().map(Interner::decode_count).sum::<u64>();
-    let arena_nodes = overlays
+    let value_decodes = frozen_decodes + arenas.iter().map(Interner::decode_count).sum::<u64>();
+    let arena_nodes = arenas
         .iter()
         .map(Interner::len)
         .max()
         .unwrap_or(0)
-        .max(base_nodes);
+        .max(frozen_nodes);
     let stats = ExecStats {
         workers,
         rows: rows.len(),
@@ -868,76 +758,43 @@ fn finish_parallel(
     (rows, stats)
 }
 
-/// What one worker lane (OS thread) hands back: its overlay arena (ids in
-/// `runs` are only meaningful *in this arena*), one sorted deduplicated id
-/// run **per claimed morsel** — each tagged with the morsel's driver-row
-/// offset so the merge can order runs by driving position — and its queue
-/// counters.
-struct WorkerOutput {
-    overlay: Interner,
-    runs: Vec<(usize, Vec<InternId>)>,
-    morsels: u64,
-    steals: u64,
+/// Canonical order on lane-tagged ids: [`Interner::cmp`] within one arena,
+/// [`Interner::cmp_across`] through the shared base between sibling
+/// overlays (equal base ids short-circuit without a structural walk).
+fn cmp_tagged(
+    arenas: &[Interner],
+    shared_len: usize,
+    (la, a): (u32, InternId),
+    (lb, b): (u32, InternId),
+) -> Ordering {
+    let arena = &arenas[la as usize];
+    if la == lb {
+        arena.cmp(a, b)
+    } else {
+        arena.cmp_across(a, &arenas[lb as usize], b, shared_len)
+    }
 }
 
-/// Merge the per-morsel sorted id runs into one sorted, deduplicated run
-/// of `(worker, id)` pairs — the multi-way merge that replaces re-sorting
-/// decoded values.  Comparison is [`Interner::cmp_across`] through the
-/// shared base (equal base ids short-circuit without a structural walk).
-/// Runs enter the pairwise merge tree ordered by their morsel's driver-row
-/// offset: over a value-ordered driving input, adjacent runs then cover
-/// adjacent value ranges and almost every pairwise merge degenerates to
-/// [`merge_two`]'s concatenation fast path.  On ≥ 3 lanes with large
-/// runs each tree level merges its pairs on scoped threads.
-/// A merge run: each surviving id tagged with the lane whose overlay owns
-/// it (sibling overlays may reuse a numeric id for different objects).
-type TaggedRun = Vec<(u32, InternId)>;
-
-fn merge_worker_runs(
-    outputs: &[WorkerOutput],
+/// Merge offset-ordered sorted id runs into one sorted, deduplicated run
+/// of lane-tagged ids — the multi-way merge that replaces re-sorting
+/// decoded values.  Runs enter the pairwise merge tree in driver order:
+/// over a value-ordered driving input, adjacent runs then cover adjacent
+/// value ranges and almost every pairwise merge degenerates to
+/// [`merge_two`]'s concatenation fast path.  On ≥ 3 lanes with large runs
+/// each tree level merges its pairs on scoped threads.
+fn merge_tree(
+    runs: &[(usize, u32, Vec<InternId>)],
+    arenas: &[Interner],
     shared_len: usize,
-    lanes: usize,
-) -> Vec<(u32, InternId)> {
-    let total: usize = outputs
-        .iter()
-        .map(|o| o.runs.iter().map(|(_, r)| r.len()).sum::<usize>())
-        .sum();
+) -> TaggedRun {
+    let total: usize = runs.iter().map(|(_, _, r)| r.len()).sum();
     // below this many rows, spawning merge threads costs more than merging
     const PARALLEL_MERGE_MIN_ROWS: usize = 1 << 14;
-    let parallel = lanes > 2 && total >= PARALLEL_MERGE_MIN_ROWS;
-    let mut tagged: Vec<(usize, u32, &[InternId])> = outputs
+    let parallel = arenas.len() > 2 && total >= PARALLEL_MERGE_MIN_ROWS;
+    let cmp = |x, y| cmp_tagged(arenas, shared_len, x, y);
+    let mut runs: Vec<TaggedRun> = runs
         .iter()
-        .enumerate()
-        .flat_map(|(w, o)| {
-            o.runs
-                .iter()
-                .filter(|(_, r)| !r.is_empty())
-                .map(move |(start, r)| (*start, w as u32, r.as_slice()))
-        })
-        .collect();
-    tagged.sort_unstable_by_key(|&(start, _, _)| start);
-    let arena_of = |w: u32| &outputs[w as usize].overlay;
-    // Flat-concat fast path: row-local pipelines preserve driver order, so
-    // runs ordered by driver offset usually cover strictly increasing value
-    // ranges.  One boundary comparison per adjacent pair proves it; then
-    // the whole result is a single copy pass instead of a merge tree that
-    // re-copies every row log(runs) times.
-    let disjoint = tagged.windows(2).all(|pair| {
-        let (_, wa, ra) = pair[0];
-        let (_, wb, rb) = pair[1];
-        let last = *ra.last().expect("empty runs filtered out");
-        arena_of(wa).cmp_across(last, arena_of(wb), rb[0], shared_len) == std::cmp::Ordering::Less
-    });
-    if disjoint {
-        let mut out = Vec::with_capacity(total);
-        for (_, w, r) in tagged {
-            out.extend(r.iter().map(|&id| (w, id)));
-        }
-        return out;
-    }
-    let mut runs: Vec<Vec<(u32, InternId)>> = tagged
-        .into_iter()
-        .map(|(_, w, r)| r.iter().map(|&id| (w, id)).collect())
+        .map(|(_, lane, r)| r.iter().map(|&id| (*lane, id)).collect())
         .collect();
     while runs.len() > 1 {
         let mut iter = runs.into_iter();
@@ -946,7 +803,7 @@ fn merge_worker_runs(
             pairs.push((a, iter.next()));
         }
         let merge_pair = |(a, b): (TaggedRun, Option<TaggedRun>)| match b {
-            Some(b) => merge_two(a, b, &arena_of, shared_len),
+            Some(b) => merge_two(a, b, &cmp),
             None => a,
         };
         runs = if parallel && pairs.len() > 1 {
@@ -966,42 +823,37 @@ fn merge_worker_runs(
     runs.pop().unwrap_or_default()
 }
 
-/// Merge two sorted deduplicated `(worker, id)` runs, dropping cross-run
+/// Merge two sorted deduplicated lane-tagged runs, dropping cross-run
 /// duplicates (equal objects in sibling overlays).
 ///
-/// Structural `cmp_across` comparisons are the expensive part of the
-/// merge, so the merge avoids them wherever the runs allow:
+/// Structural comparisons are the expensive part of the merge, so the
+/// merge avoids them wherever the runs allow:
 ///
 /// * **disjoint runs** (the common case: contiguous shards +
-///   order-preserving pipelines make worker runs cover disjoint value
-///   ranges unless morsels were stolen) are detected with one boundary
-///   comparison and concatenated;
+///   order-preserving pipelines make runs cover disjoint value ranges
+///   unless morsels were stolen) are detected with one boundary comparison
+///   and concatenated;
 /// * interleaved runs use a **galloping merge** — an exponential search
 ///   finds each crossover and the segment below it is bulk-copied, so the
 ///   comparison count scales with the number of interleaved segments
 ///   (roughly the steal count), not with the row count.
-fn merge_two<'a>(
-    a: Vec<(u32, InternId)>,
-    b: Vec<(u32, InternId)>,
-    arena_of: &impl Fn(u32) -> &'a Interner,
-    shared_len: usize,
-) -> Vec<(u32, InternId)> {
-    use std::cmp::Ordering as Ord;
+fn merge_two(
+    a: TaggedRun,
+    b: TaggedRun,
+    cmp: &impl Fn((u32, InternId), (u32, InternId)) -> Ordering,
+) -> TaggedRun {
     if a.is_empty() {
         return b;
     }
     if b.is_empty() {
         return a;
     }
-    let cmp = |x: (u32, InternId), y: (u32, InternId)| {
-        arena_of(x.0).cmp_across(x.1, arena_of(y.0), y.1, shared_len)
-    };
-    if cmp(*a.last().expect("non-empty"), b[0]) == Ord::Less {
+    if cmp(*a.last().expect("non-empty"), b[0]) == Ordering::Less {
         let mut out = a;
         out.extend_from_slice(&b);
         return out;
     }
-    if cmp(*b.last().expect("non-empty"), a[0]) == Ord::Less {
+    if cmp(*b.last().expect("non-empty"), a[0]) == Ordering::Less {
         let mut out = b;
         out.extend_from_slice(&a);
         return out;
@@ -1010,17 +862,17 @@ fn merge_two<'a>(
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match cmp(a[i], b[j]) {
-            Ord::Less => {
-                let run = gallop_below(&a[i..], b[j], &cmp);
+            Ordering::Less => {
+                let run = gallop_below(&a[i..], b[j], cmp);
                 out.extend_from_slice(&a[i..i + run]);
                 i += run;
             }
-            Ord::Greater => {
-                let run = gallop_below(&b[j..], a[i], &cmp);
+            Ordering::Greater => {
+                let run = gallop_below(&b[j..], a[i], cmp);
                 out.extend_from_slice(&b[j..j + run]);
                 j += run;
             }
-            Ord::Equal => {
+            Ordering::Equal => {
                 out.push(a[i]);
                 i += 1;
                 j += 1;
@@ -1038,18 +890,17 @@ fn merge_two<'a>(
 fn gallop_below(
     run: &[(u32, InternId)],
     bound: (u32, InternId),
-    cmp: &impl Fn((u32, InternId), (u32, InternId)) -> std::cmp::Ordering,
+    cmp: &impl Fn((u32, InternId), (u32, InternId)) -> Ordering,
 ) -> usize {
-    use std::cmp::Ordering as Ord;
-    debug_assert!(cmp(run[0], bound) == Ord::Less);
+    debug_assert!(cmp(run[0], bound) == Ordering::Less);
     let mut hi = 1;
-    while hi < run.len() && cmp(run[hi], bound) == Ord::Less {
+    while hi < run.len() && cmp(run[hi], bound) == Ordering::Less {
         hi *= 2;
     }
     let (mut left, mut right) = (hi / 2, hi.min(run.len()));
     while left < right {
         let mid = left + (right - left) / 2;
-        if cmp(run[mid], bound) == Ord::Less {
+        if cmp(run[mid], bound) == Ordering::Less {
             left = mid + 1;
         } else {
             right = mid;
@@ -1058,27 +909,30 @@ fn gallop_below(
     left
 }
 
-/// Run `worker(lane)` on one scoped OS thread per lane `0..lanes` — the
-/// calling thread doubles as lane 0, saving one spawn — and collect the
-/// results in lane order.  Each call runs under `catch_unwind`, so a
-/// panicking worker is converted into `Err(EngineError::WorkerPanic)`
-/// without taking down its thread-mates or the process.
-fn run_workers<T: Send>(
-    lanes: usize,
-    worker: impl Fn(usize) -> Result<T, EngineError> + Sync,
+/// Run `worker(lane, state)` once per element of `states` — lane 0 on the
+/// calling thread, every further lane on its own scoped OS thread — and
+/// collect the results in lane order.  Each call runs under
+/// `catch_unwind`, so a panicking worker is converted into
+/// `Err(EngineError::WorkerPanic)` without taking down its thread-mates or
+/// the process.  A one-lane run spawns no thread.
+fn run_workers<S: Send, T: Send>(
+    states: Vec<S>,
+    worker: impl Fn(usize, S) -> Result<T, EngineError> + Sync,
 ) -> Vec<Result<T, EngineError>> {
-    let lanes = lanes.max(1);
     let worker = &worker;
-    let run_one = move |lane: usize| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(lane)))
+    let run_one = move |lane: usize, state: S| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(lane, state)))
             .unwrap_or_else(|payload| Err(panic_error(payload)))
     };
     thread::scope(|scope| {
-        let handles: Vec<_> = (1..lanes)
-            .map(|lane| scope.spawn(move || run_one(lane)))
+        let mut states = states.into_iter().enumerate();
+        let first = states.next();
+        let handles: Vec<_> = states
+            .map(|(lane, state)| scope.spawn(move || run_one(lane, state)))
             .collect();
-        let first = run_one(0);
-        std::iter::once(first)
+        first
+            .map(|(lane, state)| run_one(lane, state))
+            .into_iter()
             .chain(
                 handles
                     .into_iter()
@@ -1185,18 +1039,22 @@ mod tests {
     use super::*;
     use or_nra::eval::eval;
 
+    fn run_rows(exec: &Executor, plan: &PhysicalPlan, rows: &[Value]) -> (Value, ExecStats) {
+        exec.run(plan, &EngineInputs::from_values(&[rows])).unwrap()
+    }
+
     /// A worker whose row-level function panics must surface as
     /// `EngineError::WorkerPanic`, not abort the process: the panic is
-    /// caught at the join point of the partitioned executor.
+    /// caught per lane, at the join point.
     #[test]
     fn panicking_worker_yields_error_not_abort() {
         let rows: Vec<Value> = (0..8).map(Value::Int).collect();
         let partitions = or_db::partition_rows(&rows, 4);
         // a deliberately panicking per-row function standing in for a
         // panicking morphism evaluation inside the worker pipeline
-        let results = run_workers(partitions.len(), |index| {
+        let results = run_workers(partitions, |_, partition| {
             let mut out = Vec::new();
-            for row in partitions[index] {
+            for row in partition {
                 if *row == Value::Int(5) {
                     panic!("deliberate morphism panic on row {row}");
                 }
@@ -1220,13 +1078,21 @@ mod tests {
             .map(Vec::len)
             .sum();
         assert_eq!(ok_rows, 6);
+        // a single lane runs on the calling thread, still contained
+        let single = run_workers(vec![()], |_, ()| -> Result<(), EngineError> {
+            panic!("deliberate single-lane panic")
+        });
+        assert!(matches!(
+            single.as_slice(),
+            [Err(EngineError::WorkerPanic { .. })]
+        ));
     }
 
-    /// Sibling worker overlays allocate local ids independently, so after a
-    /// steal two workers' result runs can carry the *same numeric id* for
-    /// *different objects*.  The merge must keep every id tagged with its
+    /// Sibling lane overlays allocate local ids independently, so after a
+    /// steal two lanes' result runs can carry the *same numeric id* for
+    /// *different objects*.  The tail must keep every id tagged with its
     /// owning overlay and decode it there — an id must never leak into a
-    /// sibling worker's arena.
+    /// sibling lane's arena.
     #[test]
     fn stolen_morsel_overlay_ids_never_leak_into_sibling_decodes() {
         let mut base = Interner::new();
@@ -1235,7 +1101,7 @@ mod tests {
         let base = Arc::new(base);
         let mut a = Interner::with_base(base.clone());
         let mut b = Interner::with_base(base.clone());
-        // worker A built "alpha", worker B (after stealing A's rows) built
+        // lane A built "alpha", lane B (after stealing A's rows) built
         // "beta" — at the same overlay-local id
         let ida = a.intern(&Value::str("alpha"));
         let idb = b.intern(&Value::str("beta"));
@@ -1248,26 +1114,21 @@ mod tests {
         a.sort_ids(&mut ids_a);
         let mut ids_b = vec![shared, idb, dupb];
         b.sort_ids(&mut ids_b);
-        let outputs = vec![
-            WorkerOutput {
-                overlay: a,
+        let lanes = vec![
+            Lane {
+                arena: a,
                 runs: vec![(0, ids_a)],
                 morsels: 2,
                 steals: 0,
             },
-            WorkerOutput {
-                overlay: b,
+            Lane {
+                arena: b,
                 runs: vec![(1, ids_b)],
                 morsels: 1,
                 steals: 1,
             },
         ];
-        let merged = merge_worker_runs(&outputs, shared_len, 2);
-        let mut overlays: Vec<Interner> = outputs.into_iter().map(|o| o.overlay).collect();
-        let rows: Vec<Value> = merged
-            .iter()
-            .map(|&(w, id)| overlays[w as usize].decode(id))
-            .collect();
+        let (rows, stats) = finish(lanes, shared_len, 2, (0, shared_len), (0, 0));
         // "alpha" and "beta" both survive (distinct objects behind one
         // numeric id); "dup" and the shared int merge to one row each
         assert_eq!(
@@ -1279,6 +1140,8 @@ mod tests {
                 Value::str("dup"),
             ]
         );
+        assert_eq!((stats.rows, stats.morsels, stats.steals), (4, 3, 1));
+        assert_eq!(stats.value_decodes, 4, "one decode per surviving row");
     }
 
     /// A zero wall-clock budget must reject the query at admission, before
@@ -1288,16 +1151,15 @@ mod tests {
     fn zero_time_budget_rejects_at_admission() {
         let rows: Vec<Value> = (0..16).map(Value::Int).collect();
         let plan = or_nra::optimize::lower(&Morphism::map(Morphism::Id)).unwrap();
-        let exec =
-            Executor::new(ExecConfig::sequential().with_time_budget(std::time::Duration::ZERO));
-        match exec.run(&plan, &[&rows]) {
+        let exec = Executor::new(ExecConfig::default().with_time_budget(std::time::Duration::ZERO));
+        match exec.run(&plan, &EngineInputs::from_values(&[&rows])) {
             Err(EngineError::TimeBudgetExceeded { budget_ms: 0 }) => {}
             other => panic!("expected TimeBudgetExceeded, got {other:?}"),
         }
         let exec = Executor::new(
-            ExecConfig::sequential().with_time_budget(std::time::Duration::from_secs(60)),
+            ExecConfig::default().with_time_budget(std::time::Duration::from_secs(60)),
         );
-        assert_eq!(exec.run(&plan, &[&rows]).unwrap().len(), 16);
+        assert_eq!(run_rows(&exec, &plan, &rows).1.rows, 16);
     }
 
     #[test]
@@ -1314,6 +1176,8 @@ mod tests {
         let _ = canonical_set(vec![Value::Int(2), Value::Int(1)]);
     }
 
+    /// Interned execution decodes exactly once per result row, whether the
+    /// rows come from one arena or from several lanes' overlays.
     #[test]
     fn sequential_queries_decode_once_per_result_row() {
         use or_nra::morphism::{Morphism as M, Prim};
@@ -1325,15 +1189,22 @@ mod tests {
             .then(M::Prim(Prim::Leq));
         let query = or_nra::derived::select(cheap).then(M::map(M::Proj1));
         let plan = or_nra::optimize::lower(&query).unwrap();
-        let exec = Executor::new(ExecConfig::default());
-        let (out, stats) = exec.run_with_stats(&plan, &[&rows]).unwrap();
-        assert_eq!(stats.rows, out.len());
-        assert_eq!(
-            stats.value_decodes,
-            out.len() as u64,
-            "interned execution must decode exactly once per result row"
-        );
-        assert!(stats.arena_nodes > 0);
+        for workers in [1, 2, 4] {
+            let config = ExecConfig::default()
+                .with_pinned_workers(workers)
+                .with_morsel_rows(16)
+                .with_batch_size(16);
+            let (out, stats) = run_rows(&Executor::new(config), &plan, &rows);
+            let out = out.elements().unwrap();
+            assert_eq!(stats.workers, workers);
+            assert_eq!(stats.rows, out.len());
+            assert_eq!(
+                stats.value_decodes,
+                out.len() as u64,
+                "interned execution must decode exactly once per result row ({workers} workers)"
+            );
+            assert!(stats.arena_nodes > 0);
+        }
     }
 
     #[test]
@@ -1353,15 +1224,11 @@ mod tests {
         let mut inputs = EngineInputs::with_base(base.clone());
         inputs.push_interned(&rows, &ids);
         let exec = Executor::new(ExecConfig::default());
-        let (out, stats) = exec.run_inputs(&plan, &inputs).unwrap();
+        let (out, stats) = exec.run(&plan, &inputs).unwrap();
         let expected = eval(&query, &Value::set(rows.clone())).unwrap();
-        assert_eq!(canonical_set(out), expected);
+        assert_eq!(out, expected);
         // plain (un-interned) inputs agree
-        let (out2, _) = exec.run_with_stats(&plan, &[&rows]).unwrap();
-        assert_eq!(
-            canonical_set(out2),
-            eval(&query, &Value::set(rows)).unwrap()
-        );
+        assert_eq!(run_rows(&exec, &plan, &rows).0, expected);
         assert_eq!(stats.rows as u64, stats.value_decodes);
     }
 }

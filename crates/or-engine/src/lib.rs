@@ -10,8 +10,8 @@
 //!   OrQL expression ──compile──▶ or-NRA⁺ morphism ──lower──▶ PhysicalPlan
 //!                                                              │
 //!                           or_engine::Executor  ◀─────────────┘
-//!                           (volcano operators, partitioned scans,
-//!                            per-worker batches, merge)
+//!                           (volcano operators, morsel-driven lanes,
+//!                            batches, id-merge)
 //! ```
 //!
 //! ## The operator model
@@ -55,26 +55,28 @@
 //! [`exec::ExecStats::columnar_batches`] /
 //! [`exec::ExecStats::scalar_fallback_batches`] report the split.
 //!
-//! ## Morsel-driven parallelism
+//! ## One morsel pipeline
 //!
 //! Every plan has a **driving scan** — follow `input`/`left` edges to a
-//! leaf.  [`exec::Executor`] puts the driving input's row range into a
-//! shared work-stealing [`morsel::MorselQueue`]: each worker claims
-//! **morsels** (small row ranges) from its own shard of the range and
-//! steals from the fullest sibling shard when its own drains, so skew
-//! cannot idle a worker.  Each morsel runs the whole operator pipeline on
-//! the claiming worker's thread (`std::thread::scope`); the compiled plan
-//! and the query arena are frozen into a shared base, each worker overlays
-//! a private arena on it, and binary operators broadcast their
-//! (materialized) right side by id — equi-joins against a large build side
-//! probe a hash-**partitioned** table ([`ops::JoinTable`]).  Each worker
-//! id-sorts and dedups the run it accumulated; a final **multi-way
-//! id-merge** combines the per-worker runs (comparing ids *across* worker
-//! overlays through the shared base, never decoding) and only the
-//! surviving rows are materialized — exactly set union, which is the
-//! correct combining operator because or-NRA's set semantics is order- and
-//! duplicate-free by construction.  Inputs smaller than
-//! [`exec::ExecConfig::min_parallel_rows`] stay sequential.
+//! leaf.  [`exec::Executor`] runs every query the same way: the driving
+//! input's row range goes into a shared work-stealing
+//! [`morsel::MorselQueue`], each lane claims **morsels** (row ranges) from
+//! its own shard of the range and steals from the fullest sibling shard
+//! when its own drains, so skew cannot idle a lane.  Each morsel runs the
+//! whole operator pipeline and is sorted and deduped into one id run.  A
+//! one-worker run is one lane claiming one whole-range morsel, interning
+//! into the query arena; several lanes (`std::thread::scope`) freeze the
+//! query arena into a shared base and each overlay a private arena on it.
+//! Binary operators broadcast their (materialized) right side by id —
+//! equi-joins against a large build side probe a hash-**partitioned**
+//! table ([`ops::JoinTable`]).  One tail combines the runs: concatenated
+//! when they are disjoint in driver order, a multi-way **id-merge**
+//! otherwise (comparing ids *across* overlays through the shared base,
+//! never decoding), and only the surviving rows are materialized —
+//! exactly set union, which is the correct combining operator because
+//! or-NRA's set semantics is order- and duplicate-free by construction.
+//! Inputs smaller than [`exec::MIN_PARALLEL_ROWS`] run one worker unless
+//! the worker count is pinned.
 //!
 //! The full design — layer by layer, with the stealing protocol and the
 //! arena-ownership rules — is written down in `docs/ENGINE.md` at the
@@ -132,7 +134,7 @@
 //!
 //! let plan = or_nra::optimize::lower(&query).unwrap();
 //! let executor = Executor::new(ExecConfig::parallel());
-//! let out = executor.run_to_value(&plan, &[&rows]).unwrap();
+//! let (out, _stats) = executor.run(&plan, &EngineInputs::from_values(&[&rows])).unwrap();
 //! assert_eq!(out, or_nra::eval::eval(&query, &Value::set(rows)).unwrap());
 //! ```
 
@@ -152,14 +154,10 @@ pub mod query;
 pub mod prelude {
     pub use crate::error::EngineError;
     pub use crate::exec::{EngineInputs, ExecConfig, ExecStats, Executor};
-    pub use crate::query::{
-        run_morphism, run_morphism_on_value, run_plan, run_plan_optimized, run_plan_with_stats,
-    };
+    pub use crate::query::{run_morphism_on_value, run_plan, run_plan_optimized};
     pub use or_nra::physical::PhysicalPlan;
 }
 
 pub use error::EngineError;
 pub use exec::{EngineInputs, ExecConfig, ExecStats, Executor};
-pub use query::{
-    run_morphism, run_morphism_on_value, run_plan, run_plan_optimized, run_plan_with_stats,
-};
+pub use query::{run_morphism_on_value, run_plan, run_plan_optimized};

@@ -101,8 +101,7 @@ pub(crate) fn drain_within(
 }
 
 /// Everything an operator-tree build needs besides the compiled plan
-/// itself.  Cheap to copy; shared by the executor's sequential and worker
-/// paths.
+/// itself.  Cheap to copy; shared by every lane of a run.
 #[derive(Clone, Copy)]
 pub struct BuildCtx<'a> {
     /// Slot-indexed interned inputs (caller inputs plus executor-hoisted
@@ -114,11 +113,10 @@ pub struct BuildCtx<'a> {
     pub batch_size: usize,
     /// Default per-row or-expansion budget for budget-less `OrExpand` nodes.
     pub or_budget: Option<u64>,
-    /// Is this the lead worker of a partitioned run?  `Union` right sides
-    /// are independent of the driving partition, so only the lead worker
-    /// streams them — the canonical merge (set union) makes emitting them
-    /// once both sufficient and non-redundant.  Sequential runs always
-    /// build with `true`.
+    /// Is this the lead pipeline of its run?  `Union` right sides are
+    /// independent of the driving rows, so only the first pipeline the
+    /// executor builds streams them — the canonical merge (set union)
+    /// makes emitting them once both sufficient and non-redundant.
     pub lead_worker: bool,
     /// Use the columnar block path where the compiled plan offers one
     /// ([`crate::exec::ExecConfig::columnar`]; differential tests force it
@@ -272,9 +270,8 @@ pub enum JoinKind {
 
 /// A [`PhysicalPlan`] compiled against a query arena: morphisms are
 /// interned [`RowProgram`]s, broadcast sides are materialized id rows, and
-/// equi-join tables are prebuilt.  Plain shareable data — workers of a
-/// partitioned run all build their operator trees from the same compiled
-/// plan.
+/// equi-join tables are prebuilt.  Plain shareable data — every morsel
+/// pipeline of a run builds its operator tree from the same compiled plan.
 #[derive(Debug, Clone)]
 pub enum CompiledPlan {
     /// Read every row of input slot `i`.
@@ -554,7 +551,7 @@ pub(crate) fn unpack_setup_result(
 /// `ctx.inputs` are the interned relations (slot-indexed id rows);
 /// `driver_override`, when present, replaces the rows of the **driving
 /// scan** (the leaf reached by `input`/`left` children) — this is how the
-/// parallel executor hands each worker its partition.  Non-driving scans
+/// executor hands each pipeline its morsel.  Non-driving scans
 /// always read the full input.
 pub fn build<'a>(
     plan: &'a CompiledPlan,
@@ -832,8 +829,8 @@ impl Operator for AttachEnvOp<'_> {
 
 /// Streams the left side to exhaustion, then the right side.  Together with
 /// the executor's canonical merge (id sort + dedup) this computes exact set
-/// union.  `right` is `None` on non-lead workers of a partitioned run: the
-/// right side does not depend on the partition, so one worker emitting it is
+/// union.  `right` is `None` on every pipeline but the run's lead: the
+/// right side does not depend on the morsel, so one pipeline emitting it is
 /// enough.
 pub struct UnionOp<'a> {
     left: Box<dyn Operator + 'a>,

@@ -17,11 +17,11 @@ use or_nra::verify::{first_deny, verify_plan, VerifyConfig};
 use or_object::Value;
 
 use crate::error::EngineError;
-use crate::exec::{canonical_set, EngineInputs, ExecConfig, ExecStats, Executor};
+use crate::exec::{EngineInputs, ExecConfig, ExecStats, Executor};
 
 /// Schema-aware verification gate: these entry points know the relations'
 /// record types, so the full typed rule catalog engages (the executor-level
-/// gate in [`Executor::run_inputs`] sees only arity).  `assume_consistent`
+/// gate in [`Executor::run`] sees only arity).  `assume_consistent`
 /// mirrors the expand planner's setting for the same plan.
 fn verify_against_relations(
     plan: &PhysicalPlan,
@@ -67,25 +67,18 @@ fn relation_inputs<'a>(relations: &'a [&'a Relation]) -> EngineInputs<'a> {
 }
 
 /// Run a physical plan over relations; slot `i` of the plan scans
-/// `relations[i]`.  Returns the result as a set value.
+/// `relations[i]`.  Returns the result as a set value and the execution
+/// counters.  Morphisms lower to plans with [`or_nra::optimize::lower`];
+/// those outside the lowerable fragment report [`EngineError::Lower`], and
+/// callers can fall back to [`or_nra::eval::eval`] on
+/// [`Relation::to_value`].
 pub fn run_plan(
-    plan: &PhysicalPlan,
-    relations: &[&Relation],
-    config: ExecConfig,
-) -> Result<Value, EngineError> {
-    verify_against_relations(plan, relations, &config, false)?;
-    Executor::new(config).run_inputs_to_value(plan, &relation_inputs(relations))
-}
-
-/// Run a physical plan over relations and report execution counters.
-pub fn run_plan_with_stats(
     plan: &PhysicalPlan,
     relations: &[&Relation],
     config: ExecConfig,
 ) -> Result<(Value, ExecStats), EngineError> {
     verify_against_relations(plan, relations, &config, false)?;
-    let (rows, stats) = Executor::new(config).run_inputs(plan, &relation_inputs(relations))?;
-    Ok((canonical_set(rows), stats))
+    Executor::new(config).run(plan, &relation_inputs(relations))
 }
 
 /// Run a physical plan through the **expand planner** first, then execute.
@@ -97,8 +90,8 @@ pub fn run_plan_with_stats(
 /// cost-model recommendation — one big expand becomes that many
 /// partition-local expands.  The recommended worker count is **pinned**:
 /// the planner's cost model has already judged the input large enough to
-/// parallelize, so the executor's own
-/// [`ExecConfig::min_parallel_rows`] fallback is bypassed.  Returns the
+/// parallelize, so the executor's own [`crate::exec::MIN_PARALLEL_ROWS`]
+/// threshold is bypassed.  Returns the
 /// result, the execution counters and the planner's report.
 ///
 /// ```
@@ -162,22 +155,8 @@ pub fn run_plan_optimized(
         pin_workers: true,
         ..config
     };
-    let (rows, stats) =
-        Executor::new(exec_config).run_inputs(&optimized, &relation_inputs(relations))?;
-    Ok((canonical_set(rows), stats, report))
-}
-
-/// Lower a set-pipeline morphism (`{record} → {t}`) and run it over a
-/// relation.  Morphisms outside the lowerable fragment report
-/// [`EngineError::Lower`]; callers can fall back to
-/// [`or_nra::eval::eval`] on [`Relation::to_value`].
-pub fn run_morphism(
-    relation: &Relation,
-    m: &Morphism,
-    config: ExecConfig,
-) -> Result<Value, EngineError> {
-    let plan = lower(m)?;
-    run_plan(&plan, &[relation], config)
+    let (value, stats) = Executor::new(exec_config).run(&optimized, &relation_inputs(relations))?;
+    Ok((value, stats, report))
 }
 
 /// Lower and run a morphism over a plain set value (the engine-side analogue
@@ -196,5 +175,6 @@ pub fn run_morphism_on_value(
             })
         }
     };
-    Executor::new(config).run_to_value(&plan, &[rows])
+    let (value, _) = Executor::new(config).run(&plan, &EngineInputs::from_values(&[rows]))?;
+    Ok(value)
 }

@@ -9,6 +9,15 @@ use or_nra::morphism::{Morphism as M, Prim};
 use or_nra::optimize::lower;
 use or_object::{Type, Value};
 
+/// Run `plan` over plain value slots, interned per query.
+fn run(
+    exec: &Executor,
+    plan: &PhysicalPlan,
+    slots: &[&[Value]],
+) -> Result<(Value, ExecStats), EngineError> {
+    exec.run(plan, &EngineInputs::from_values(slots))
+}
+
 /// 200 rows of (id, cost) pairs.
 fn priced_rows(n: i64) -> Vec<Value> {
     (0..n)
@@ -35,7 +44,7 @@ fn filter_project_pipeline_matches_interpreter() {
                 .with_workers(workers)
                 .with_batch_size(16),
         );
-        let got = exec.run_to_value(&plan, &[&rows]).unwrap();
+        let got = run(&exec, &plan, &[&rows]).unwrap().0;
         assert_eq!(got, expected, "with {workers} workers");
     }
 }
@@ -44,12 +53,12 @@ fn filter_project_pipeline_matches_interpreter() {
 fn parallel_execution_reports_worker_count() {
     let rows = priced_rows(100);
     let plan = PhysicalPlan::scan(0).filter(cheap(25));
-    // pinned workers bypass the small-input sequential fallback
+    // pinned workers bypass the small-input one-worker threshold
     let exec = Executor::new(ExecConfig::default().with_pinned_workers(4));
-    let (result_rows, stats) = exec.run_with_stats(&plan, &[&rows]).unwrap();
+    let (result_rows, stats) = run(&exec, &plan, &[&rows]).unwrap();
     assert_eq!(stats.workers, 4);
-    assert_eq!(stats.rows, result_rows.len());
-    assert!(!result_rows.is_empty());
+    assert_eq!(stats.rows, result_rows.elements().unwrap().len());
+    assert!(stats.rows > 0);
     assert!(
         stats.morsels >= 4,
         "each worker claimed at least one morsel"
@@ -58,28 +67,20 @@ fn parallel_execution_reports_worker_count() {
 
 /// Regression test for the fanout-8 benchmark anomaly: on a small driving
 /// input the parallel leg used to pay thread + merge overhead for no gain.
-/// The executor now falls back to one worker below
-/// `ExecConfig::min_parallel_rows` unless the worker count is pinned.
+/// The executor now uses one worker below `exec::MIN_PARALLEL_ROWS`
+/// unless the worker count is pinned.
 #[test]
 fn small_inputs_fall_back_to_sequential_unless_pinned() {
     let rows = priced_rows(100);
     let plan = PhysicalPlan::scan(0).filter(cheap(25));
-    // unpinned: 100 rows < min_parallel_rows ⇒ sequential
+    // unpinned: 100 rows < MIN_PARALLEL_ROWS ⇒ one worker
     let exec = Executor::new(ExecConfig::default().with_workers(8));
-    let (_, stats) = exec.run_with_stats(&plan, &[&rows]).unwrap();
-    assert_eq!(stats.workers, 1, "below the cost threshold runs sequential");
-    assert_eq!(stats.morsels, 0, "the sequential path bypasses the queue");
-    // lowering the threshold re-enables parallelism for the same input
-    let exec = Executor::new(
-        ExecConfig::default()
-            .with_workers(8)
-            .with_min_parallel_rows(50),
-    );
-    let (_, stats) = exec.run_with_stats(&plan, &[&rows]).unwrap();
-    assert_eq!(stats.workers, 8);
+    let (_, stats) = run(&exec, &plan, &[&rows]).unwrap();
+    assert_eq!(stats.workers, 1, "below the cost threshold runs one worker");
+    assert_eq!(stats.morsels, 1, "one worker claims one whole-range morsel");
     // pinning always wins over the threshold
     let exec = Executor::new(ExecConfig::default().with_pinned_workers(8));
-    let (_, stats) = exec.run_with_stats(&plan, &[&rows]).unwrap();
+    let (_, stats) = run(&exec, &plan, &[&rows]).unwrap();
     assert_eq!(stats.workers, 8);
 }
 
@@ -93,7 +94,7 @@ fn cartesian_and_join_match_the_derived_operators() {
     let expected = eval(&derived::cartesian_product(), &pair_value).unwrap();
     let plan = PhysicalPlan::scan(0).cartesian(PhysicalPlan::scan(1));
     let exec = Executor::new(ExecConfig::default().with_workers(3));
-    let got = exec.run_to_value(&plan, &[&left, &right]).unwrap();
+    let got = run(&exec, &plan, &[&left, &right]).unwrap().0;
     assert_eq!(got, expected);
 
     // join l = r: equals filtering the cartesian product by eq
@@ -106,7 +107,7 @@ fn cartesian_and_join_match_the_derived_operators() {
         let cart_then_filter = derived::cartesian_product().then(filtered);
         eval(&cart_then_filter, &pair_value).unwrap()
     };
-    let got_join = exec.run_to_value(&join_plan, &[&left, &right]).unwrap();
+    let got_join = run(&exec, &join_plan, &[&left, &right]).unwrap().0;
     assert_eq!(got_join, expected_join);
 }
 
@@ -133,8 +134,8 @@ fn equi_join_hash_path_agrees_with_nested_loop() {
     let exec = Executor::new(ExecConfig::default().with_workers(2));
     let hash_plan = PhysicalPlan::scan(0).join(PhysicalPlan::scan(1), equi);
     let loop_plan = PhysicalPlan::scan(0).join(PhysicalPlan::scan(1), generic);
-    let a = exec.run_to_value(&hash_plan, &[&users, &groups]).unwrap();
-    let b = exec.run_to_value(&loop_plan, &[&users, &groups]).unwrap();
+    let a = run(&exec, &hash_plan, &[&users, &groups]).unwrap().0;
+    let b = run(&exec, &loop_plan, &[&users, &groups]).unwrap().0;
     assert_eq!(a, b);
     assert_eq!(a.elements().unwrap().len(), 30);
 }
@@ -160,13 +161,13 @@ fn partitioned_hash_join_agrees_with_nested_loop() {
     );
     let hash_plan = PhysicalPlan::scan(0).join(PhysicalPlan::scan(1), equi);
     let loop_plan = PhysicalPlan::scan(0).join(PhysicalPlan::scan(1), generic);
-    let seq = Executor::new(ExecConfig::sequential());
-    let expected = seq.run_to_value(&loop_plan, &[&left, &right]).unwrap();
-    let got_seq = seq.run_to_value(&hash_plan, &[&left, &right]).unwrap();
+    let seq = Executor::new(ExecConfig::default());
+    let expected = run(&seq, &loop_plan, &[&left, &right]).unwrap().0;
+    let got_seq = run(&seq, &hash_plan, &[&left, &right]).unwrap().0;
     assert_eq!(got_seq, expected);
     for workers in [2, 4] {
         let par = Executor::new(ExecConfig::default().with_pinned_workers(workers));
-        let got = par.run_to_value(&hash_plan, &[&left, &right]).unwrap();
+        let got = run(&par, &hash_plan, &[&left, &right]).unwrap().0;
         assert_eq!(got, expected, "with {workers} pinned workers");
     }
 }
@@ -189,8 +190,22 @@ fn union_plans_match_the_union_morphism() {
                 .with_workers(workers)
                 .with_batch_size(8),
         );
-        let got = exec.run_to_value(&plan, &[&rows]).unwrap();
+        let got = run(&exec, &plan, &[&rows]).unwrap().0;
         assert_eq!(got, expected, "with {workers} workers");
+    }
+    // an empty driving input hands out no morsel, yet the right side must
+    // still be emitted, exactly once, at every worker count
+    let plan = PhysicalPlan::scan(0).union_with(PhysicalPlan::scan(1));
+    let right = Value::set(rows.clone());
+    for workers in [1, 2, 4] {
+        for config in [
+            ExecConfig::default().with_workers(workers),
+            ExecConfig::default().with_pinned_workers(workers),
+        ] {
+            let (got, stats) = run(&Executor::new(config), &plan, &[&[], &rows]).unwrap();
+            assert_eq!(got, right, "empty driver, {config:?}");
+            assert_eq!(stats.rows, rows.len());
+        }
     }
 }
 
@@ -211,7 +226,7 @@ fn union_of_filtered_pipelines_matches_interpreter() {
     for workers in [1, 4] {
         let exec = Executor::new(ExecConfig::default().with_workers(workers));
         assert_eq!(
-            exec.run_to_value(&plan, &[&rows]).unwrap(),
+            run(&exec, &plan, &[&rows]).unwrap().0,
             expected,
             "with {workers} workers"
         );
@@ -234,7 +249,7 @@ fn flatten_plans_match_the_mu_morphism() {
                 .with_batch_size(4),
         );
         assert_eq!(
-            exec.run_to_value(&plan, &[&rows]).unwrap(),
+            run(&exec, &plan, &[&rows]).unwrap().0,
             expected,
             "with {workers} workers"
         );
@@ -247,7 +262,7 @@ fn flatten_plans_match_the_mu_morphism() {
     let plan = lower(&query).unwrap();
     let expected = eval(&query, &Value::set(nested.clone())).unwrap();
     let exec = Executor::new(ExecConfig::default().with_workers(2));
-    assert_eq!(exec.run_to_value(&plan, &[&nested]).unwrap(), expected);
+    assert_eq!(run(&exec, &plan, &[&nested]).unwrap().0, expected);
 }
 
 #[test]
@@ -256,7 +271,7 @@ fn flatten_reports_non_set_rows() {
     let plan = lower(&M::Mu).unwrap();
     let exec = Executor::new(ExecConfig::default());
     assert!(matches!(
-        exec.run(&plan, &[rows.as_slice()]),
+        run(&exec, &plan, &[rows.as_slice()]),
         Err(EngineError::FlattenNonSet { .. })
     ));
 }
@@ -275,7 +290,7 @@ fn or_expand_matches_the_conceptual_morphism() {
     let expected = eval(&query, &Value::set(rows.clone())).unwrap();
     for workers in [1, 3] {
         let exec = Executor::new(ExecConfig::default().with_workers(workers));
-        let got = exec.run_to_value(&plan, &[&rows]).unwrap();
+        let got = run(&exec, &plan, &[&rows]).unwrap().0;
         assert_eq!(got, expected, "with {workers} workers");
     }
 }
@@ -316,7 +331,7 @@ fn high_fanout_expansion_matches_interpreter() {
         let config = ExecConfig::default()
             .with_workers(workers)
             .with_batch_size(64);
-        let got = run_plan(&plan, &[&rel], config).unwrap();
+        let (got, _) = run_plan(&plan, &[&rel], config).unwrap();
         assert_eq!(got, expected, "with {workers} workers");
     }
 }
@@ -378,11 +393,11 @@ fn interned_dedup_collapses_shared_worlds() {
         .collect();
     let plan = PhysicalPlan::scan(0).or_expand();
     let exec = Executor::new(ExecConfig::default().with_batch_size(3));
-    let out = exec.run(&plan, &[&many]).unwrap();
+    let (_, stats) = run(&exec, &plan, &[&many]).unwrap();
     // 2 distinct ids × 2 alternatives
-    assert_eq!(out.len(), 4);
-    let out2 = exec.run(&plan, &[&rows]).unwrap();
-    assert_eq!(out2, vec![Value::Int(1), Value::Int(2)]);
+    assert_eq!(stats.rows, 4);
+    let (out2, _) = run(&exec, &plan, &[&rows]).unwrap();
+    assert_eq!(out2, Value::int_set([1, 2]));
 }
 
 #[test]
@@ -395,7 +410,7 @@ fn or_expand_budget_is_enforced_and_reported() {
     let rows = vec![wide];
     let plan = PhysicalPlan::scan(0).or_expand_budgeted(8);
     let exec = Executor::new(ExecConfig::default());
-    match exec.run(&plan, &[rows.as_slice()]) {
+    match run(&exec, &plan, &[rows.as_slice()]) {
         Err(EngineError::BudgetExceeded { budget: 8, needed }) => {
             assert_eq!(needed, 27);
         }
@@ -403,12 +418,12 @@ fn or_expand_budget_is_enforced_and_reported() {
     }
     // a budget of 27 admits the row
     let plan = PhysicalPlan::scan(0).or_expand_budgeted(27);
-    assert_eq!(exec.run(&plan, &[rows.as_slice()]).unwrap().len(), 27);
+    assert_eq!(run(&exec, &plan, &[rows.as_slice()]).unwrap().1.rows, 27);
     // config-level default budget applies to budget-less plans
     let plan = PhysicalPlan::scan(0).or_expand();
     let strict = Executor::new(ExecConfig::default().with_or_budget(4));
     assert!(matches!(
-        strict.run(&plan, &[rows.as_slice()]),
+        run(&strict, &plan, &[rows.as_slice()]),
         Err(EngineError::BudgetExceeded { budget: 4, .. })
     ));
 }
@@ -424,24 +439,23 @@ fn relations_run_plans_and_morphisms() {
     }
     let query = derived::select(cheap(20)).then(M::map(M::Proj1));
     let config = ExecConfig::default().with_workers(2);
-    let via_morphism = run_morphism(&rel, &query, config).unwrap();
+    let (via_plan, stats) = run_plan(&lower(&query).unwrap(), &[&rel], config).unwrap();
     assert_eq!(
-        via_morphism,
+        via_plan,
         Value::set([Value::str("bolt"), Value::str("cam")])
     );
-    let plan = lower(&query).unwrap();
-    let (via_plan, stats) = run_plan_with_stats(&plan, &[&rel], config).unwrap();
-    assert_eq!(via_plan, via_morphism);
     assert_eq!(stats.rows, 2);
     // interpreter agreement through the Relation API
-    assert_eq!(rel.query(&query).unwrap(), via_morphism);
+    assert_eq!(rel.query(&query).unwrap(), via_plan);
 }
 
 #[test]
 fn unsupported_morphisms_report_lower_errors() {
     let rel = Relation::new("empty", Schema::new([Field::new("n", Type::Int)]).unwrap());
     // whole-relation normalize is deliberately outside the fragment
-    let result = run_morphism(&rel, &M::Normalize, ExecConfig::default());
+    let result = lower(&M::Normalize)
+        .map_err(EngineError::from)
+        .and_then(|plan| run_plan(&plan, &[&rel], ExecConfig::default()));
     assert!(matches!(result, Err(EngineError::Lower(_))));
 }
 
@@ -451,7 +465,7 @@ fn missing_inputs_are_reported() {
     let rows = priced_rows(3);
     let exec = Executor::new(ExecConfig::default());
     assert!(matches!(
-        exec.run(&plan, &[rows.as_slice()]),
+        run(&exec, &plan, &[rows.as_slice()]),
         Err(EngineError::MissingInput {
             slot: 1,
             provided: 1
@@ -468,14 +482,13 @@ fn partition_accessors_feed_the_engine() {
     let plan = PhysicalPlan::scan(0)
         .filter(M::pair(M::Id, M::constant(Value::Int(30))).then(M::Prim(Prim::Lt)));
     let exec = Executor::new(ExecConfig::default());
-    let whole = exec.run(&plan, &[rel.records()]).unwrap();
+    let (whole, _) = run(&exec, &plan, &[rel.records()]).unwrap();
     let mut pieced: Vec<Value> = Vec::new();
     for part in rel.partitions(4) {
-        pieced.extend(exec.run(&plan, &[part]).unwrap());
+        let (piece, _) = run(&exec, &plan, &[part]).unwrap();
+        pieced.extend(piece.elements().unwrap().iter().cloned());
     }
-    pieced.sort();
-    pieced.dedup();
-    assert_eq!(pieced, whole);
+    assert_eq!(Value::set(pieced), whole);
     // batches cover the same rows
     let batched: usize = rel.batches(10).map(<[Value]>::len).sum();
     assert_eq!(batched, rel.len());
@@ -490,15 +503,15 @@ fn benchmark_shapes_run_fully_columnar() {
     // scan_filter_project: select(cost <= 30) then map(fst)
     let query = derived::select(cheap(30)).then(M::map(M::Proj1));
     let plan = lower(&query).expect("lowerable");
-    let exec = Executor::new(ExecConfig::sequential());
-    let (columnar_rows, stats) = exec.run_with_stats(&plan, &[&rows]).unwrap();
+    let exec = Executor::new(ExecConfig::default());
+    let (columnar_rows, stats) = run(&exec, &plan, &[&rows]).unwrap();
     assert!(stats.columnar_batches > 0);
     assert_eq!(
         stats.scalar_fallback_batches, 0,
         "filter+project over (id, cost) pairs must stay columnar"
     );
-    let scalar_exec = Executor::new(ExecConfig::sequential().with_columnar(false));
-    let (scalar_rows, scalar_stats) = scalar_exec.run_with_stats(&plan, &[&rows]).unwrap();
+    let scalar_exec = Executor::new(ExecConfig::default().with_columnar(false));
+    let (scalar_rows, scalar_stats) = run(&scalar_exec, &plan, &[&rows]).unwrap();
     assert_eq!(columnar_rows, scalar_rows);
     assert_eq!(scalar_stats.columnar_batches, 0);
     assert!(scalar_stats.scalar_fallback_batches > 0);
@@ -512,14 +525,14 @@ fn benchmark_shapes_run_fully_columnar() {
         .collect();
     let predicate = M::pair(M::Proj1.then(M::Proj2), M::Proj2.then(M::Proj1)).then(M::Eq);
     let plan = PhysicalPlan::scan(0).join(PhysicalPlan::scan(1), predicate);
-    let (join_rows, stats) = exec.run_with_stats(&plan, &[&left, &right]).unwrap();
-    assert_eq!(join_rows.len(), 2000);
+    let (join_rows, stats) = run(&exec, &plan, &[&left, &right]).unwrap();
+    assert_eq!(stats.rows, 2000);
     assert!(stats.columnar_batches > 0);
     assert_eq!(
         stats.scalar_fallback_batches, 0,
         "hash probe with a path key must stay columnar"
     );
-    let (scalar_join, _) = scalar_exec.run_with_stats(&plan, &[&left, &right]).unwrap();
+    let (scalar_join, _) = run(&scalar_exec, &plan, &[&left, &right]).unwrap();
     assert_eq!(join_rows, scalar_join);
 }
 
@@ -534,15 +547,21 @@ fn columnar_fallback_preserves_error_parity() {
     rows.push(Value::pair(Value::Int(1000), Value::str("oops")));
     let query = derived::select(cheap(50));
     let plan = lower(&query).expect("lowerable");
-    let col_err = Executor::new(ExecConfig::sequential().with_batch_size(32))
-        .run(&plan, &[&rows])
-        .unwrap_err();
-    let scalar_err = Executor::new(
-        ExecConfig::sequential()
-            .with_batch_size(32)
-            .with_columnar(false),
+    let col_err = run(
+        &Executor::new(ExecConfig::default().with_batch_size(32)),
+        &plan,
+        &[&rows],
     )
-    .run(&plan, &[&rows])
+    .unwrap_err();
+    let scalar_err = run(
+        &Executor::new(
+            ExecConfig::default()
+                .with_batch_size(32)
+                .with_columnar(false),
+        ),
+        &plan,
+        &[&rows],
+    )
     .unwrap_err();
     assert_eq!(format!("{col_err:?}"), format!("{scalar_err:?}"));
     // the interpreter rejects the same relation

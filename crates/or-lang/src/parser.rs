@@ -58,10 +58,22 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deeply an expression may nest: sub-expressions in brackets,
+/// `let`/`if` parts, call arguments and qualifiers, `!` operands, and each
+/// operand of a binary-operator chain all count one level.  Every later
+/// stage (type checker, compiler, planner, engine, interpreter) recurses on
+/// the syntax tree or on the morphisms compiled from it, so bounding the
+/// depth here keeps the whole pipeline within a default 2 MiB thread
+/// stack; without it a few kilobytes of `(`s overflow the stack and abort
+/// the process.  Unoptimized builds spend an order of magnitude more stack
+/// per level (a release build serves 500 nested comprehensions on 2 MiB, a
+/// debug build about 25), so they get the lower limit.
+pub const MAX_DEPTH: usize = if cfg!(debug_assertions) { 16 } else { 256 };
+
 /// Parse a complete expression from source text.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser::new(tokens);
     let expr = parser.expr()?;
     parser.expect(Token::Eof)?;
     Ok(expr)
@@ -79,7 +91,7 @@ pub enum Statement {
 /// Parse a REPL statement.
 pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
     let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser::new(tokens);
     // try `let x = expr <eof>` first
     if parser.peek() == &Token::Let {
         let save = parser.pos;
@@ -104,9 +116,40 @@ pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Syntax-tree levels open above the current position.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Open one more syntax-tree level, failing past [`MAX_DEPTH`].  The
+    /// caller closes it by restoring `depth` once the level is parsed.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.error(format!("expression nested deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parse `level` one syntax-tree level deeper.
+    fn nested(
+        &mut self,
+        level: fn(&mut Parser) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        self.descend()?;
+        let expr = level(self);
+        self.depth -= 1;
+        expr
+    }
+
     fn peek(&self) -> &Token {
         self.tokens.get(self.pos).unwrap_or(&Token::Eof)
     }
@@ -143,6 +186,10 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Parser::let_if_expr)
+    }
+
+    fn let_if_expr(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Token::Let => {
                 self.advance();
@@ -177,21 +224,31 @@ impl Parser {
         }
     }
 
+    // A left-associative chain nests one level deeper per operator, so
+    // each loop below descends once per iteration and closes its levels
+    // when the chain ends.
+
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.and_expr()?;
         while self.eat(&Token::OrOr) {
+            self.descend()?;
             let rhs = self.and_expr()?;
             lhs = Expr::BinOp(BinOp::Or, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.cmp_expr()?;
         while self.eat(&Token::AndAnd) {
+            self.descend()?;
             let rhs = self.cmp_expr()?;
             lhs = Expr::BinOp(BinOp::And, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -217,32 +274,38 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.mul_expr()?;
         loop {
-            if self.eat(&Token::Plus) {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::BinOp(BinOp::Add, Box::new(lhs), Box::new(rhs));
+            let op = if self.eat(&Token::Plus) {
+                BinOp::Add
             } else if self.eat(&Token::Minus) {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::BinOp(BinOp::Sub, Box::new(lhs), Box::new(rhs));
+                BinOp::Sub
             } else {
+                self.depth = depth;
                 return Ok(lhs);
-            }
+            };
+            self.descend()?;
+            let rhs = self.mul_expr()?;
+            lhs = Expr::BinOp(op, Box::new(lhs), Box::new(rhs));
         }
     }
 
     fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.unary()?;
         while self.eat(&Token::Star) {
+            self.descend()?;
             let rhs = self.unary()?;
             lhs = Expr::BinOp(BinOp::Mul, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&Token::Bang) {
-            Ok(Expr::Not(Box::new(self.unary()?)))
+            Ok(Expr::Not(Box::new(self.nested(Parser::unary)?)))
         } else {
             self.atom()
         }

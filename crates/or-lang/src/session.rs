@@ -670,10 +670,9 @@ impl SessionCore {
     /// The plan [`SessionCore::eval_statement`] would hand the engine for
     /// `source`, without executing anything — `None` when the statement is
     /// outside the plannable fragment (the interpreter would serve it).
-    /// Mirrors [`try_engine`](SessionCore::eval_statement)'s two routes:
-    /// the direct multi-input planner, then single-binding morphism
-    /// compilation + lowering.  This is the entry point `or-analyze
-    /// verify-plans` uses to check whole scripts statement by statement.
+    /// This is the serving route itself (`SessionCore::plan`), and the
+    /// entry point `or-analyze verify-plans` uses to check whole scripts
+    /// statement by statement.
     pub fn plan_statement(&self, source: &str) -> Result<Option<PlannedStatement>, SessionError> {
         let statement = parse_statement(source)?;
         let expr = match statement {
@@ -681,38 +680,78 @@ impl SessionCore {
             Statement::Bind(_, expr) => expr,
         };
         infer_type(&expr, &self.type_env())?;
+        Ok(self.plan(&expr).ok().map(|planned| PlannedStatement {
+            plan: planned.plan,
+            inputs: planned.inputs,
+            row_types: planned.row_types,
+        }))
+    }
+
+    /// Plan `expr` for the engine: the direct multi-input planner first,
+    /// then single-binding morphism compilation + lowering.  `Err` is the
+    /// fallback to the interpreter, with its reason.
+    fn plan(&self, expr: &crate::ast::Expr) -> Result<CachedPlan, PlanError> {
+        let noteworthy = |reason: String| PlanError {
+            reason,
+            noteworthy: true,
+        };
+        // A bare binding reference is an O(1) environment lookup: running
+        // the engine would clone the whole relation through a scan, re-sort
+        // an already-canonical set, and count the echo as "engine-served".
         if matches!(expr, crate::ast::Expr::Var(_)) {
-            return Ok(None); // bare binding echo: environment lookup
+            return Err(PlanError {
+                reason: "bare binding reference (environment lookup)".to_string(),
+                noteworthy: false,
+            });
         }
-        if let Ok(pq) = plan_query(&expr) {
-            if !pq.inputs.iter().all(|n| self.snapshot.get(n).is_some()) {
-                return Ok(None); // some input is not a published relation
+        // 1. The direct route: comprehensions / union / flatten over one or
+        //    several set-valued bindings become a multi-input plan.  Every
+        //    referenced binding was published into the snapshot at bind
+        //    time; the engine overlays a query arena on its frozen base and
+        //    re-interns nothing.
+        let plan_fallback = match plan_query(expr) {
+            Ok(pq) => {
+                for name in &pq.inputs {
+                    match self.snapshot.get(name) {
+                        Some(_) => {}
+                        None if self.values.contains_key(name) => {
+                            return Err(noteworthy(format!(
+                                "binding `{name}` is not a set relation"
+                            )))
+                        }
+                        None => return Err(noteworthy(format!("unbound relation `{name}`"))),
+                    }
+                }
+                let row_types = pq.inputs.iter().map(|n| self.row_type_of(n)).collect();
+                return Ok(CachedPlan {
+                    plan: pq.plan,
+                    inputs: pq.inputs,
+                    row_types,
+                    verified_under: None,
+                });
             }
-            let row_types = pq.inputs.iter().map(|n| self.row_type_of(n)).collect();
-            return Ok(Some(PlannedStatement {
-                plan: pq.plan,
-                inputs: pq.inputs,
-                row_types,
-            }));
-        }
+            Err(e) => e,
+        };
+        // 2. The morphism route: a query over exactly one set-valued binding
+        //    is compiled to a morphism and lowered; this covers shapes the
+        //    direct planner does not (α-expansion pipelines, environment
+        //    scaffolding).
         let free = expr.free_vars();
         let [var] = free.as_slice() else {
-            return Ok(None);
+            return Err(plan_fallback);
         };
         if self.snapshot.get(var).is_none() {
-            return Ok(None);
+            return Err(noteworthy(format!("binding `{var}` is not a set relation")));
         }
-        let Ok(morphism) = compile_query(&expr, var) else {
-            return Ok(None);
-        };
-        let Ok(plan) = or_nra::optimize::lower(&morphism) else {
-            return Ok(None);
-        };
-        Ok(Some(PlannedStatement {
+        let morphism = compile_query(expr, var).map_err(|e| noteworthy(e.to_string()))?;
+        // keep the lowering's own description of what stopped it
+        let plan = or_nra::optimize::lower(&morphism).map_err(|e| noteworthy(e.to_string()))?;
+        Ok(CachedPlan {
             row_types: vec![self.row_type_of(var)],
             inputs: vec![var.clone()],
             plan,
-        }))
+            verified_under: None,
+        })
     }
 
     /// Whether a cached plan may serve under the current bindings: every
@@ -762,7 +801,7 @@ impl SessionCore {
         if !cache_hit {
             self.plans.insert(shape.to_string(), cached.clone());
         }
-        match Executor::new(config).run_inputs_to_value_with_stats(&cached.plan, &inputs) {
+        match Executor::new(config).run(&cached.plan, &inputs) {
             Ok((value, stats)) => Ok((
                 value,
                 Route::Engine {
@@ -785,23 +824,10 @@ impl SessionCore {
         expr: &crate::ast::Expr,
         config: ExecConfig,
     ) -> Result<Result<(Value, Route), PlanError>, SessionError> {
-        let noteworthy = |reason: String| PlanError {
-            reason,
-            noteworthy: true,
-        };
-        // A bare binding reference is an O(1) environment lookup: running
-        // the engine would clone the whole relation through a scan, re-sort
-        // an already-canonical set, and count the echo as "engine-served".
-        if matches!(expr, crate::ast::Expr::Var(_)) {
-            return Ok(Err(PlanError {
-                reason: "bare binding reference (environment lookup)".to_string(),
-                noteworthy: false,
-            }));
-        }
-        // 0. The statement-shape cache: a statement whose normalized
-        //    expression was planned before — against inputs that still
-        //    carry the same row types — skips planning, lowering and
-        //    (same-budget) verification entirely.
+        // The statement-shape cache: a statement whose normalized
+        // expression was planned before — against inputs that still carry
+        // the same row types — skips planning, lowering and (same-budget)
+        // verification entirely.
         let shape = format!("{expr:?}");
         if let Some(cached) = self.plans.get(&shape) {
             if self.cached_plan_current(&cached) {
@@ -809,64 +835,10 @@ impl SessionCore {
             }
             self.plans.remove(&shape);
         }
-        // 1. The direct route: comprehensions / union / flatten over one or
-        //    several set-valued bindings become a multi-input plan.  Every
-        //    referenced binding was published into the snapshot at bind
-        //    time; the engine overlays a query arena on its frozen base and
-        //    re-interns nothing.
-        let plan_fallback = match plan_query(expr) {
-            Ok(pq) => {
-                for name in &pq.inputs {
-                    match self.snapshot.get(name) {
-                        Some(_) => {}
-                        None if self.values.contains_key(name) => {
-                            return Ok(Err(noteworthy(format!(
-                                "binding `{name}` is not a set relation"
-                            ))))
-                        }
-                        None => return Ok(Err(noteworthy(format!("unbound relation `{name}`")))),
-                    }
-                }
-                let row_types = pq.inputs.iter().map(|n| self.row_type_of(n)).collect();
-                let cached = CachedPlan {
-                    plan: pq.plan,
-                    inputs: pq.inputs,
-                    row_types,
-                    verified_under: None,
-                };
-                return self.run_plan(&shape, cached, config, false).map(Ok);
-            }
-            Err(e) => e,
-        };
-        // 2. The morphism route: a query over exactly one set-valued binding
-        //    is compiled to a morphism and lowered; this covers shapes the
-        //    direct planner does not (α-expansion pipelines, environment
-        //    scaffolding).
-        let free = expr.free_vars();
-        let [var] = free.as_slice() else {
-            return Ok(Err(plan_fallback));
-        };
-        if self.snapshot.get(var).is_none() {
-            return Ok(Err(noteworthy(format!(
-                "binding `{var}` is not a set relation"
-            ))));
+        match self.plan(expr) {
+            Ok(planned) => self.run_plan(&shape, planned, config, false).map(Ok),
+            Err(fallback) => Ok(Err(fallback)),
         }
-        let morphism = match compile_query(expr, var) {
-            Ok(m) => m,
-            Err(e) => return Ok(Err(noteworthy(e.to_string()))),
-        };
-        let plan = match or_nra::optimize::lower(&morphism) {
-            Ok(plan) => plan,
-            // keep the lowering's own description of what stopped it
-            Err(e) => return Ok(Err(noteworthy(e.to_string()))),
-        };
-        let cached = CachedPlan {
-            row_types: vec![self.row_type_of(var)],
-            inputs: vec![var.clone()],
-            plan,
-            verified_under: None,
-        };
-        self.run_plan(&shape, cached, config, false).map(Ok)
     }
 }
 
@@ -975,8 +947,8 @@ impl Session {
     ///
     /// Workers are **pinned** ([`ExecConfig::with_pinned_workers`]): a
     /// session caller asking for `n` workers gets `n` worker threads even on
-    /// inputs below the executor's [`ExecConfig::min_parallel_rows`]
-    /// sequential-fallback threshold.  To keep the threshold heuristic
+    /// inputs below the executor's [`or_engine::exec::MIN_PARALLEL_ROWS`]
+    /// one-worker threshold.  To keep the threshold heuristic
     /// instead, construct the session with
     /// [`Session::with_engine`]`(ExecConfig::parallel())`.
     pub fn set_engine_workers(&mut self, workers: usize) {
@@ -1118,7 +1090,7 @@ mod tests {
         assert_eq!(config.workers, 4);
         assert!(
             config.pin_workers,
-            "session-requested workers must bypass the min_parallel_rows fallback"
+            "session-requested workers must bypass the MIN_PARALLEL_ROWS threshold"
         );
         // Pinned workers still serve small engine queries correctly.
         s.run("let db = { (1, 10), (2, 20), (3, 30), (4, 40) }")

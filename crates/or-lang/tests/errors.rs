@@ -3,6 +3,7 @@
 //! checker with a message, and both must surface through the session as the
 //! right [`SessionError`] variant — never as a panic.
 
+use or_lang::parser::MAX_DEPTH;
 use or_lang::session::Session;
 use or_lang::{infer_type, parse, parse_statement, SessionError};
 use or_object::{Type, Value};
@@ -57,6 +58,91 @@ fn incomplete_operators_and_parens_are_parse_errors() {
         ")",
     ] {
         assert!(parse(src).is_err(), "{src} should not parse");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// nesting depth
+// ---------------------------------------------------------------------------
+
+/// Run `f` on a thread with the standard 2 MiB stack, as a server worker
+/// does.  A stack overflow there aborts the whole test binary.
+fn on_default_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("thread spawns")
+        .join()
+        .expect("thread does not panic")
+}
+
+/// A named way to nest a statement `n` levels deep.
+type Shape = (&'static str, fn(usize) -> String);
+
+/// Statement shapes that nest `n` levels deep in different ways.
+fn nested_shapes() -> Vec<Shape> {
+    vec![
+        ("parentheses", |n| {
+            format!(
+                "{}{{ x | x <- db, x <= 2 }}{}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        }),
+        ("operator chain", |n| {
+            format!("{{ x{} | x <- db }}", " + 1".repeat(n))
+        }),
+        ("pairs", |n| {
+            format!("{{ {}x{} | x <- db }}", "(x, ".repeat(n), ")".repeat(n))
+        }),
+        ("negations", |n| {
+            format!("{{ x | x <- db, {}(x <= 2) }}", "!".repeat(n))
+        }),
+        ("comprehensions", |n| {
+            format!("{}db{}", "{ y | y <- ".repeat(n), " }".repeat(n))
+        }),
+    ]
+}
+
+#[test]
+fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+    for (name, shape) in nested_shapes() {
+        let err = on_default_stack(move || parse_statement(&shape(100_000))).expect_err(name);
+        assert!(err.message.contains("nested deeper"), "{name}: {err}");
+    }
+    let parens = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+    assert!(on_default_stack(move || parse_statement(&parens)).is_err());
+}
+
+/// A statement nested exactly to `MAX_DEPTH` is served — checked, planned,
+/// lowered, executed and cross-checked against the interpreter — on a
+/// default-stack thread, so every stage that recurses on the syntax tree
+/// fits under the parser's limit.
+#[test]
+fn statements_nested_to_the_limit_are_served() {
+    use or_engine::ExecConfig;
+    use or_lang::{ExecMode, QueryBudget, SessionCore};
+    for (name, shape) in nested_shapes() {
+        // the deepest instance of the shape the parser accepts
+        let depth = (1..=MAX_DEPTH)
+            .take_while(|&n| parse_statement(&shape(n)).is_ok())
+            .last()
+            .expect("shallow statements parse");
+        assert!(depth < MAX_DEPTH, "{name} hit no limit");
+        let statement = shape(depth);
+        on_default_stack(move || {
+            let mut core = SessionCore::new();
+            core.bind("db", Value::int_set([1, 2, 3]));
+            for mode in [ExecMode::EngineChecked, ExecMode::Interp] {
+                let served = core.eval_statement(
+                    &statement,
+                    mode,
+                    ExecConfig::default(),
+                    QueryBudget::unlimited(),
+                );
+                assert!(served.is_ok(), "{name} at depth {depth}: {served:?}");
+            }
+        });
     }
 }
 

@@ -88,6 +88,7 @@ impl Json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -183,9 +184,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest.  The parser recurses once per
+/// level, so without a bound a small body of `[`s overflows the thread's
+/// stack and aborts the process; no request the server understands nests
+/// more than a few levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -222,8 +231,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(JsonError::new(
+                format!("nested deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            )),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -231,6 +244,17 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::new("expected a JSON value", self.pos)),
         }
+    }
+
+    /// Parse one array or object one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -430,6 +454,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    /// Deep nesting is a parse error, not a stack overflow: a 100 000-deep
+    /// array on a default-stack thread returns `Err`, and nesting up to
+    /// the limit still parses.
+    #[test]
+    fn deep_nesting_is_rejected_not_a_stack_overflow() {
+        let deep = std::thread::spawn(|| Json::parse(&"[".repeat(100_000)))
+            .join()
+            .expect("parsing must not overflow the stack");
+        let err = deep.unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert!(Json::parse(&past_limit).is_err());
     }
 
     #[test]

@@ -50,6 +50,26 @@ STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/query" \
 [ "$STATUS" = "422" ] || { echo "expected 422 on zero budget, got $STATUS"; exit 1; }
 curl -sf "$BASE/stats" | grep -q '"errors":1'
 
+# hostile nesting: a 100 000-deep JSON body is a 400 and a 100 000-deep
+# statement a 422 (parse errors, not a stack overflow), and the server
+# keeps serving
+DEEP_JSON="$(mktemp)"
+DEEP_STMT="$(mktemp)"
+head -c 100000 /dev/zero | tr '\0' '[' >"$DEEP_JSON"
+{
+    printf '{"db":"example","statement":"'
+    head -c 100000 /dev/zero | tr '\0' '('
+    printf '1'
+    head -c 100000 /dev/zero | tr '\0' ')'
+    printf '"}'
+} >"$DEEP_STMT"
+STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/query" --data-binary "@$DEEP_JSON")"
+[ "$STATUS" = "400" ] || { echo "expected 400 on a deep JSON body, got $STATUS"; exit 1; }
+STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/query" --data-binary "@$DEEP_STMT")"
+[ "$STATUS" = "422" ] || { echo "expected 422 on a deep statement, got $STATUS"; exit 1; }
+rm -f "$DEEP_JSON" "$DEEP_STMT"
+curl -sf "$BASE/healthz" | grep -q '"status":"serving"'
+
 # graceful shutdown: the server must acknowledge and exit 0 on its own.
 # The wait is bounded, so a lost accept wake fails here instead of hanging.
 curl -sf -X POST "$BASE/shutdown" | grep -q 'shutting down'

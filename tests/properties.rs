@@ -436,7 +436,7 @@ proptest! {
         seed in any::<u64>(), rows in 1usize..=24
     ) {
         use or_engine::prelude::PhysicalPlan;
-        use or_engine::{ExecConfig, Executor};
+        use or_engine::{EngineInputs, ExecConfig, Executor};
         use or_nra::derived;
         use or_nra::Prim;
 
@@ -519,9 +519,9 @@ proptest! {
         for (plan, query, input, slots) in cases {
             let expected = eval(&query, &input).unwrap();
             let seq = Executor::new(ExecConfig::default().with_batch_size(8));
-            let (seq_rows, stats) = seq.run_with_stats(&plan, slots.as_slice()).unwrap();
+            let (seq_value, stats) = seq.run(&plan, &EngineInputs::from_values(&slots)).unwrap();
             prop_assert_eq!(
-                &Value::Set(seq_rows.clone()), &expected,
+                &seq_value, &expected,
                 "sequential engine disagreed on {}", query
             );
             // the interned discipline: rows stay ids until the boundary
@@ -530,7 +530,7 @@ proptest! {
                 "expected one decode per result row on {}", query
             );
             let par = Executor::new(ExecConfig::default().with_workers(3).with_batch_size(8));
-            let par_value = par.run_to_value(&plan, slots.as_slice()).unwrap();
+            let (par_value, _) = par.run(&plan, &EngineInputs::from_values(&slots)).unwrap();
             prop_assert_eq!(&par_value, &expected, "parallel engine disagreed on {}", query);
         }
     }
@@ -548,7 +548,7 @@ proptest! {
         seed in any::<u64>(), rows in 30usize..=120
     ) {
         use or_engine::prelude::PhysicalPlan;
-        use or_engine::{ExecConfig, Executor};
+        use or_engine::{EngineInputs, ExecConfig, Executor};
         use or_nra::derived;
         use or_nra::Prim;
 
@@ -602,19 +602,19 @@ proptest! {
         ];
         for (plan, query, input, slots) in cases {
             let expected = eval(&query, &input).unwrap();
-            let seq = Executor::new(ExecConfig::sequential().with_batch_size(8));
-            let seq_value = seq.run_to_value(&plan, slots.as_slice()).unwrap();
+            let seq = Executor::new(ExecConfig::default().with_batch_size(8));
+            let (seq_value, _) = seq.run(&plan, &EngineInputs::from_values(&slots)).unwrap();
             prop_assert_eq!(&seq_value, &expected, "sequential engine disagreed on {}", query);
             for workers in [2usize, 4, 8] {
                 let config = ExecConfig::default()
                     .with_pinned_workers(workers)
                     .with_morsel_rows(2)
                     .with_batch_size(8);
-                let (par_rows, stats) = Executor::new(config)
-                    .run_with_stats(&plan, slots.as_slice())
+                let (par_value, stats) = Executor::new(config)
+                    .run(&plan, &EngineInputs::from_values(&slots))
                     .unwrap();
                 prop_assert_eq!(
-                    &Value::Set(par_rows), &expected,
+                    &par_value, &expected,
                     "morsel engine disagreed on {} with {} workers", query, workers
                 );
                 prop_assert_eq!(stats.workers, workers.min(rows));

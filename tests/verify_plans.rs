@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use or_db::{Field, Relation, Schema};
 use or_engine::{run_plan, run_plan_optimized, EngineError, ExecConfig};
-use or_lang::{ExecMode, QueryBudget, SessionCore};
+use or_lang::{ExecMode, QueryBudget, Route, SessionCore};
 use or_nra::morphism::{Morphism as M, Prim};
 use or_nra::optimize::lower;
 use or_nra::physical::PhysicalPlan;
@@ -208,4 +208,45 @@ fn the_gate_is_what_rejects_malformed_plans() {
     // The unsound plan *executes* (producing whatever it produces) — only
     // the verifier knows it disagrees with expand-then-filter semantics.
     assert!(run_plan(&plan, &[&relation], config).is_ok());
+}
+
+/// `plan_statement` is the serving route itself: for every statement of
+/// every shipped `examples/*.orql` script, it finds a plan exactly when
+/// the engine-first session serves the statement from the engine.
+#[test]
+fn plan_statement_matches_the_engine_route_on_every_example_script() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut statements = 0;
+    for entry in std::fs::read_dir(&dir).expect("examples directory is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().map_or(true, |ext| ext != "orql") {
+            continue;
+        }
+        let source = std::fs::read_to_string(&path).expect("script is readable");
+        let mut core = SessionCore::new();
+        for stmt in source
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty() && !l.starts_with("--"))
+        {
+            let planned = core.plan_statement(stmt).expect("statement type-checks");
+            let evaluated = core
+                .eval_statement(
+                    stmt,
+                    ExecMode::Engine,
+                    ExecConfig::default(),
+                    QueryBudget::unlimited(),
+                )
+                .expect("statement evaluates");
+            assert_eq!(
+                planned.is_some(),
+                matches!(evaluated.route, Route::Engine { .. }),
+                "{}: `{stmt}`",
+                path.display()
+            );
+            core.commit(evaluated);
+            statements += 1;
+        }
+    }
+    assert!(statements > 0, "no example statements found");
 }
