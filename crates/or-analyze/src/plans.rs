@@ -189,10 +189,7 @@ fn verify_e13_workload(
     );
     if optimize {
         let inputs = [relation.records()];
-        let planner_config = ExpandPlannerConfig {
-            row_types: vec![row_type.clone()],
-            ..ExpandPlannerConfig::default()
-        };
+        let planner_config = ExpandPlannerConfig::for_row_types(vec![row_type.clone()]);
         let (optimized, _report) = optimize_expansion(&plan, &inputs, &planner_config);
         check_plan(
             report,

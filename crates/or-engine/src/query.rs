@@ -133,10 +133,9 @@ pub fn run_plan_optimized(
     config: ExecConfig,
 ) -> Result<(Value, ExecStats, ExpandPlanReport), EngineError> {
     let inputs: Vec<&[Value]> = relations.iter().map(|r| r.records()).collect();
-    let planner_config = ExpandPlannerConfig {
-        row_types: relations.iter().map(|r| r.schema().record_type()).collect(),
-        ..ExpandPlannerConfig::default()
-    }
+    let planner_config = ExpandPlannerConfig::for_row_types(
+        relations.iter().map(|r| r.schema().record_type()).collect(),
+    )
     .with_available_workers(config.workers);
     let (optimized, report) = optimize_expansion(plan, &inputs, &planner_config);
     // Verify the *optimized* plan — this is where a planner bug pushing a

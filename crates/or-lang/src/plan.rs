@@ -17,6 +17,16 @@
 //!   [`PhysicalPlan::Flatten`] — carrying only the small accumulated row
 //!   tuple, where the morphism route's environment scaffolding would pair
 //!   every row with the entire input relation (quadratic);
+//! * per-row α-expansion `w <- toset(normalize(r))`, where `r` is the only
+//!   generator variable so far and nothing after the generator reads it —
+//!   [`PhysicalPlan::OrExpand`]: each row is replaced by its complete
+//!   worlds, which the engine expands lazily under the denotation budget,
+//!   and the session's expand planner
+//!   ([`optimize_expansion`](or_nra::optimize::optimize_expansion)) moves
+//!   or-free guards written after the generator below the expansion.  When
+//!   `r` is still read, the generator is an ordinary dependent one
+//!   (`Flatten`), and so it is when the session finds that a guard before
+//!   the generator cannot run below the expansion;
 //! * `union(a, b)` — [`PhysicalPlan::Union`] of the two planned arms;
 //! * `flatten(e)` — [`PhysicalPlan::Flatten`];
 //! * a bare binding reference `db` — the scan itself.
@@ -33,7 +43,7 @@
 use std::fmt;
 
 use or_nra::morphism::Morphism as M;
-use or_nra::optimize::simplified;
+use or_nra::optimize::{factor_through_projection, simplified};
 use or_nra::physical::PhysicalPlan;
 
 use crate::ast::{BinOp, Builtin, Expr, Qualifier};
@@ -82,8 +92,16 @@ fn err<T>(reason: impl Into<String>) -> Result<T, PlanError> {
 /// Plan a set-valued query over relation bindings.  See the module docs for
 /// the accepted shapes.
 pub fn plan_query(expr: &Expr) -> Result<PlannedQuery, PlanError> {
+    plan_query_with(expr, true)
+}
+
+/// [`plan_query`], with `or_expand = false` keeping every α-expansion
+/// generator on the ordinary dependent-generator `Flatten` lowering.  The
+/// session re-plans that way when a guard before the expansion cannot run
+/// below `OrExpand`.
+pub(crate) fn plan_query_with(expr: &Expr, or_expand: bool) -> Result<PlannedQuery, PlanError> {
     let mut inputs = Vec::new();
-    let plan = plan_expr(expr, &mut inputs)?;
+    let plan = plan_expr(expr, &mut inputs, or_expand)?;
     Ok(PlannedQuery {
         plan: fuse_joins(plan),
         inputs,
@@ -101,18 +119,24 @@ fn slot_of(inputs: &mut Vec<String>, name: &str) -> usize {
     }
 }
 
-fn plan_expr(expr: &Expr, inputs: &mut Vec<String>) -> Result<PhysicalPlan, PlanError> {
+fn plan_expr(
+    expr: &Expr,
+    inputs: &mut Vec<String>,
+    or_expand: bool,
+) -> Result<PhysicalPlan, PlanError> {
     match expr {
         Expr::Var(name) => Ok(PhysicalPlan::scan(slot_of(inputs, name))),
         Expr::Call(Builtin::Union, args) if args.len() == 2 => {
-            let left = plan_expr(&args[0], inputs)?;
-            let right = plan_expr(&args[1], inputs)?;
+            let left = plan_expr(&args[0], inputs, or_expand)?;
+            let right = plan_expr(&args[1], inputs, or_expand)?;
             Ok(left.union_with(right))
         }
         Expr::Call(Builtin::Flatten, args) if args.len() == 1 => {
-            Ok(plan_expr(&args[0], inputs)?.flatten())
+            Ok(plan_expr(&args[0], inputs, or_expand)?.flatten())
         }
-        Expr::SetComp { head, qualifiers } => plan_comprehension(head, qualifiers, inputs),
+        Expr::SetComp { head, qualifiers } => {
+            plan_comprehension(head, qualifiers, inputs, or_expand)
+        }
         Expr::OrSetComp { .. } => err("or-set comprehension (the engine computes set queries)"),
         other => Err(PlanError {
             reason: format!(
@@ -153,12 +177,25 @@ fn plan_comprehension(
     head: &Expr,
     qualifiers: &[Qualifier],
     inputs: &mut Vec<String>,
+    or_expand: bool,
 ) -> Result<PhysicalPlan, PlanError> {
     let mut vars: Vec<String> = Vec::new();
     let mut plan: Option<PhysicalPlan> = None;
-    for q in qualifiers {
+    for (i, q) in qualifiers.iter().enumerate() {
         match q {
             Qualifier::Generator(name, source) => {
+                // per-row α-expansion of the only row variable, which nothing
+                // after this generator reads: the row is replaced by each of
+                // its worlds, so the interned lazy `OrExpand` streams them
+                // (and the expand planner can place filters below it)
+                if or_expand
+                    && expands_only_row(name, source, &vars)
+                    && !read_later(&vars[0], &qualifiers[i + 1..], head)
+                {
+                    plan = plan.map(|p| factored_guards(p).or_expand());
+                    vars = vec![name.clone()];
+                    continue;
+                }
                 match source {
                     // independent generator over a session binding: a scan,
                     // cartesian-chained onto the row built so far
@@ -199,6 +236,48 @@ fn plan_comprehension(
     };
     let head_m = row_morphism(head, &vars)?;
     Ok(plan.project(head_m))
+}
+
+/// Is `name <- source` the generator `w <- toset(normalize(v))` over the
+/// only generator variable `v` so far (with `w != v`)?
+fn expands_only_row(name: &str, source: &Expr, vars: &[String]) -> bool {
+    let [v] = vars else {
+        return false;
+    };
+    let Expr::Call(Builtin::ToSet, outer) = source else {
+        return false;
+    };
+    matches!(
+        outer.as_slice(),
+        [Expr::Call(Builtin::Normalize, inner)]
+            if matches!(inner.as_slice(), [Expr::Var(x)] if x == v && x != name)
+    )
+}
+
+/// The guards on top of `plan` in their factored form `p' ∘ π`
+/// ([`factor_through_projection`]).  A guard compiled through the
+/// environment adapter pairs at the row type; its factored form pairs only
+/// below the projection it reads through, which is what Theorem 5.1's check
+/// of the operators below an `OrExpand` (verifier rule V08) accepts when
+/// that projection is or-free.
+fn factored_guards(plan: PhysicalPlan) -> PhysicalPlan {
+    match plan {
+        PhysicalPlan::Filter { predicate, input } => PhysicalPlan::Filter {
+            predicate: factor_through_projection(&predicate).unwrap_or(predicate),
+            input: Box::new(factored_guards(*input)),
+        },
+        other => other,
+    }
+}
+
+/// Does any qualifier in `rest` or the head mention `var`?  (Conservative:
+/// a later generator that rebinds `var` still counts as a read.)
+fn read_later(var: &str, rest: &[Qualifier], head: &Expr) -> bool {
+    let mentions = |e: &Expr| e.free_vars().iter().any(|f| f == var);
+    mentions(head)
+        || rest.iter().any(|q| match q {
+            Qualifier::Generator(_, e) | Qualifier::Guard(e) => mentions(e),
+        })
 }
 
 /// Compile `expr` (free variables ⊆ the generator variables `vars`) into a
@@ -330,6 +409,42 @@ mod tests {
         let pq = planned("{ (fst(r), x) | r <- db, x <- snd(r), x != fst(r) }");
         assert_eq!(pq.inputs, vec!["db".to_string()]);
         assert!(pq.plan.to_string().contains("Flatten"));
+    }
+
+    #[test]
+    fn expansion_generators_plan_to_or_expand() {
+        use or_nra::verify::{verify_plan, VerifyConfig};
+        use or_object::Type;
+        let expands = |src: &str| planned(src).plan.contains_or_expand();
+        assert!(expands("{ w | r <- db, w <- toset(normalize(r)) }"));
+        assert!(expands(
+            "{ snd(w) | r <- db, fst(r) < 3, w <- toset(normalize(r)), fst(w) > 1 }"
+        ));
+        // the row is still read, rebound, or not the only generator
+        assert!(!expands(
+            "{ (fst(r), w) | r <- db, w <- toset(normalize(r)) }"
+        ));
+        assert!(!expands(
+            "{ w | r <- db, w <- toset(normalize(r)), fst(r) < 3 }"
+        ));
+        assert!(!expands("{ r | r <- db, r <- toset(normalize(r)) }"));
+        assert!(!expands(
+            "{ w | q <- db, r <- db, w <- toset(normalize(r)) }"
+        ));
+        // guards before the expansion are factored, so the plan as planned
+        // passes the Theorem 5.1 check of what runs below `OrExpand` (V08)
+        let pq = planned("{ w | r <- db, fst(r) >= 1, fst(r) < 3, w <- toset(normalize(r)) }");
+        let row = Type::prod(
+            Type::Int,
+            Type::prod(Type::orset(Type::Int), Type::orset(Type::Int)),
+        );
+        let config = VerifyConfig {
+            provided_inputs: Some(1),
+            row_types: vec![Some(row)],
+            ..VerifyConfig::default()
+        };
+        let violations = verify_plan(&pq.plan, &config);
+        assert!(violations.is_empty(), "{violations:?}\n{}", pq.plan);
     }
 
     #[test]

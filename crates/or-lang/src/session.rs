@@ -49,8 +49,26 @@
 //! set-valued bindings (multi-generator comprehensions become multi-input
 //! cartesian/join plans), `union`/`flatten` pipelines over them, dependent
 //! generators (via the `Flatten` lowering), and per-row α-expansion
-//! pipelines.  Or-monad statements (`normalize(db)` at the top level,
-//! or-set comprehensions) fall back to the interpreter.
+//! (`w <- toset(normalize(r))`, planned as `OrExpand`).  Or-monad
+//! statements (`normalize(db)` at the top level, or-set comprehensions)
+//! fall back to the interpreter.
+//!
+//! ## One planning pipeline
+//!
+//! Every entry point — [`SessionCore::eval_statement`],
+//! [`SessionCore::plan_statement`] (which `or-analyze verify-plans`
+//! drives) and through them `or-server` — plans with one private
+//! `SessionCore::plan`: the direct planner ([`crate::plan`]) or, failing
+//! that, `compile_query` + `lower`, and then either route's plan through
+//! the expand planner ([`optimize_expansion`]).  The expand planner gets the
+//! inputs' row types and no rows, so it moves or-free filters below
+//! `OrExpand` (Theorem 5.1) by type alone — a cached plan stays right
+//! across rebinds that keep the row types.  A guard written before the
+//! expansion runs below `OrExpand`, so it must commute with α-expansion
+//! too; when one does not (it reads or-set structure, compares two fields,
+//! or reads nothing of the row), the session plans the statement again
+//! with the generator on the ordinary dependent-generator `Flatten`
+//! lowering.
 //!
 //! ## The statement-shape plan cache
 //!
@@ -76,17 +94,21 @@
 //! [`QueryBudget`] carries per-query admission limits — an α-expansion
 //! denotation cap and a wall-clock budget — that tighten the session's
 //! engine configuration for one statement ([`Session::run_budgeted`],
-//! or the `budget` parameter of [`SessionCore::eval_statement`]).  Budgets
-//! are enforced on the **engine** path (a zero time budget rejects an
-//! engine-served statement at admission, before any row work); statements
-//! the engine cannot serve fall back to the un-budgeted interpreter, so a
-//! serving layer that needs hard limits should also bound what it accepts.
+//! or the `budget` parameter of [`SessionCore::eval_statement`]).  On the
+//! engine path a zero time budget rejects a statement at admission, before
+//! any row work, and an `OrExpand` checks each row's denotation count
+//! before expanding it.  `OrExpand` is the only operator that checks it: a
+//! plan that α-expands inside an operator's morphism (the `Flatten`
+//! lowering above) is left to the interpreter whenever a denotation budget
+//! is set.  The interpreter enforces the same limits ([`InterpLimits`]) on
+//! every statement it serves.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use or_engine::{EngineError, EngineInputs, ExecConfig, Executor};
+use or_nra::optimize::{optimize_expansion, ExpandPlannerConfig};
 use or_nra::physical::PhysicalPlan;
 use or_nra::verify::{first_deny, verify_plan, VerifyConfig};
 use or_object::snapshot::Snapshot;
@@ -96,7 +118,7 @@ use crate::check::{infer_type, CheckError, TypeEnv};
 use crate::compile::compile_query;
 use crate::interp::{interpret_limited, Env, InterpError, InterpLimits};
 use crate::parser::{parse_statement, ParseError, Statement};
-use crate::plan::{plan_query, PlanError};
+use crate::plan::{plan_query_with, PlanError};
 
 /// The result of evaluating one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -688,9 +710,49 @@ impl SessionCore {
     }
 
     /// Plan `expr` for the engine: the direct multi-input planner first,
-    /// then single-binding morphism compilation + lowering.  `Err` is the
-    /// fallback to the interpreter, with its reason.
+    /// then single-binding morphism compilation + lowering, and either
+    /// route's plan through the expand planner.  `Err` is the fallback to
+    /// the interpreter, with its reason.
+    ///
+    /// The expand planner gets the inputs' row types and **no rows**, so
+    /// where it places a filter depends only on the row types — exactly
+    /// what [`SessionCore::cached_plan_current`] re-checks on a cache hit.
+    /// Its worker recommendation is ignored: the executor's own row-count
+    /// threshold decides.
     fn plan(&self, expr: &crate::ast::Expr) -> Result<CachedPlan, PlanError> {
+        let (mut plan, mut inputs) = self.route(expr, true)?;
+        let known_types: Option<Vec<Type>> = inputs.iter().map(|n| self.row_type_of(n)).collect();
+        if let Some(types) = known_types.filter(|_| plan.contains_or_expand()) {
+            let config = ExpandPlannerConfig::for_row_types(types);
+            let (optimized, report) = optimize_expansion(&plan, &[], &config);
+            if report.pinned_filters == 0 {
+                plan = optimized;
+            } else {
+                // A guard before the expansion does not commute with it, so
+                // it cannot run below `OrExpand` (the verifier denies that
+                // under V08): plan the generator as an ordinary dependent
+                // one instead, the `Flatten` lowering.
+                (plan, inputs) = self.route(expr, false)?;
+            }
+        }
+        let row_types = inputs.iter().map(|n| self.row_type_of(n)).collect();
+        Ok(CachedPlan {
+            plan,
+            inputs,
+            row_types,
+            verified_under: None,
+        })
+    }
+
+    /// The two planning routes (see [`SessionCore::plan`]): the plan and the
+    /// binding feeding each of its scan slots.  `or_expand` is the direct
+    /// planner's choice for α-expansion generators
+    /// ([`plan_query_with`]).
+    fn route(
+        &self,
+        expr: &crate::ast::Expr,
+        or_expand: bool,
+    ) -> Result<(PhysicalPlan, Vec<String>), PlanError> {
         let noteworthy = |reason: String| PlanError {
             reason,
             noteworthy: true,
@@ -709,7 +771,7 @@ impl SessionCore {
         //    referenced binding was published into the snapshot at bind
         //    time; the engine overlays a query arena on its frozen base and
         //    re-interns nothing.
-        let plan_fallback = match plan_query(expr) {
+        let plan_fallback = match plan_query_with(expr, or_expand) {
             Ok(pq) => {
                 for name in &pq.inputs {
                     match self.snapshot.get(name) {
@@ -722,13 +784,7 @@ impl SessionCore {
                         None => return Err(noteworthy(format!("unbound relation `{name}`"))),
                     }
                 }
-                let row_types = pq.inputs.iter().map(|n| self.row_type_of(n)).collect();
-                return Ok(CachedPlan {
-                    plan: pq.plan,
-                    inputs: pq.inputs,
-                    row_types,
-                    verified_under: None,
-                });
+                return Ok((pq.plan, pq.inputs));
             }
             Err(e) => e,
         };
@@ -746,12 +802,7 @@ impl SessionCore {
         let morphism = compile_query(expr, var).map_err(|e| noteworthy(e.to_string()))?;
         // keep the lowering's own description of what stopped it
         let plan = or_nra::optimize::lower(&morphism).map_err(|e| noteworthy(e.to_string()))?;
-        Ok(CachedPlan {
-            row_types: vec![self.row_type_of(var)],
-            inputs: vec![var.clone()],
-            plan,
-            verified_under: None,
-        })
+        Ok((plan, vec![var.clone()]))
     }
 
     /// Whether a cached plan may serve under the current bindings: every
@@ -829,16 +880,34 @@ impl SessionCore {
         // the same row types — skips planning, lowering and (same-budget)
         // verification entirely.
         let shape = format!("{expr:?}");
-        if let Some(cached) = self.plans.get(&shape) {
-            if self.cached_plan_current(&cached) {
-                return self.run_plan(&shape, cached, config, true).map(Ok);
+        let (planned, cache_hit) = match self.plans.get(&shape) {
+            Some(cached) if self.cached_plan_current(&cached) => (cached, true),
+            stale => {
+                if stale.is_some() {
+                    self.plans.remove(&shape);
+                }
+                match self.plan(expr) {
+                    Ok(planned) => (planned, false),
+                    Err(fallback) => return Ok(Err(fallback)),
+                }
             }
-            self.plans.remove(&shape);
+        };
+        // Only `OrExpand` checks the denotation budget.  Under a budget, a
+        // plan that α-expands inside an operator's morphism (a dependent
+        // generator's `Flatten` lowering) goes to the interpreter, which
+        // checks it at every `normalize` and `alpha`.
+        if config.or_budget.is_some() && planned.plan.expands_in_morphisms() {
+            if !cache_hit {
+                self.plans.insert(shape, planned);
+            }
+            return Ok(Err(PlanError {
+                reason: "α-expansion outside OrExpand cannot be held to the denotation \
+                         budget"
+                    .to_string(),
+                noteworthy: true,
+            }));
         }
-        match self.plan(expr) {
-            Ok(planned) => self.run_plan(&shape, planned, config, false).map(Ok),
-            Err(fallback) => Ok(Err(fallback)),
-        }
+        self.run_plan(&shape, planned, config, cache_hit).map(Ok)
     }
 }
 
@@ -1336,6 +1405,214 @@ mod tests {
         assert_eq!(r.value, Value::int_set([1, 2]));
         assert_eq!(r.bound.as_deref(), Some("out"));
         assert_eq!(s.run("out").unwrap().value, Value::int_set([1, 2]));
+    }
+
+    /// A `fan` relation of `rows` records `(i, (<8 alternatives>,
+    /// <4 alternatives>))`: 32 worlds per row.
+    fn fan(rows: i64) -> Value {
+        Value::set((0..rows).map(|i| {
+            Value::pair(
+                Value::Int(i),
+                Value::pair(
+                    Value::int_orset((0..8).map(|k| i + k)),
+                    Value::int_orset((0..4).map(|k| 10 * i + k)),
+                ),
+            )
+        }))
+    }
+
+    /// The operator chain from the plan root down its driving input, by
+    /// operator name.
+    fn driving_chain(plan: &PhysicalPlan) -> Vec<&'static str> {
+        let mut names = Vec::new();
+        let mut node = plan;
+        loop {
+            let (name, next) = match node {
+                PhysicalPlan::Scan(_) => ("Scan", None),
+                PhysicalPlan::Filter { input, .. } => ("Filter", Some(input)),
+                PhysicalPlan::Project { input, .. } => ("Project", Some(input)),
+                PhysicalPlan::AttachEnv { input, .. } => ("AttachEnv", Some(input)),
+                PhysicalPlan::Flatten { input } => ("Flatten", Some(input)),
+                PhysicalPlan::OrExpand { input, .. } => ("OrExpand", Some(input)),
+                PhysicalPlan::Cartesian { left, .. } => ("Cartesian", Some(left)),
+                PhysicalPlan::Join { left, .. } => ("Join", Some(left)),
+                PhysicalPlan::Union { left, .. } => ("Union", Some(left)),
+            };
+            names.push(name);
+            match next {
+                Some(input) => node = input,
+                None => return names,
+            }
+        }
+    }
+
+    /// Per-row α-expansion is served by `OrExpand`, and the expand planner
+    /// moves an or-free guard written after the expansion below it.
+    #[test]
+    fn expansion_statements_plan_to_or_expand_with_filters_below() {
+        let mut core = SessionCore::new();
+        core.bind("fan", fan(6));
+        core.bind("nested", nested(6));
+        let chain = |stmt: &str| {
+            let planned = core.plan_statement(stmt).unwrap().expect("plannable");
+            driving_chain(&planned.plan)
+        };
+        // guard before the expansion: it filters rows, the head is `w`
+        assert_eq!(
+            chain("{ w | r <- fan, fst(r) < 3, w <- toset(normalize(r)) }"),
+            ["Project", "OrExpand", "Filter", "Scan"]
+        );
+        // the same guard after the expansion is pushed below it
+        assert_eq!(
+            chain("{ w | r <- fan, w <- toset(normalize(r)), fst(w) < 3 }"),
+            ["Project", "OrExpand", "Filter", "Scan"]
+        );
+        // a head over the world's or-set components stays above
+        assert_eq!(
+            chain("{ (fst(snd(w)), snd(snd(w)) + 1) | r <- fan, w <- toset(normalize(r)) }"),
+            ["Project", "OrExpand", "Scan"]
+        );
+        // a guard on an or-set component stays above the expansion
+        assert_eq!(
+            chain("{ w | r <- fan, w <- toset(normalize(r)), fst(snd(w)) < 3 }"),
+            ["Project", "Filter", "OrExpand", "Scan"]
+        );
+        // a head that reads the row keeps the `Flatten` lowering
+        assert_eq!(
+            chain("{ (fst(r), w) | r <- fan, w <- toset(normalize(r)) }"),
+            ["Project", "Flatten", "Project", "Scan"]
+        );
+        // guards before the expansion that cannot run below `OrExpand`
+        // keep the `Flatten` lowering: one that reads an or-set, one over
+        // two or-free fields (no projection common to both reads), and one
+        // that reads nothing of the row
+        let kept = [
+            "{ w | r <- fan, ormember(3, fst(snd(r))), w <- toset(normalize(r)) }",
+            "{ w | r <- nested, fst(r) < fst(snd(r)), w <- toset(normalize(r)) }",
+            "{ w | r <- fan, 1 < 2, w <- toset(normalize(r)) }",
+        ];
+        for statement in kept {
+            assert_eq!(
+                chain(statement),
+                ["Project", "Flatten", "Project", "Filter", "Scan"],
+                "{statement}"
+            );
+        }
+        let mut s = Session::from_core(core, ExecMode::EngineChecked, ExecConfig::default());
+        for statement in kept {
+            s.run(statement).unwrap();
+        }
+        assert_eq!(s.engine_stats().engine, kept.len() as u64);
+        assert_eq!(s.engine_stats().fallback, 0);
+    }
+
+    /// A `nested` relation of `rows` records `(i, (i % 3, <3 alternatives>))`:
+    /// two or-free fields, then an or-set.
+    fn nested(rows: i64) -> Value {
+        Value::set((0..rows).map(|i| {
+            Value::pair(
+                Value::Int(i),
+                Value::pair(Value::Int(i % 3), Value::int_orset((0..3).map(|k| i + k))),
+            )
+        }))
+    }
+
+    /// The guard `a{depth} < 1` over `depth` chained `let`s that each double
+    /// the last, starting from `fst(x)`.  Every `let` body reads its
+    /// variable twice, so inlining the chain would grow it as `2^depth`.
+    fn let_chain_guard(x: &str, depth: usize) -> String {
+        let mut guard = format!("let a0 = fst({x}) in ");
+        for k in 1..=depth {
+            guard += &format!("let a{k} = a{j} + a{j} in ", j = k - 1);
+        }
+        guard + &format!("a{depth} < 1")
+    }
+
+    /// As deep a `let` chain as the build's parser nesting limit allows.
+    const LET_CHAIN_DEPTH: usize = if cfg!(debug_assertions) { 12 } else { 30 };
+
+    /// Regression: factoring a guard must not inline its shared subterms
+    /// without bound.  A `let` chain in a guard before or after the
+    /// expansion plans quickly, keeps a plan of the statement's own size,
+    /// and is served by the engine.
+    #[test]
+    fn let_chain_guards_plan_in_linear_size() {
+        let mut core = SessionCore::new();
+        core.bind("fan", fan(6));
+        let before = format!(
+            "{{ w | r <- fan, {}, w <- toset(normalize(r)) }}",
+            let_chain_guard("r", LET_CHAIN_DEPTH)
+        );
+        let after = format!(
+            "{{ w | r <- fan, w <- toset(normalize(r)), {} }}",
+            let_chain_guard("w", LET_CHAIN_DEPTH)
+        );
+        for statement in [&before, &after] {
+            let planned = core.plan_statement(statement).unwrap().expect("plannable");
+            let rendered = planned.plan.to_string();
+            assert!(rendered.len() < 200 * LET_CHAIN_DEPTH, "{rendered}");
+        }
+        let mut s = Session::from_core(core, ExecMode::EngineChecked, ExecConfig::default());
+        for statement in [&before, &after] {
+            // only row 0 passes: its 32 worlds
+            let r = s.run(statement).unwrap();
+            assert!(matches!(&r.value, Value::Set(worlds) if worlds.len() == 32));
+        }
+        assert_eq!(s.engine_stats().engine, 2);
+    }
+
+    /// Regression: the denotation budget applies to session expansions.  It
+    /// used to be bypassed because the `Flatten` lowering never reached the
+    /// budgeted `OrExpand` operator.
+    #[test]
+    fn denotation_budget_rejects_oversized_session_expansions() {
+        let mut s = Session::with_engine(ExecConfig::default());
+        s.bind("fan", fan(4));
+        let stats_before = s.engine_stats();
+        let bindings_before = s.bindings();
+        let statement = "let out = { w | r <- fan, w <- toset(normalize(r)) }";
+        match s.run_budgeted(statement, QueryBudget::unlimited().with_denotations(4)) {
+            Err(SessionError::Engine(e)) => assert!(
+                e.contains("or-expansion budget exceeded") && e.contains("denotes 32"),
+                "{e}"
+            ),
+            other => panic!("expected the engine's budget error, got {other:?}"),
+        }
+        assert_eq!(s.bindings(), bindings_before);
+        assert_eq!(s.engine_stats(), stats_before);
+        // within budget the statement is served by the engine
+        let r = s
+            .run_budgeted(statement, QueryBudget::unlimited().with_denotations(32))
+            .unwrap();
+        assert!(matches!(&r.value, Value::Set(worlds) if worlds.len() == 4 * 32));
+        assert_eq!(s.engine_stats().engine, stats_before.engine + 1);
+
+        // A head that reads the row keeps the `Flatten` lowering, where no
+        // operator checks the budget: under a budget the interpreter serves
+        // it and rejects the oversized rows.
+        let reads_row = "let out = { (fst(r), w) | r <- fan, w <- toset(normalize(r)) }";
+        let stats_before = s.engine_stats();
+        let bindings_before = s.bindings();
+        match s.run_budgeted(reads_row, QueryBudget::unlimited().with_denotations(4)) {
+            Err(SessionError::Runtime(e)) => {
+                let e = e.to_string();
+                assert!(
+                    e.contains("or-expansion budget exceeded") && e.contains("denotes 32"),
+                    "{e}"
+                );
+            }
+            other => panic!("expected the interpreter's budget error, got {other:?}"),
+        }
+        assert_eq!(s.bindings(), bindings_before);
+        assert_eq!(s.engine_stats(), stats_before);
+        let r = s
+            .run_budgeted(reads_row, QueryBudget::unlimited().with_denotations(32))
+            .unwrap();
+        assert!(matches!(&r.value, Value::Set(worlds) if worlds.len() == 4 * 32));
+        assert_eq!(s.engine_stats().fallback, stats_before.fallback + 1);
+        // without a budget the engine serves it
+        s.run(reads_row).unwrap();
+        assert_eq!(s.engine_stats().engine, stats_before.engine + 1);
     }
 
     /// Budgets tighten, never loosen: a session config that already carries

@@ -76,6 +76,18 @@
 //! an or-set type — the paper's canonical non-preserved operation), the
 //! preconditions would flag it and the plan would be left alone.
 //!
+//! The preconditions are syntactic, so the *form* of a predicate matters.
+//! OrQL compiles `fst(w) < 30` through its environment adapter as
+//! `lt ∘ ⟨π₁ ∘ π₂, K30 ∘ !⟩ ∘ ⟨!, id⟩`, whose pair formations sit at the
+//! row type, which has or-sets.  Before giving up on a filter the planner
+//! tries the equal morphism `lt ∘ ⟨id, K30 ∘ !⟩ ∘ π₁`
+//! ([`factor_through_projection`]), which pairs at `int` and passes.  (The
+//! OrQL planner emits the guards it places below an expansion in factored
+//! form already.)  Filters below an expansion that fail the conditions —
+//! the planner never puts one there — are counted in
+//! [`ExpandPlanReport::pinned_filters`]; the verifier denies such a plan
+//! under rule V08.
+//!
 //! Projections move below `OrExpand` by the same theorem, with one extra
 //! proviso: Theorem 5.1 is stated for inputs free of empty or-sets.  A row
 //! containing an *empty* or-set denotes **no** worlds (`OrExpand` emits
@@ -541,23 +553,29 @@ pub struct ExpandPlannerConfig {
 }
 
 impl Default for ExpandPlannerConfig {
+    /// No row types, and the host's available parallelism as the worker
+    /// count — which reads OS state (cgroup files on Linux), so per-query
+    /// callers use [`ExpandPlannerConfig::for_row_types`] instead.
     fn default() -> Self {
-        ExpandPlannerConfig {
-            row_types: Vec::new(),
-            assume_consistent: false,
-            available_workers: std::thread::available_parallelism()
+        ExpandPlannerConfig::for_row_types(Vec::new()).with_available_workers(
+            std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            sample_cap: 64,
-        }
+        )
     }
 }
 
 impl ExpandPlannerConfig {
-    /// Set the row type of input slot 0 (the common single-relation case).
-    pub fn with_row_type(mut self, ty: Type) -> Self {
-        self.row_types = vec![ty];
-        self
+    /// A planner for input slots of the given row types: no consistency
+    /// promise, one available worker, a 64-row estimate sample.  Cheap
+    /// enough to build per plan — it touches no OS state.
+    pub fn for_row_types(row_types: Vec<Type>) -> Self {
+        ExpandPlannerConfig {
+            row_types,
+            assume_consistent: false,
+            available_workers: 1,
+            sample_cap: 64,
+        }
     }
 
     /// Promise the inputs contain no empty or-sets.
@@ -580,6 +598,11 @@ pub struct ExpandPlanReport {
     pub pushed_filters: usize,
     /// Projections moved below an `OrExpand`.
     pub pushed_projects: usize,
+    /// Filters the plan already had directly below an `OrExpand` that do
+    /// not commute with it — such as a guard that reads or-set structure
+    /// before the expansion.  They stay where the query put them, but a
+    /// verifier given the row types denies the plan under rule V08.
+    pub pinned_filters: usize,
     /// Cardinality estimate of the driving input (when rows were provided
     /// and the plan contains an `OrExpand`).
     pub estimate: Option<ExpandEstimate>,
@@ -648,27 +671,30 @@ pub fn optimize_expansion(
     let mut report = ExpandPlanReport {
         pushed_filters: 0,
         pushed_projects: 0,
+        pinned_filters: 0,
         estimate: None,
         recommended_workers: config.available_workers.max(1),
     };
+    // every rule rewrites around an `OrExpand`: a plan without one is final
+    if !plan.contains_or_expand() {
+        return (plan.clone(), report);
+    }
     let plan = push_below_expand(plan.clone(), config, &mut report);
-    if contains_or_expand(&plan) {
-        if let Some(rows) = inputs.get(plan.driving_scan()) {
-            // The expansion only sees rows that pass the filters *below* it
-            // (including the ones this planner just pushed down), so sampled
-            // rows failing them must not count toward the work estimate.
-            let predicates = filters_below_expand(&plan);
-            let estimate = estimate_expansion_where(rows, config.sample_cap, |row| {
-                predicates.iter().all(|p| {
-                    // an erroring predicate cannot be pre-evaluated here;
-                    // count the row (conservative: over-estimates work)
-                    matches!(crate::eval::eval(p, row), Ok(Value::Bool(true)) | Err(_))
-                })
-            });
-            report.recommended_workers =
-                estimate.recommended_workers(config.available_workers.max(1));
-            report.estimate = Some(estimate);
-        }
+    report.pinned_filters = pinned_filters(&plan, config);
+    if let Some(rows) = inputs.get(plan.driving_scan()) {
+        // The expansion only sees rows that pass the filters *below* it
+        // (including the ones this planner just pushed down), so sampled
+        // rows failing them must not count toward the work estimate.
+        let predicates = filters_below_expand(&plan);
+        let estimate = estimate_expansion_where(rows, config.sample_cap, |row| {
+            predicates.iter().all(|p| {
+                // an erroring predicate cannot be pre-evaluated here;
+                // count the row (conservative: over-estimates work)
+                matches!(crate::eval::eval(p, row), Ok(Value::Bool(true)) | Err(_))
+            })
+        });
+        report.recommended_workers = estimate.recommended_workers(config.available_workers.max(1));
+        report.estimate = Some(estimate);
     }
     (plan, report)
 }
@@ -715,22 +741,6 @@ fn filters_below_expand(plan: &PhysicalPlan) -> Vec<&M> {
     let mut out = Vec::new();
     below(plan, false, &mut out);
     out
-}
-
-fn contains_or_expand(plan: &PhysicalPlan) -> bool {
-    match plan {
-        PhysicalPlan::Scan(_) => false,
-        PhysicalPlan::OrExpand { .. } => true,
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::AttachEnv { input, .. }
-        | PhysicalPlan::Flatten { input } => contains_or_expand(input),
-        PhysicalPlan::Cartesian { left, right }
-        | PhysicalPlan::Join { left, right, .. }
-        | PhysicalPlan::Union { left, right } => {
-            contains_or_expand(left) || contains_or_expand(right)
-        }
-    }
 }
 
 fn push_below_expand(
@@ -789,19 +799,29 @@ fn push_below_expand(
                 budget,
                 dedup,
                 input: inner,
-            } if commutes_below(&predicate, &inner, config) => {
-                report.pushed_filters += 1;
-                let pushed = PhysicalPlan::OrExpand {
-                    budget,
-                    dedup,
-                    input: Box::new(PhysicalPlan::Filter {
-                        predicate,
+            } => match pushable_filter(&predicate, &inner, config) {
+                Some(pushable) => {
+                    report.pushed_filters += 1;
+                    let pushed = PhysicalPlan::OrExpand {
+                        budget,
+                        dedup,
+                        input: Box::new(PhysicalPlan::Filter {
+                            predicate: pushable,
+                            input: inner,
+                        }),
+                    };
+                    // the expand's new input may expose further pushdowns
+                    push_below_expand(pushed, config, report)
+                }
+                None => PhysicalPlan::Filter {
+                    predicate,
+                    input: Box::new(PhysicalPlan::OrExpand {
+                        budget,
+                        dedup,
                         input: inner,
                     }),
-                };
-                // the expand's new input may expose further pushdowns
-                push_below_expand(pushed, config, report)
-            }
+                },
+            },
             other => PhysicalPlan::Filter {
                 predicate,
                 input: Box::new(other),
@@ -828,6 +848,181 @@ fn push_below_expand(
         },
         other => other,
     }
+}
+
+/// How many filters in the chains directly below `plan`'s `OrExpand`s do
+/// not commute with the expansion ([`ExpandPlanReport::pinned_filters`]).
+fn pinned_filters(plan: &PhysicalPlan, config: &ExpandPlannerConfig) -> usize {
+    fn chain(plan: &PhysicalPlan, config: &ExpandPlannerConfig) -> usize {
+        match plan {
+            PhysicalPlan::Filter { predicate, input } => {
+                usize::from(!commutes_below(predicate, input, config)) + chain(input, config)
+            }
+            other => pinned_filters(other, config),
+        }
+    }
+    match plan {
+        PhysicalPlan::Scan(_) => 0,
+        PhysicalPlan::OrExpand { input, .. } => chain(input, config),
+        PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::AttachEnv { input, .. }
+        | PhysicalPlan::Flatten { input } => pinned_filters(input, config),
+        PhysicalPlan::Cartesian { left, right }
+        | PhysicalPlan::Join { left, right, .. }
+        | PhysicalPlan::Union { left, right } => {
+            pinned_filters(left, config) + pinned_filters(right, config)
+        }
+    }
+}
+
+/// The form of filter `predicate` that may run below the `OrExpand` whose
+/// input is `inner`: the predicate itself when it commutes with α-expansion,
+/// else its factored form `p' ∘ π` ([`factor_through_projection`]) when
+/// that does.  A predicate compiled through an environment adapter, like
+/// `lt ∘ ⟨π₁ ∘ π₂, K ∘ !⟩ ∘ ⟨!, id⟩`, pairs at the row type — which
+/// Theorem 5.1 rightly rejects when the row has or-sets — yet reads only the
+/// or-free `π₁`; its factored form `lt ∘ ⟨id, K ∘ !⟩ ∘ π₁` pairs at `int`.
+fn pushable_filter(predicate: &M, inner: &PhysicalPlan, config: &ExpandPlannerConfig) -> Option<M> {
+    if commutes_below(predicate, inner, config) {
+        return Some(predicate.clone());
+    }
+    factor_through_projection(predicate).filter(|factored| commutes_below(factored, inner, config))
+}
+
+/// Rewrite `m` into the equal morphism `p' ∘ π`, where `π` is the longest
+/// projection chain that every read of the input goes through.  `None` when
+/// no projection is common to all reads, or when distributing `m` would
+/// take more than a constant amount of work per node of `m` (see
+/// `DISTRIBUTE_FUEL_PER_NODE`).
+///
+/// `m` is first distributed — compositions pushed into pair formations,
+/// projections of pairs cancelled — so that the reads of the result are
+/// its leading projection chains; `π` is their common prefix, and `p'` is
+/// the distributed form with `π` cut off each chain.
+pub fn factor_through_projection(m: &M) -> Option<M> {
+    let mut fuel = DISTRIBUTE_FUEL_PER_NODE * m.size();
+    let m = distribute(m, &mut fuel)?;
+    let path = read_path(&m).filter(|path| !path.is_empty())?;
+    let chain: Vec<&M> = path.iter().collect();
+    Some(compose_stages(&chain).then(strip_path(&m, &path)))
+}
+
+/// Work budget of [`factor_through_projection`], per node of its input.
+/// Distributing copies `h` into both arms of `⟨f, g⟩ ∘ h`, so shared
+/// subterms are inlined: an OrQL `let` compiles to `body ∘ ⟨id, v⟩`, and a
+/// chain of `let b = a + a in …` doubles at every link.  Every node the
+/// distribution builds or copies costs one unit, so the work — and the
+/// factored form — stays within a constant multiple of the input.
+const DISTRIBUTE_FUEL_PER_NODE: usize = 8;
+
+/// Spend `cost` units of the distribution budget; `None` once it runs out.
+fn spend(fuel: &mut usize, cost: usize) -> Option<()> {
+    *fuel = fuel.checked_sub(cost)?;
+    Some(())
+}
+
+/// `m` with every composition pushed into pair formations and projections
+/// of pairs cancelled: `⟨f, g⟩ ∘ h = ⟨f ∘ h, g ∘ h⟩`, `πᵢ ∘ ⟨a₁, a₂⟩ = aᵢ`,
+/// `! ∘ h = !`, `id ∘ h = h ∘ id = h`.  Every other composition stays, so a
+/// pair formation never heads a composition in the result.  `None` once
+/// the work exceeds `fuel`.
+fn distribute(m: &M, fuel: &mut usize) -> Option<M> {
+    match m {
+        M::Compose(g, h) => {
+            let g = distribute(g, fuel)?;
+            let h = distribute(h, fuel)?;
+            after(&g, h, fuel)
+        }
+        M::PairWith(a, b) => {
+            spend(fuel, 1)?;
+            Some(M::pair(distribute(a, fuel)?, distribute(b, fuel)?))
+        }
+        other => copy(other, fuel),
+    }
+}
+
+/// `g ∘ h` for distributed `g` and `h`, distributed.
+fn after(g: &M, h: M, fuel: &mut usize) -> Option<M> {
+    spend(fuel, 1)?;
+    match (g, h) {
+        (M::Id, h) => Some(h),
+        (g, M::Id) => copy(g, fuel),
+        (M::Bang, _) => Some(M::Bang),
+        (M::Compose(g1, g2), h) => {
+            let h = after(g2, h, fuel)?;
+            after(g1, h, fuel)
+        }
+        (M::PairWith(a, b), h) => {
+            let h_copy = copy(&h, fuel)?;
+            Some(M::pair(after(a, h_copy, fuel)?, after(b, h, fuel)?))
+        }
+        (M::Proj1, M::PairWith(a, _)) => Some(*a),
+        (M::Proj2, M::PairWith(_, b)) => Some(*b),
+        (g, h) => Some(M::compose(copy(g, fuel)?, h)),
+    }
+}
+
+/// A copy of `m`, paid for node by node.
+fn copy(m: &M, fuel: &mut usize) -> Option<M> {
+    spend(fuel, m.size())?;
+    Some(m.clone())
+}
+
+/// The projection chain (application order) every read of the input goes
+/// through in the distributed morphism `m`; `None` when `m` reads nothing
+/// of its input (`!`, or pairs of such).
+fn read_path(m: &M) -> Option<Vec<M>> {
+    let mut stages = Vec::new();
+    flatten_into(m, &mut stages);
+    let mut path: Vec<M> = Vec::new();
+    for stage in stages {
+        match stage {
+            M::Proj1 | M::Proj2 => path.push(stage.clone()),
+            M::Bang => return None,
+            M::PairWith(a, b) => {
+                let common = match (read_path(a), read_path(b)) {
+                    (Some(p), Some(q)) => p
+                        .into_iter()
+                        .zip(q)
+                        .take_while(|(x, y)| x == y)
+                        .map(|(x, _)| x)
+                        .collect(),
+                    (p, q) => p.or(q)?,
+                };
+                path.extend(common);
+                break;
+            }
+            _ => break,
+        }
+    }
+    Some(path)
+}
+
+/// `m'` with `m = m' ∘ π` for the projection chain `path`, which must be a
+/// prefix of every read path of the distributed morphism `m`
+/// ([`read_path`]).
+fn strip_path(m: &M, path: &[M]) -> M {
+    let mut stages = Vec::new();
+    flatten_into(m, &mut stages);
+    let mut rest = path;
+    let mut kept: Vec<M> = Vec::new();
+    for stage in stages {
+        match (rest.split_first(), stage) {
+            (Some((first, tail)), _) if first == stage => rest = tail,
+            (Some(_), M::PairWith(a, b)) => {
+                kept.push(M::pair(strip_path(a, rest), strip_path(b, rest)));
+                rest = &[];
+            }
+            // a stage that reads nothing (`!`) is its own stripped form
+            _ => {
+                kept.push(stage.clone());
+                rest = &[];
+            }
+        }
+    }
+    let kept: Vec<&M> = kept.iter().collect();
+    compose_stages(&kept)
 }
 
 /// Can `m` run below the `OrExpand` whose input is `inner`?  Requires the
@@ -1038,7 +1233,7 @@ mod tests {
     #[test]
     fn planner_pushes_orfree_filters_below_expand() {
         let plan = PhysicalPlan::scan(0).or_expand().filter(id_predicate(3));
-        let config = ExpandPlannerConfig::default().with_row_type(fanout_row_type());
+        let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
         let (optimized, report) = optimize_expansion(&plan, &[], &config);
         assert_eq!(report.pushed_filters, 1);
         let rendered = optimized.to_string();
@@ -1047,6 +1242,125 @@ mod tests {
             rendered.trim_start().starts_with("OrExpand"),
             "plan: {rendered}"
         );
+    }
+
+    /// `fst(w) < limit` as the OrQL planner compiles it for rows bound to
+    /// `w`: through the environment adapter `⟨!, id⟩`, pairing at the row
+    /// type.
+    fn adapted_id_predicate(limit: i64) -> M {
+        M::pair(M::Bang, M::Id).then(
+            M::pair(M::Proj2.then(M::Proj1), M::constant(Value::Int(limit)))
+                .then(M::Prim(Prim::Lt)),
+        )
+    }
+
+    /// `let a0 = fst(w) in let a1 = a0 + a0 in … in a{depth} < 1` as OrQL
+    /// compiles it: each `let` is `body ∘ ⟨id, value⟩` over the environment
+    /// tuple, whose last component is the newest variable.
+    fn let_chain_predicate(depth: usize) -> M {
+        let mut m = M::pair(M::Proj2, M::constant(Value::Int(1))).then(M::Prim(Prim::Lt));
+        for _ in 0..depth {
+            let double = M::pair(M::Proj2, M::Proj2).then(M::Prim(Prim::Plus));
+            m = M::pair(M::Id, double).then(m);
+        }
+        let a0 = M::Proj2.then(M::Proj1);
+        M::pair(M::Bang, M::Id).then(M::pair(M::Id, a0)).then(m)
+    }
+
+    #[test]
+    fn factoring_stops_before_inlining_grows_the_predicate() {
+        // a short chain factors through `π₁`, to an equal morphism
+        let short = let_chain_predicate(2);
+        let factored = factor_through_projection(&short).expect("reads go through π₁");
+        assert!(matches!(&factored, M::Compose(_, first) if **first == M::Proj1));
+        assert!(factored.size() <= DISTRIBUTE_FUEL_PER_NODE * short.size());
+        let mut gen = Generator::with_seed(5);
+        for _ in 0..50 {
+            let row = gen.object_of(&fanout_row_type());
+            assert_eq!(eval(&short, &row).unwrap(), eval(&factored, &row).unwrap());
+        }
+        // inlining a long chain doubles it per link: give up, quickly
+        let long = let_chain_predicate(40);
+        assert_eq!(factor_through_projection(&long), None);
+        let plan = PhysicalPlan::scan(0).or_expand().filter(long.clone());
+        let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
+        let (optimized, report) = optimize_expansion(&plan, &[], &config);
+        assert_eq!(report.pushed_filters, 0);
+        assert_eq!(optimized, plan);
+    }
+
+    #[test]
+    fn adapted_predicates_factor_through_their_projection() {
+        let p = adapted_id_predicate(3);
+        // as compiled, the predicate pairs at a type with or-sets
+        assert!(!commutes_with_or_alpha(&p, &fanout_row_type()));
+        let factored = factor_through_projection(&p).expect("reads go through π₁");
+        let expected =
+            M::Proj1.then(M::pair(M::Id, M::constant(Value::Int(3))).then(M::Prim(Prim::Lt)));
+        assert_eq!(factored, expected);
+        assert!(commutes_with_or_alpha(&factored, &fanout_row_type()));
+        // equal morphisms: same answer on generated rows and their worlds
+        let row_types = [fanout_row_type(), fanout_row_type().strip_orsets()];
+        let mut gen = Generator::with_seed(11);
+        for ty in &row_types {
+            for _ in 0..50 {
+                let row = gen.object_of(ty);
+                assert_eq!(
+                    eval(&p, &row).unwrap(),
+                    eval(&factored, &row).unwrap(),
+                    "{row}"
+                );
+            }
+        }
+        // no projection common to every read: nothing to factor
+        let both = M::pair(M::Proj1, M::Proj2.then(M::Proj1)).then(M::Eq);
+        assert_eq!(factor_through_projection(&both), None);
+        assert_eq!(
+            factor_through_projection(&M::constant(Value::Bool(true))),
+            None
+        );
+    }
+
+    #[test]
+    fn planner_pushes_factored_filters_and_the_verifier_accepts_them() {
+        use crate::verify::{verify_plan, VerifyConfig};
+        let plan = PhysicalPlan::scan(0)
+            .or_expand()
+            .filter(adapted_id_predicate(3))
+            .filter(adapted_id_predicate(2));
+        let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
+        let (optimized, report) = optimize_expansion(&plan, &[], &config);
+        assert_eq!(report.pushed_filters, 2);
+        assert!(matches!(&optimized, PhysicalPlan::OrExpand { input, .. }
+            if matches!(&**input, PhysicalPlan::Filter { input, .. }
+                if matches!(&**input, PhysicalPlan::Filter { .. }))));
+        let violations = verify_plan(
+            &optimized,
+            &VerifyConfig {
+                provided_inputs: Some(1),
+                row_types: vec![Some(fanout_row_type())],
+                ..VerifyConfig::default()
+            },
+        );
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn planner_keeps_factored_orset_predicates_above_expand() {
+        // `fst(fst(snd(w))) < 3`-style reads of an or-set field through the
+        // adapter: the factored form reads an or-set, so it stays
+        let orset_field = M::pair(M::Bang, M::Id).then(
+            M::pair(
+                M::Proj2.then(M::Proj2).then(M::Proj1),
+                M::constant(Value::Int(3)),
+            )
+            .then(M::Prim(Prim::Lt)),
+        );
+        let plan = PhysicalPlan::scan(0).or_expand().filter(orset_field);
+        let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
+        let (optimized, report) = optimize_expansion(&plan, &[], &config);
+        assert_eq!(report.pushed_filters, 0);
+        assert_eq!(optimized, plan);
     }
 
     #[test]
@@ -1058,7 +1372,7 @@ mod tests {
             .then(M::pair(M::Id, M::constant(Value::int_orset([1, 2]))))
             .then(M::Eq);
         let plan = PhysicalPlan::scan(0).or_expand().filter(orset_eq);
-        let config = ExpandPlannerConfig::default().with_row_type(fanout_row_type());
+        let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
         let (optimized, report) = optimize_expansion(&plan, &[], &config);
         assert_eq!(report.pushed_filters, 0);
         assert_eq!(optimized, plan);
@@ -1075,7 +1389,7 @@ mod tests {
     #[test]
     fn planner_pushes_projections_only_for_consistent_inputs() {
         let plan = PhysicalPlan::scan(0).or_expand().project(M::Proj1);
-        let config = ExpandPlannerConfig::default().with_row_type(fanout_row_type());
+        let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
         let (kept, report) = optimize_expansion(&plan, &[], &config);
         assert_eq!(report.pushed_projects, 0);
         assert_eq!(kept, plan);
@@ -1130,9 +1444,8 @@ mod tests {
             })
             .collect();
         let plan = PhysicalPlan::scan(0).or_expand();
-        let config = ExpandPlannerConfig::default()
-            .with_row_type(fanout_row_type())
-            .with_available_workers(8);
+        let config =
+            ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]).with_available_workers(8);
         let (_, report) = optimize_expansion(&plan, &[&rows], &config);
         let est = report.estimate.expect("estimate for expanding plan");
         assert_eq!(est.total_denotations, 32 * 6);
@@ -1153,7 +1466,7 @@ mod tests {
             .collect();
         // filter keeps ids 0..=9: selectivity 25%
         let plan = PhysicalPlan::scan(0).or_expand().filter(id_predicate(9));
-        let config = ExpandPlannerConfig::default().with_row_type(fanout_row_type());
+        let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
         let (optimized, report) = optimize_expansion(&plan, &[&rows], &config);
         assert_eq!(report.pushed_filters, 1);
         assert_eq!(filters_below_expand(&optimized).len(), 1);

@@ -237,6 +237,54 @@ impl PhysicalPlan {
         }
     }
 
+    /// Whether the plan α-expands anywhere (has an `OrExpand` node).
+    pub fn contains_or_expand(&self) -> bool {
+        match self {
+            PhysicalPlan::Scan(_) => false,
+            PhysicalPlan::OrExpand { .. } => true,
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::AttachEnv { input, .. }
+            | PhysicalPlan::Flatten { input } => input.contains_or_expand(),
+            PhysicalPlan::Cartesian { left, right }
+            | PhysicalPlan::Join { left, right, .. }
+            | PhysicalPlan::Union { left, right } => {
+                left.contains_or_expand() || right.contains_or_expand()
+            }
+        }
+    }
+
+    /// Whether an operator's own morphism applies `normalize` or `α` — an
+    /// α-expansion outside `OrExpand`, the one operator that checks the
+    /// denotation budget (a dependent generator's `Flatten` lowering, say).
+    pub fn expands_in_morphisms(&self) -> bool {
+        let expands = |m: &Morphism| {
+            m.any_node(&mut |node| matches!(node, Morphism::Normalize | Morphism::Alpha))
+        };
+        match self {
+            PhysicalPlan::Scan(_) => false,
+            PhysicalPlan::Filter {
+                predicate: m,
+                input,
+            }
+            | PhysicalPlan::Project { f: m, input }
+            | PhysicalPlan::AttachEnv { setup: m, input } => {
+                expands(m) || input.expands_in_morphisms()
+            }
+            PhysicalPlan::Flatten { input } | PhysicalPlan::OrExpand { input, .. } => {
+                input.expands_in_morphisms()
+            }
+            PhysicalPlan::Cartesian { left, right } | PhysicalPlan::Union { left, right } => {
+                left.expands_in_morphisms() || right.expands_in_morphisms()
+            }
+            PhysicalPlan::Join {
+                predicate,
+                left,
+                right,
+            } => expands(predicate) || left.expands_in_morphisms() || right.expands_in_morphisms(),
+        }
+    }
+
     /// Number of operators in the plan.
     pub fn operator_count(&self) -> usize {
         match self {

@@ -579,6 +579,84 @@ mod tests {
         assert!(response.contains("{1, 2, 3}"), "{response}");
     }
 
+    /// A denotation budget — per request or server-wide (`--or-budget`) —
+    /// rejects an α-expansion whose rows denote more worlds, with 422.
+    #[test]
+    fn denotation_budgets_reject_oversized_expansions() {
+        let db = "let alts = { (1, (<|1, 2, 3|>, <|4, 5|>)), (2, (<|6, 7|>, <|8, 9|>)) }";
+        let statement = "{ w | r <- alts, w <- toset(normalize(r)), fst(w) < 2 }";
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        server.load_db("d", db).unwrap();
+        let request =
+            format!(r#"{{"db": "d", "statement": "{statement}", "budget": {{"denotations": 1}}}}"#);
+        let (status, response) = query(&server.state, &request);
+        assert_eq!(status, 422, "{response}");
+        assert!(response.contains("or-expansion budget"), "{response}");
+        // within budget, the surviving row's six worlds come back
+        let request = format!(r#"{{"db": "d", "statement": "{statement}"}}"#);
+        let (status, response) = query(&server.state, &request);
+        assert_eq!(status, 200, "{response}");
+        assert!(response.contains("(1, (3, 5))"), "{response}");
+
+        let config = ServerConfig {
+            exec: ExecConfig::default().with_or_budget(4),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        server.load_db("d", db).unwrap();
+        let (status, response) = query(&server.state, &request);
+        assert_eq!(status, 422, "{response}");
+        assert!(response.contains("or-expansion budget"), "{response}");
+        // a head that reads the row is no `OrExpand`; the budget holds too
+        let reads_row = "{ (fst(r), w) | r <- alts, w <- toset(normalize(r)) }";
+        let request = format!(r#"{{"db": "d", "statement": "{reads_row}"}}"#);
+        let (status, response) = query(&server.state, &request);
+        assert_eq!(status, 422, "{response}");
+        assert!(response.contains("or-expansion budget"), "{response}");
+    }
+
+    /// Regression: planning a guard that is a long `let` chain — each link
+    /// reading the last twice — takes time linear in the statement, not
+    /// exponential, before the expansion and after it.
+    #[test]
+    fn let_chain_guards_are_served() {
+        // as deep as the build's parser nesting limit allows
+        let depth = if cfg!(debug_assertions) { 12 } else { 30 };
+        let guard = |x: &str| {
+            let mut guard = format!("let a0 = fst({x}) in ");
+            for k in 1..=depth {
+                guard += &format!("let a{k} = a{j} + a{j} in ", j = k - 1);
+            }
+            guard + &format!("a{depth} < 1")
+        };
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        server
+            .load_db(
+                "d",
+                "let alts = { (0, (<|1, 2|>, <|3|>)), (1, (<|4|>, <|5|>)) }",
+            )
+            .unwrap();
+        for statement in [
+            format!(
+                "{{ w | r <- alts, {}, w <- toset(normalize(r)) }}",
+                guard("r")
+            ),
+            format!(
+                "{{ w | r <- alts, w <- toset(normalize(r)), {} }}",
+                guard("w")
+            ),
+        ] {
+            let request = format!(r#"{{"db": "d", "statement": "{statement}"}}"#);
+            let (status, response) = query(&server.state, &request);
+            assert_eq!(status, 200, "{response}");
+            assert!(
+                response.contains("{(0, (1, 3)), (0, (2, 3))}"),
+                "{response}"
+            );
+            assert!(response.contains(r#""route":"engine""#), "{response}");
+        }
+    }
+
     /// Errors that concern one connection keep the accept loop serving;
     /// anything else (say, the process ran out of descriptors) stops it.
     #[test]

@@ -50,6 +50,16 @@ STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/query" \
 [ "$STATUS" = "422" ] || { echo "expected 422 on zero budget, got $STATUS"; exit 1; }
 curl -sf "$BASE/stats" | grep -q '"errors":1'
 
+# the expand-then-filter statement is engine-served, and a denotation
+# budget of 1 rejects it with 422 (both surviving parts have several worlds)
+EXPAND='{ w | r <- options, w <- toset(normalize(r)), fst(w) < 3 }'
+curl -sf -X POST "$BASE/query" -d "{\"db\":\"example\",\"statement\":\"$EXPAND\"}" \
+    | grep -q '"route":"engine"'
+STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/query" \
+    -d "{\"db\":\"example\",\"statement\":\"$EXPAND\",\"budget\":{\"denotations\":1}}")"
+[ "$STATUS" = "422" ] || { echo "expected 422 over the denotation budget, got $STATUS"; exit 1; }
+curl -sf "$BASE/stats" | grep -q '"errors":2'
+
 # hostile nesting: a 100 000-deep JSON body is a 400 and a 100 000-deep
 # statement a 422 (parse errors, not a stack overflow), and the server
 # keeps serving

@@ -751,6 +751,92 @@ proptest! {
         }
     }
 
+    /// Differential test for per-row α-expansion in sessions: every
+    /// comprehension template over `w <- toset(normalize(r))` answers the
+    /// same in engine-checked sessions at 1 and 2 pinned workers as in the
+    /// interpreter.  `alts` rows carry or-sets of 1..=3 alternatives, so
+    /// some rows are singletons throughout (one world, like an or-free
+    /// row); `bags` rows carry a set of 1..=3 or-sets, which normalization
+    /// turns into an or-set of sets; `nested` rows carry two or-free
+    /// fields before their or-set.  Templates that read only the world run
+    /// through `OrExpand` (an or-free guard after the expansion is pushed
+    /// below it), while a head that reads the row, and a guard before the
+    /// expansion that compares two fields, keep the `Flatten` plan.
+    ///
+    /// Rows without any or-set are left out: the interpreter's value-level
+    /// `normalize` returns such a row unwrapped, so `toset` rejects it.
+    #[test]
+    fn session_expansions_agree_with_interpreter(
+        seed in any::<u64>(), rows in 1usize..=20
+    ) {
+        use or_engine::ExecConfig;
+        use or_lang::session::Session;
+
+        let hash = |i: i64, salt: u64| {
+            seed.wrapping_add(salt)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(i as u64)
+                .rotate_left(17)
+        };
+        // alternatives drawn from a small range, so worlds repeat across rows
+        let alternatives = |i: i64, salt: u64| {
+            let h = hash(i, salt);
+            Value::int_orset((0..1 + (h % 3) as i64).map(|k| ((h >> 8) as i64 + k * 3) % 7))
+        };
+        let alts = Value::set((0..rows as i64).map(|i| {
+            Value::pair(Value::Int(i), Value::pair(alternatives(i, 1), alternatives(i, 2)))
+        }));
+        let bags = Value::set((0..rows as i64).map(|i| {
+            let bag = (0..=i % 3).map(|k| alternatives(i, 3 + k as u64));
+            Value::pair(Value::Int(i), Value::set(bag))
+        }));
+        let nested = Value::set((0..rows as i64).map(|i| {
+            let j = (hash(i, 6) % (rows as u64 + 1)) as i64;
+            Value::pair(Value::Int(i), Value::pair(Value::Int(j), alternatives(i, 7)))
+        }));
+        let limit = (seed % (rows as u64 + 1)) as i64;
+        let before = format!("{{ w | r <- R, fst(r) < {limit}, w <- toset(normalize(r)) }}");
+        let after = format!("{{ w | r <- R, w <- toset(normalize(r)), fst(w) < {limit} }}");
+        let reads_row = "{ (fst(r), snd(w)) | r <- R, w <- toset(normalize(r)) }".to_string();
+        let templates = [
+            ("alts", before.clone(), true),
+            ("alts", after.clone(), true),
+            ("alts", format!("{{ w | r <- R, w <- toset(normalize(r)), fst(snd(w)) < {} }}", limit % 7), true),
+            ("alts", "{ (fst(snd(w)), snd(snd(w)) + 1) | r <- R, w <- toset(normalize(r)) }".to_string(), true),
+            ("alts", reads_row.clone(), false),
+            ("bags", before, true),
+            ("bags", after, true),
+            ("bags", "{ snd(w) | r <- R, w <- toset(normalize(r)) }".to_string(), true),
+            ("bags", reads_row, false),
+            ("nested", format!("{{ w | r <- R, fst(snd(r)) < {limit}, w <- toset(normalize(r)) }}"), true),
+            ("nested", "{ w | r <- R, fst(r) < fst(snd(r)), w <- toset(normalize(r)) }".to_string(), false),
+        ];
+        let mut interp = Session::new();
+        interp.bind("alts", alts.clone());
+        interp.bind("bags", bags.clone());
+        interp.bind("nested", nested.clone());
+        for workers in [1usize, 2] {
+            let mut checked =
+                Session::with_engine_checked(ExecConfig::default().with_pinned_workers(workers));
+            checked.bind("alts", alts.clone());
+            checked.bind("bags", bags.clone());
+            checked.bind("nested", nested.clone());
+            for (relation, template, expands) in &templates {
+                let stmt = template.replace("<- R", &format!("<- {relation}"));
+                let planned = checked.core().plan_statement(&stmt).unwrap().expect("plannable");
+                prop_assert_eq!(
+                    planned.plan.contains_or_expand(), *expands,
+                    "plan of {}:\n{}", stmt, planned.plan
+                );
+                let want = interp.run(&stmt).unwrap();
+                let got = checked.run(&stmt).unwrap();
+                prop_assert_eq!(&got.value, &want.value, "{} ({} workers)", stmt, workers);
+            }
+            let stats = checked.engine_stats();
+            prop_assert_eq!(stats.engine, templates.len() as u64, "fallbacks: {:?}", stats.fallback_reasons);
+        }
+    }
+
     /// OrQL: the interpreter and the compiled algebra agree on parameterized
     /// queries over generated databases.
     #[test]

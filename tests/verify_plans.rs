@@ -212,11 +212,16 @@ fn the_gate_is_what_rejects_malformed_plans() {
 
 /// `plan_statement` is the serving route itself: for every statement of
 /// every shipped `examples/*.orql` script, it finds a plan exactly when
-/// the engine-first session serves the statement from the engine.
+/// the engine-first session serves the statement from the engine, and
+/// that plan verifies clean under a serving configuration (every
+/// `OrExpand` budgeted, V10; filters the expand planner placed below an
+/// `OrExpand` commute with it, V08).  At least one example statement is
+/// served with a filter below its expansion.
 #[test]
 fn plan_statement_matches_the_engine_route_on_every_example_script() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
     let mut statements = 0;
+    let mut filtered_expansions = 0;
     for entry in std::fs::read_dir(&dir).expect("examples directory is readable") {
         let path = entry.expect("directory entry").path();
         if path.extension().map_or(true, |ext| ext != "orql") {
@@ -230,6 +235,29 @@ fn plan_statement_matches_the_engine_route_on_every_example_script() {
             .filter(|l| !l.is_empty() && !l.starts_with("--"))
         {
             let planned = core.plan_statement(stmt).expect("statement type-checks");
+            if let Some(planned) = &planned {
+                let serving = VerifyConfig {
+                    provided_inputs: Some(planned.inputs.len()),
+                    row_types: planned.row_types.clone(),
+                    or_budget: Some(1 << 20),
+                    require_budgets: true,
+                    assume_consistent: false,
+                };
+                let violations = verify_plan(&planned.plan, &serving);
+                assert!(
+                    first_deny(&violations).is_none(),
+                    "{}: `{stmt}`: {violations:?}",
+                    path.display()
+                );
+                let mut node = &planned.plan;
+                while let PhysicalPlan::Project { input, .. } = node {
+                    node = input;
+                }
+                if let PhysicalPlan::OrExpand { input, .. } = node {
+                    filtered_expansions +=
+                        usize::from(matches!(**input, PhysicalPlan::Filter { .. }));
+                }
+            }
             let evaluated = core
                 .eval_statement(
                     stmt,
@@ -249,4 +277,8 @@ fn plan_statement_matches_the_engine_route_on_every_example_script() {
         }
     }
     assert!(statements > 0, "no example statements found");
+    assert!(
+        filtered_expansions > 0,
+        "no example runs a filter below OrExpand"
+    );
 }
