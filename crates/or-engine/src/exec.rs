@@ -264,7 +264,8 @@ impl Deadline {
 ///     .collect();
 /// let plan = or_nra::optimize::lower(&Morphism::map(Morphism::Proj1)).unwrap();
 /// let exec = Executor::new(ExecConfig::default());
-/// let (out, stats) = exec.run(&plan, &EngineInputs::from_values(&[&rows])).unwrap();
+/// let inputs: EngineInputs = [rows.as_slice()].into_iter().collect();
+/// let (out, stats) = exec.run(&plan, &inputs).unwrap();
 /// let out = out.elements().unwrap();
 ///
 /// assert_eq!(stats.workers, 1);
@@ -345,14 +346,6 @@ impl<'a> EngineInputs<'a> {
         }
     }
 
-    /// Wrap plain value slices (one per slot), interning per query.
-    pub fn from_values(inputs: &'a [&'a [Value]]) -> EngineInputs<'a> {
-        EngineInputs {
-            slots: inputs.iter().map(|rows| (*rows, None)).collect(),
-            base: None,
-        }
-    }
-
     /// Append a slot that must be interned at query time.
     pub fn push_rows(&mut self, rows: &'a [Value]) {
         self.slots.push((rows, None));
@@ -372,6 +365,16 @@ impl<'a> EngineInputs<'a> {
 
     fn value_slots(&self) -> Vec<&'a [Value]> {
         self.slots.iter().map(|(rows, _)| *rows).collect()
+    }
+}
+
+/// One slot per row slice, each interned at query time.
+impl<'a> FromIterator<&'a [Value]> for EngineInputs<'a> {
+    fn from_iter<I: IntoIterator<Item = &'a [Value]>>(slots: I) -> Self {
+        EngineInputs {
+            slots: slots.into_iter().map(|rows| (rows, None)).collect(),
+            base: None,
+        }
     }
 }
 
@@ -1040,7 +1043,7 @@ mod tests {
     use or_nra::eval::eval;
 
     fn run_rows(exec: &Executor, plan: &PhysicalPlan, rows: &[Value]) -> (Value, ExecStats) {
-        exec.run(plan, &EngineInputs::from_values(&[rows])).unwrap()
+        exec.run(plan, &[rows].into_iter().collect()).unwrap()
     }
 
     /// A worker whose row-level function panics must surface as
@@ -1152,7 +1155,7 @@ mod tests {
         let rows: Vec<Value> = (0..16).map(Value::Int).collect();
         let plan = or_nra::optimize::lower(&Morphism::map(Morphism::Id)).unwrap();
         let exec = Executor::new(ExecConfig::default().with_time_budget(std::time::Duration::ZERO));
-        match exec.run(&plan, &EngineInputs::from_values(&[&rows])) {
+        match exec.run(&plan, &[rows.as_slice()].into_iter().collect()) {
             Err(EngineError::TimeBudgetExceeded { budget_ms: 0 }) => {}
             other => panic!("expected TimeBudgetExceeded, got {other:?}"),
         }

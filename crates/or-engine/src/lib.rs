@@ -134,7 +134,8 @@
 //!
 //! let plan = or_nra::optimize::lower(&query).unwrap();
 //! let executor = Executor::new(ExecConfig::parallel());
-//! let (out, _stats) = executor.run(&plan, &EngineInputs::from_values(&[&rows])).unwrap();
+//! let inputs: EngineInputs = [rows.as_slice()].into_iter().collect();
+//! let (out, _stats) = executor.run(&plan, &inputs).unwrap();
 //! assert_eq!(out, or_nra::eval::eval(&query, &Value::set(rows)).unwrap());
 //! ```
 

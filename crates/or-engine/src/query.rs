@@ -174,6 +174,6 @@ pub fn run_morphism_on_value(
             })
         }
     };
-    let (value, _) = Executor::new(config).run(&plan, &EngineInputs::from_values(&[rows]))?;
+    let (value, _) = Executor::new(config).run(&plan, &[rows].into_iter().collect())?;
     Ok(value)
 }

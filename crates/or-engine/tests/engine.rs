@@ -15,7 +15,7 @@ fn run(
     plan: &PhysicalPlan,
     slots: &[&[Value]],
 ) -> Result<(Value, ExecStats), EngineError> {
-    exec.run(plan, &EngineInputs::from_values(slots))
+    exec.run(plan, &slots.iter().copied().collect())
 }
 
 /// 200 rows of (id, cost) pairs.

@@ -238,6 +238,54 @@ impl Expr {
         }
     }
 
+    /// Replace every free occurrence of `name` with `value`, stopping at
+    /// the binders that rebind `name`: a `let`'s body, and the qualifiers
+    /// and head after a generator.  `value` must be closed, so no binder
+    /// can capture a variable of it.
+    pub fn subst(&mut self, name: &str, value: &Expr) {
+        let go = |e: &mut Expr| e.subst(name, value);
+        match self {
+            Expr::Var(x) if x == name => *self = value.clone(),
+            Expr::Unit | Expr::Int(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => {}
+            Expr::Pair(a, b) | Expr::BinOp(_, a, b) => [a, b].into_iter().for_each(|e| go(e)),
+            Expr::Not(a) => go(a),
+            Expr::SetLit(items) | Expr::OrSetLit(items) | Expr::Call(_, items) => {
+                items.iter_mut().for_each(go)
+            }
+            Expr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => [cond, then_branch, else_branch]
+                .into_iter()
+                .for_each(|e| go(e)),
+            Expr::Let {
+                name: x,
+                value: v,
+                body,
+            } => {
+                go(v);
+                if x != name {
+                    go(body);
+                }
+            }
+            Expr::SetComp { head, qualifiers } | Expr::OrSetComp { head, qualifiers } => {
+                for q in qualifiers {
+                    match q {
+                        Qualifier::Guard(g) => go(g),
+                        Qualifier::Generator(x, source) => {
+                            go(source);
+                            if x == name {
+                                return;
+                            }
+                        }
+                    }
+                }
+                go(head);
+            }
+        }
+    }
+
     /// The free variables of the expression, in sorted order.
     ///
     /// `let` and comprehension generators bind; a generator's source is
@@ -388,6 +436,23 @@ mod tests {
         assert_eq!(Builtin::by_name("nosuch"), None);
         assert_eq!(Builtin::Union.arity(), 2);
         assert_eq!(Builtin::Normalize.arity(), 1);
+    }
+
+    #[test]
+    fn substitution_stops_at_rebinding_binders() {
+        let subst = |src: &str| {
+            let mut e = crate::parser::parse(src).unwrap();
+            e.subst("k", &Expr::Int(7));
+            e.to_string()
+        };
+        assert_eq!(subst("k + k"), "(k + k)".replace('k', "7"));
+        assert_eq!(subst("let k = k in k"), "let k = 7 in k");
+        assert_eq!(subst("let j = k in k"), "let j = 7 in 7");
+        assert_eq!(
+            subst("{ k | x <- k, x == k, k <- x, k > 1 }"),
+            "{ k | x <- 7, (x == 7), k <- x, (k > 1) }"
+        );
+        assert_eq!(subst("<| x | x <- k |>"), "<| x | x <- 7 |>");
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Direct compilation of OrQL set queries over **relation bindings** into
-//! multi-input physical plans.
+//! multi-input physical plans — the one route by which a session plans a
+//! statement for the engine.
 //!
-//! The morphism route (`compile_query` + `or_nra::optimize::lower`) can only
-//! express queries over a *single* relation — a morphism has one input.  This
-//! module bypasses the morphism for the query shapes whose generators read
-//! session bindings directly, producing a [`PhysicalPlan`] in which
-//! `Scan(i)` reads the `i`-th referenced binding:
+//! The planner produces a [`PhysicalPlan`] in which `Scan(i)` reads the
+//! `i`-th referenced binding:
 //!
 //! * `{ head | x <- db1, y <- db2, …, guards… }` — one scan per generator
 //!   (cartesian-chained), guards become filters over the accumulated row
@@ -15,8 +13,9 @@
 //!   A **dependent** generator (`{ x | xs <- db, x <- xs }`) projects each
 //!   row to its set of `(row, element)` pairs (`ρ₂`) and streams them with
 //!   [`PhysicalPlan::Flatten`] — carrying only the small accumulated row
-//!   tuple, where the morphism route's environment scaffolding would pair
-//!   every row with the entire input relation (quadratic);
+//!   tuple, where the environment translation of the whole comprehension
+//!   (`compile_query`) would pair every row with the entire input relation
+//!   (quadratic);
 //! * per-row α-expansion `w <- toset(normalize(r))`, where `r` is the only
 //!   generator variable so far and nothing after the generator reads it —
 //!   [`PhysicalPlan::OrExpand`]: each row is replaced by its complete
@@ -27,6 +26,17 @@
 //!   `r` is still read, the generator is an ordinary dependent one
 //!   (`Flatten`), and so it is when the session finds that a guard before
 //!   the generator cannot run below the expansion;
+//! * a **nested generator** `y <- { … }`: a generator that reads no earlier
+//!   generator variable ranges over any relation pipeline (a comprehension,
+//!   `union`, `flatten`, a binding), which is planned on its own and chained
+//!   on like a scan — no substitution, no unnesting;
+//! * `let x = c in body` with a **literal** `c` (an integer, boolean,
+//!   string or `()`) — `c` is substituted into `body`, stopping at binders
+//!   that rebind `x`, and `body` is planned.  The session's plan-cache key
+//!   contains `c`.  Every other `let` falls back to the interpreter, which
+//!   evaluates its value once: substituting a computed value would
+//!   evaluate it once per row that reads it, and a chain of such `let`s
+//!   would grow the body exponentially;
 //! * `union(a, b)` — [`PhysicalPlan::Union`] of the two planned arms;
 //! * `flatten(e)` — [`PhysicalPlan::Flatten`];
 //! * a bare binding reference `db` — the scan itself.
@@ -137,39 +147,34 @@ fn plan_expr(
         Expr::SetComp { head, qualifiers } => {
             plan_comprehension(head, qualifiers, inputs, or_expand)
         }
+        // a literal `let` value is substituted: the body keeps its size, and
+        // the value costs nothing to evaluate once per row that reads it
+        Expr::Let { name, value, body } => {
+            if !matches!(
+                **value,
+                Expr::Unit | Expr::Int(_) | Expr::Bool(_) | Expr::Str(_)
+            ) {
+                return err(
+                    "let-bound value is not a literal, so the interpreter evaluates it once",
+                );
+            }
+            let mut body = (**body).clone();
+            body.subst(name, value);
+            plan_expr(&body, inputs, or_expand)
+        }
         Expr::OrSetComp { .. } => err("or-set comprehension (the engine computes set queries)"),
         other => Err(PlanError {
-            reason: format!(
-                "expression shape is not a relation pipeline ({})",
-                shape_name(other)
-            ),
-            // set-algebra operators over relations are genuine engine gaps
-            // worth surfacing; literals, scalar expressions etc. are
-            // ordinary interpreter statements, not missed opportunities
-            noteworthy: matches!(
-                other,
-                Expr::Call(Builtin::Intersect | Builtin::Difference, _)
-            ),
+            reason: "expression is not a relation pipeline".to_string(),
+            // an expression over bindings (`normalize(db)`, `member(1, db)`)
+            // and set algebra are genuine engine gaps worth surfacing;
+            // literals and scalar expressions over them are ordinary
+            // interpreter statements, not missed opportunities
+            noteworthy: !other.free_vars().is_empty()
+                || matches!(
+                    other,
+                    Expr::Call(Builtin::Intersect | Builtin::Difference, _)
+                ),
         }),
-    }
-}
-
-/// A short human-readable description of an expression's outermost shape,
-/// used in fallback reasons.
-fn shape_name(expr: &Expr) -> &'static str {
-    match expr {
-        Expr::Unit | Expr::Int(_) | Expr::Bool(_) | Expr::Str(_) => "constant",
-        Expr::Var(_) => "variable",
-        Expr::Pair(..) => "pair expression",
-        Expr::SetLit(_) => "set literal",
-        Expr::OrSetLit(_) => "or-set literal",
-        Expr::SetComp { .. } => "set comprehension",
-        Expr::OrSetComp { .. } => "or-set comprehension",
-        Expr::Let { .. } => "let expression",
-        Expr::If { .. } => "conditional",
-        Expr::BinOp(..) => "operator expression",
-        Expr::Not(_) => "negation",
-        Expr::Call(builtin, _) => builtin.name(),
     }
 }
 
@@ -196,31 +201,31 @@ fn plan_comprehension(
                     vars = vec![name.clone()];
                     continue;
                 }
-                match source {
-                    // independent generator over a session binding: a scan,
-                    // cartesian-chained onto the row built so far
-                    Expr::Var(rel) if !vars.iter().any(|v| v == rel) => {
-                        let scan = PhysicalPlan::scan(slot_of(inputs, rel));
-                        plan = Some(match plan {
-                            None => scan,
-                            Some(p) => p.cartesian(scan),
-                        });
+                // an independent generator ranges over a relation pipeline
+                // that reads no generator variable: plan it on its own and
+                // chain it onto the row built so far
+                let pipeline = if source.free_vars().iter().any(|f| vars.contains(f)) {
+                    err("the source reads a generator variable")
+                } else {
+                    plan_expr(source, inputs, or_expand)
+                };
+                plan = Some(match (plan, pipeline) {
+                    (None, Ok(pipeline)) => pipeline,
+                    (Some(p), Ok(pipeline)) => p.cartesian(pipeline),
+                    (None, Err(e)) => {
+                        return err(format!(
+                            "first generator must range over a relation pipeline ({e})"
+                        ))
                     }
-                    // dependent generator: the source reads earlier
-                    // generator variables, so each row projects to the set
-                    // of `(row, element)` pairs (`ρ₂`) and `Flatten`
-                    // streams them.  Crucially the pair carries only the
-                    // small accumulated row tuple — not the morphism
-                    // route's environment tuple, which drags the entire
-                    // input relation through every row.
-                    _ => {
-                        let Some(p) = plan else {
-                            return err("first generator must range over a relation binding");
-                        };
+                    // dependent generator (or a constant source): each row
+                    // projects to the set of `(row, element)` pairs (`ρ₂`)
+                    // and `Flatten` streams them, carrying only the small
+                    // accumulated row tuple
+                    (Some(p), Err(_)) => {
                         let src = row_morphism(source, &vars)?;
-                        plan = Some(p.project(M::pair(M::Id, src).then(M::Rho2)).flatten());
+                        p.project(M::pair(M::Id, src).then(M::Rho2)).flatten()
                     }
-                }
+                });
                 vars.push(name.clone());
             }
             Qualifier::Guard(guard) => {
@@ -445,6 +450,70 @@ mod tests {
         };
         let violations = verify_plan(&pq.plan, &config);
         assert!(violations.is_empty(), "{violations:?}\n{}", pq.plan);
+    }
+
+    #[test]
+    fn literal_lets_are_substituted_and_other_lets_fall_back() {
+        let pq = planned("let k = 3 in { fst(r) | r <- db, ormember(k, fst(snd(r))) }");
+        assert_eq!(
+            pq,
+            planned("{ fst(r) | r <- db, ormember(3, fst(snd(r))) }")
+        );
+        // a generator that rebinds `k` stops the substitution
+        assert_eq!(
+            planned("let k = 3 in { k | k <- db }"),
+            planned("{ k | k <- db }")
+        );
+        for src in [
+            "let s = db in { x | x <- s }",
+            "let s = {1, 2} in { x | x <- db, member(x, s) }",
+            "let k = 1 + 2 in { x | x <- db, x < k }",
+            "let s = normalize(<|1, 2|>) in 1",
+        ] {
+            let e = plan_query(&parse(src).unwrap()).unwrap_err();
+            assert!(
+                e.reason.contains("not a literal") && e.noteworthy,
+                "{src}: {e}"
+            );
+        }
+    }
+
+    /// `let a0 = 1 in let a1 = a0 + a0 in … let a40 = a39 + a39 in body`:
+    /// substituting every value would make `a40` a tree of 2^40 nodes.
+    /// Built as a syntax tree, so the parser's depth limit does not cut it
+    /// short in debug builds.
+    #[test]
+    fn doubling_let_chains_fall_back_in_linear_time() {
+        let name = |k: usize| format!("a{k}");
+        let mut expr = parse("{ x | x <- db }").unwrap();
+        for k in (1..=40).rev() {
+            let prev = Box::new(Expr::Var(name(k - 1)));
+            expr = Expr::Let {
+                name: name(k),
+                value: Box::new(Expr::BinOp(BinOp::Add, prev.clone(), prev)),
+                body: Box::new(expr),
+            };
+        }
+        let expr = Expr::Let {
+            name: name(0),
+            value: Box::new(Expr::Int(1)),
+            body: Box::new(expr),
+        };
+        let e = plan_query(&expr).unwrap_err();
+        assert!(e.reason.contains("not a literal"), "{e}");
+    }
+
+    #[test]
+    fn generators_over_pipelines_plan_directly() {
+        let pq = planned("{ y | y <- { fst(r) | r <- db, snd(r) < 3 } }");
+        assert_eq!(pq.inputs, vec!["db".to_string()]);
+        assert!(!pq.plan.to_string().contains("AttachEnv"), "{}", pq.plan);
+        let pq = planned("{ (x, y) | x <- a, y <- union({ z | z <- b }, { z | z <- c }) }");
+        assert_eq!(
+            pq.inputs,
+            vec!["a".to_string(), "b".to_string(), "c".to_string()]
+        );
+        assert!(pq.plan.to_string().contains("Union"), "{}", pq.plan);
     }
 
     #[test]

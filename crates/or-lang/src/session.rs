@@ -30,11 +30,10 @@
 //! The session can route queries through three executors:
 //!
 //! * [`ExecMode::Interp`] (default) — the direct tree-walking interpreter;
-//! * [`ExecMode::Engine`] — **engine-first**: compile the expression to a
-//!   physical plan (either directly over the referenced relation bindings
-//!   via [`crate::plan`], or through an or-NRA⁺ morphism and
-//!   [`lower`](or_nra::optimize::lower)) and run it on the streaming
-//!   parallel engine (`or-engine`) as the *primary* executor.  The
+//! * [`ExecMode::Engine`] — **engine-first**: plan the expression directly
+//!   over the referenced relation bindings ([`crate::plan`]) and run the
+//!   physical plan on the streaming parallel engine (`or-engine`) as the
+//!   *primary* executor.  The
 //!   interpreter runs only for statements outside the engine's fragment;
 //!   [`Session::engine_stats`] reports how often each path ran and *why*
 //!   the last fallbacks happened;
@@ -48,7 +47,8 @@
 //! The engine's fragment covers comprehensions over one *or several*
 //! set-valued bindings (multi-generator comprehensions become multi-input
 //! cartesian/join plans), `union`/`flatten` pipelines over them, dependent
-//! generators (via the `Flatten` lowering), and per-row α-expansion
+//! generators (via the `Flatten` lowering), generators over nested
+//! pipelines, `let` with a literal value, and per-row α-expansion
 //! (`w <- toset(normalize(r))`, planned as `OrExpand`).  Or-monad
 //! statements (`normalize(db)` at the top level, or-set comprehensions)
 //! fall back to the interpreter.
@@ -58,11 +58,13 @@
 //! Every entry point — [`SessionCore::eval_statement`],
 //! [`SessionCore::plan_statement`] (which `or-analyze verify-plans`
 //! drives) and through them `or-server` — plans with one private
-//! `SessionCore::plan`: the direct planner ([`crate::plan`]) or, failing
-//! that, `compile_query` + `lower`, and then either route's plan through
-//! the expand planner ([`optimize_expansion`]).  The expand planner gets the
-//! inputs' row types and no rows, so it moves or-free filters below
-//! `OrExpand` (Theorem 5.1) by type alone — a cached plan stays right
+//! `SessionCore::plan`: the direct planner ([`crate::plan`]), then the
+//! expand planner ([`optimize_expansion`]).  A statement the direct planner
+//! does not accept goes to the interpreter with the planner's reason; the
+//! paper's OrQL → or-NRA⁺ translation (`compile_query` + `lower`) gives
+//! the language its meaning but serves no session.  The expand planner
+//! gets the inputs' row types and no rows, so it moves or-free filters
+//! below `OrExpand` (Theorem 5.1) by type alone — a cached plan stays right
 //! across rebinds that keep the row types.  A guard written before the
 //! expansion runs below `OrExpand`, so it must commute with α-expansion
 //! too; when one does not (it reads or-set structure, compares two fields,
@@ -77,8 +79,8 @@
 //! `let` is stripped, so `let out = q` and `q` share an entry) mapping to
 //! the compiled — and, when verification is on, verified — physical plan
 //! plus the input bindings it scans and their row types.  A repeated
-//! statement skips planning, lowering, optimization and re-verification
-//! entirely and goes straight to execution.  Hits are validated per lookup:
+//! statement skips planning and re-verification entirely and goes
+//! straight to execution.  Hits are validated per lookup:
 //! every input must still be a published relation with the row type the plan
 //! was compiled against, so a rebind that changes a relation's record type
 //! can never be served a stale plan (type-changing rebinds also eagerly
@@ -115,10 +117,9 @@ use or_object::snapshot::Snapshot;
 use or_object::{Type, Value};
 
 use crate::check::{infer_type, CheckError, TypeEnv};
-use crate::compile::compile_query;
 use crate::interp::{interpret_limited, Env, InterpError, InterpLimits};
 use crate::parser::{parse_statement, ParseError, Statement};
-use crate::plan::{plan_query_with, PlanError};
+use crate::plan::{plan_query_with, PlanError, PlannedQuery};
 
 /// The result of evaluating one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,8 +273,8 @@ pub enum Route {
     /// Served by the physical engine.
     Engine {
         /// Whether the physical plan came from the statement-shape cache
-        /// (skipping plan/lower/optimize, and verification when the entry
-        /// was already verified under the same budget).
+        /// (skipping planning, and verification when the entry was already
+        /// verified under the same budget).
         cache_hit: bool,
         /// Batches the engine's columnar kernels served for this statement.
         columnar_batches: u64,
@@ -413,10 +414,6 @@ impl PlanCache {
         self.lock().get(shape).cloned()
     }
 
-    fn remove(&self, shape: &str) {
-        self.lock().remove(shape);
-    }
-
     fn insert(&self, shape: String, plan: CachedPlan) {
         let mut plans = self.lock();
         if plans.len() >= PlanCache::CAPACITY && !plans.contains_key(&shape) {
@@ -516,21 +513,17 @@ impl SessionCore {
             }
             self.types.insert(name.clone(), ty);
         }
-        self.publish(&name, &value);
-        self.values.insert(name, Arc::new(value));
+        self.store(name, Arc::new(value));
     }
 
-    /// Publish a binding's rows into the snapshot (set values) or retract
-    /// any stale publication (non-set values, which carry no interned
-    /// rows).  The snapshot's node-accurate garbage accounting compacts the
-    /// arena once rebind garbage rivals the live nodes.
-    fn publish(&mut self, name: &str, value: &Value) {
-        match value {
-            Value::Set(rows) => self.snapshot.publish(name, rows.clone()),
-            _ => {
-                self.snapshot.retract(name);
-            }
-        }
+    /// Store a binding's value and publish it into the snapshot, which
+    /// shares the same allocation (a non-set value retracts any stale
+    /// publication instead).  The snapshot's node-accurate garbage
+    /// accounting compacts the arena once rebind garbage rivals the live
+    /// nodes.
+    fn store(&mut self, name: String, value: Arc<Value>) {
+        self.snapshot.publish(&name, Arc::clone(&value));
+        self.values.insert(name, value);
     }
 
     /// Parse, type-check and evaluate one statement **without mutating
@@ -608,18 +601,24 @@ impl SessionCore {
     /// Apply a successful evaluation's binding (if it was a `let`) and
     /// return the reportable result.  This is the *only* place statement
     /// evaluation mutates the core — callers that evaluated on a shared
-    /// core decide here whether (and into which clone) to commit.
+    /// core decide here whether (and into which clone) to commit.  A
+    /// binding is stored without a copy; the one deep copy is the value the
+    /// returned [`SessionResult`] owns.
     pub fn commit(&mut self, evaluated: Evaluated) -> SessionResult {
         let Evaluated {
-            value, ty, bound, ..
+            mut value,
+            ty,
+            bound,
+            ..
         } = evaluated;
         if let Some(name) = &bound {
             if self.types.get(name) != Some(&ty) {
                 self.plans.invalidate_referencing(name);
             }
             self.types.insert(name.clone(), ty.clone());
-            self.publish(name, &value);
-            self.values.insert(name.clone(), Arc::new(value.clone()));
+            let stored = Arc::new(value);
+            value = Value::clone(&stored);
+            self.store(name.clone(), stored);
         }
         SessionResult { value, ty, bound }
     }
@@ -659,29 +658,20 @@ impl SessionCore {
     }
 
     /// Schema-aware static verification of an engine plan against the
-    /// session's type table (`ExecConfig::verify` gate).  The session is
-    /// the one caller that knows both the plan *and* the bindings' row
-    /// types, so the whole typed rule catalog engages here.  A
-    /// `Deny`-severity violation is an outer error: the statement fails
+    /// row types it was planned for (`ExecConfig::verify` gate).  The
+    /// session is the one caller that knows both the plan *and* the
+    /// bindings' row types, so the whole typed rule catalog engages here.
+    /// A `Deny`-severity violation is an outer error: the statement fails
     /// and — by eval-then-commit atomicity — publishes nothing.
-    fn verify_typed(
-        &self,
-        plan: &PhysicalPlan,
-        input_names: &[&str],
-        config: &ExecConfig,
-    ) -> Result<(), SessionError> {
-        if !config.verify {
-            return Ok(());
-        }
+    fn verify_typed(cached: &CachedPlan, or_budget: Option<u64>) -> Result<(), SessionError> {
         let vconfig = VerifyConfig {
-            provided_inputs: Some(input_names.len()),
-            row_types: input_names.iter().map(|n| self.row_type_of(n)).collect(),
-            or_budget: config.or_budget,
+            provided_inputs: Some(cached.inputs.len()),
+            row_types: cached.row_types.clone(),
+            or_budget,
             require_budgets: false,
             assume_consistent: false,
         };
-        let violations = verify_plan(plan, &vconfig);
-        match first_deny(&violations) {
+        match first_deny(&verify_plan(&cached.plan, &vconfig)) {
             Some(v) => Err(SessionError::Engine(
                 EngineError::from_violation(v).to_string(),
             )),
@@ -696,11 +686,7 @@ impl SessionCore {
     /// entry point `or-analyze verify-plans` uses to check whole scripts
     /// statement by statement.
     pub fn plan_statement(&self, source: &str) -> Result<Option<PlannedStatement>, SessionError> {
-        let statement = parse_statement(source)?;
-        let expr = match statement {
-            Statement::Expr(expr) => expr,
-            Statement::Bind(_, expr) => expr,
-        };
+        let (Statement::Expr(expr) | Statement::Bind(_, expr)) = parse_statement(source)?;
         infer_type(&expr, &self.type_env())?;
         Ok(self.plan(&expr).ok().map(|planned| PlannedStatement {
             plan: planned.plan,
@@ -709,10 +695,9 @@ impl SessionCore {
         }))
     }
 
-    /// Plan `expr` for the engine: the direct multi-input planner first,
-    /// then single-binding morphism compilation + lowering, and either
-    /// route's plan through the expand planner.  `Err` is the fallback to
-    /// the interpreter, with its reason.
+    /// Plan `expr` for the engine with the direct planner ([`crate::plan`])
+    /// and run the plan through the expand planner.  `Err` is the fallback
+    /// to the interpreter, with its reason.
     ///
     /// The expand planner gets the inputs' row types and **no rows**, so
     /// where it places a filter depends only on the row types — exactly
@@ -720,7 +705,32 @@ impl SessionCore {
     /// Its worker recommendation is ignored: the executor's own row-count
     /// threshold decides.
     fn plan(&self, expr: &crate::ast::Expr) -> Result<CachedPlan, PlanError> {
-        let (mut plan, mut inputs) = self.route(expr, true)?;
+        // A bare binding reference is an O(1) environment lookup: running
+        // the engine would clone the whole relation through a scan, re-sort
+        // an already-canonical set, and count the echo as "engine-served".
+        if matches!(expr, crate::ast::Expr::Var(_)) {
+            return Err(PlanError {
+                reason: "bare binding reference (environment lookup)".to_string(),
+                noteworthy: false,
+            });
+        }
+        let PlannedQuery { mut plan, inputs } = plan_query_with(expr, true)?;
+        // Every referenced binding was published into the snapshot at bind
+        // time; the engine overlays a query arena on its frozen base and
+        // re-interns nothing.
+        for name in &inputs {
+            if self.snapshot.get(name).is_none() {
+                let reason = if self.values.contains_key(name) {
+                    format!("binding `{name}` is not a set relation")
+                } else {
+                    format!("unbound relation `{name}`")
+                };
+                return Err(PlanError {
+                    reason,
+                    noteworthy: true,
+                });
+            }
+        }
         let known_types: Option<Vec<Type>> = inputs.iter().map(|n| self.row_type_of(n)).collect();
         if let Some(types) = known_types.filter(|_| plan.contains_or_expand()) {
             let config = ExpandPlannerConfig::for_row_types(types);
@@ -731,8 +741,9 @@ impl SessionCore {
                 // A guard before the expansion does not commute with it, so
                 // it cannot run below `OrExpand` (the verifier denies that
                 // under V08): plan the generator as an ordinary dependent
-                // one instead, the `Flatten` lowering.
-                (plan, inputs) = self.route(expr, false)?;
+                // one instead, the `Flatten` lowering.  The generators are
+                // the same, so the input slots are too.
+                plan = plan_query_with(expr, false)?.plan;
             }
         }
         let row_types = inputs.iter().map(|n| self.row_type_of(n)).collect();
@@ -744,81 +755,17 @@ impl SessionCore {
         })
     }
 
-    /// The two planning routes (see [`SessionCore::plan`]): the plan and the
-    /// binding feeding each of its scan slots.  `or_expand` is the direct
-    /// planner's choice for α-expansion generators
-    /// ([`plan_query_with`]).
-    fn route(
-        &self,
-        expr: &crate::ast::Expr,
-        or_expand: bool,
-    ) -> Result<(PhysicalPlan, Vec<String>), PlanError> {
-        let noteworthy = |reason: String| PlanError {
-            reason,
-            noteworthy: true,
-        };
-        // A bare binding reference is an O(1) environment lookup: running
-        // the engine would clone the whole relation through a scan, re-sort
-        // an already-canonical set, and count the echo as "engine-served".
-        if matches!(expr, crate::ast::Expr::Var(_)) {
-            return Err(PlanError {
-                reason: "bare binding reference (environment lookup)".to_string(),
-                noteworthy: false,
-            });
-        }
-        // 1. The direct route: comprehensions / union / flatten over one or
-        //    several set-valued bindings become a multi-input plan.  Every
-        //    referenced binding was published into the snapshot at bind
-        //    time; the engine overlays a query arena on its frozen base and
-        //    re-interns nothing.
-        let plan_fallback = match plan_query_with(expr, or_expand) {
-            Ok(pq) => {
-                for name in &pq.inputs {
-                    match self.snapshot.get(name) {
-                        Some(_) => {}
-                        None if self.values.contains_key(name) => {
-                            return Err(noteworthy(format!(
-                                "binding `{name}` is not a set relation"
-                            )))
-                        }
-                        None => return Err(noteworthy(format!("unbound relation `{name}`"))),
-                    }
-                }
-                return Ok((pq.plan, pq.inputs));
-            }
-            Err(e) => e,
-        };
-        // 2. The morphism route: a query over exactly one set-valued binding
-        //    is compiled to a morphism and lowered; this covers shapes the
-        //    direct planner does not (α-expansion pipelines, environment
-        //    scaffolding).
-        let free = expr.free_vars();
-        let [var] = free.as_slice() else {
-            return Err(plan_fallback);
-        };
-        if self.snapshot.get(var).is_none() {
-            return Err(noteworthy(format!("binding `{var}` is not a set relation")));
-        }
-        let morphism = compile_query(expr, var).map_err(|e| noteworthy(e.to_string()))?;
-        // keep the lowering's own description of what stopped it
-        let plan = or_nra::optimize::lower(&morphism).map_err(|e| noteworthy(e.to_string()))?;
-        Ok((plan, vec![var.clone()]))
-    }
-
     /// Whether a cached plan may serve under the current bindings: every
     /// input it scans must still be a published set relation with the row
     /// type the plan was compiled against.  (Row *contents* are free to
     /// differ — plans reference bindings by name and read the snapshot at
     /// execution time.)
     fn cached_plan_current(&self, cached: &CachedPlan) -> bool {
-        cached.inputs.len() == cached.row_types.len()
-            && cached
-                .inputs
-                .iter()
-                .zip(&cached.row_types)
-                .all(|(name, ty)| {
-                    self.snapshot.get(name).is_some() && self.row_type_of(name) == *ty
-                })
+        cached
+            .inputs
+            .iter()
+            .zip(&cached.row_types)
+            .all(|(name, ty)| self.snapshot.get(name).is_some() && self.row_type_of(name) == *ty)
     }
 
     /// Verify (unless the entry is already verified under this budget),
@@ -834,8 +781,7 @@ impl SessionCore {
         cache_hit: bool,
     ) -> Result<(Value, Route), SessionError> {
         if config.verify && cached.verified_under != Some(config.or_budget) {
-            let names: Vec<&str> = cached.inputs.iter().map(String::as_str).collect();
-            self.verify_typed(&cached.plan, &names, &config)?;
+            SessionCore::verify_typed(&cached, config.or_budget)?;
             cached.verified_under = Some(config.or_budget);
             if cache_hit {
                 self.plans.mark_verified(shape, config.or_budget);
@@ -877,20 +823,22 @@ impl SessionCore {
     ) -> Result<Result<(Value, Route), PlanError>, SessionError> {
         // The statement-shape cache: a statement whose normalized
         // expression was planned before — against inputs that still carry
-        // the same row types — skips planning, lowering and (same-budget)
+        // the same row types — skips planning and (same-budget)
         // verification entirely.
         let shape = format!("{expr:?}");
         let (planned, cache_hit) = match self.plans.get(&shape) {
             Some(cached) if self.cached_plan_current(&cached) => (cached, true),
-            stale => {
-                if stale.is_some() {
-                    self.plans.remove(&shape);
+            stale => match self.plan(expr) {
+                Ok(planned) => (planned, false),
+                Err(fallback) => {
+                    // a fresh plan overwrites a stale entry; a fallback
+                    // drops it
+                    if stale.is_some() {
+                        self.plans.lock().remove(&shape);
+                    }
+                    return Ok(Err(fallback));
                 }
-                match self.plan(expr) {
-                    Ok(planned) => (planned, false),
-                    Err(fallback) => return Ok(Err(fallback)),
-                }
-            }
+            },
         };
         // Only `OrExpand` checks the denotation budget.  Under a budget, a
         // plan that α-expands inside an operator's morphism (a dependent
@@ -1769,6 +1717,100 @@ mod tests {
             &Value::set((1..=3).map(|i| Value::pair(Value::Int(i), Value::Int(10 * i))))
         );
         assert_eq!(original.snapshot().get("db").unwrap().rows().len(), 3);
+    }
+
+    /// A set binding is stored once: the binding's value and the
+    /// snapshot's published rows are one allocation, for a `let` and for
+    /// [`SessionCore::bind`] alike, and a compaction keeps sharing it.
+    #[test]
+    fn set_bindings_share_their_rows_with_the_snapshot() {
+        let shared = |core: &SessionCore, name: &str| {
+            let Some(Value::Set(rows)) = core.value(name) else {
+                panic!("{name} is not a set binding");
+            };
+            std::ptr::eq(rows.as_slice(), core.snapshot().get(name).unwrap().rows())
+        };
+        let mut s = Session::with_engine(ExecConfig::default());
+        s.run("let db = { (1, 10), (2, 20) }").unwrap();
+        let mut core = s.into_core();
+        core.bind("ext", Value::int_set([1, 2, 3]));
+        assert!(shared(&core, "db") && shared(&core, "ext"));
+        core.snapshot.compact();
+        assert!(shared(&core, "db") && shared(&core, "ext"));
+        // the compacted ids still name the shared rows
+        let r = core
+            .eval_statement(
+                "{ fst(p) | p <- db, snd(p) > 15 }",
+                ExecMode::EngineChecked,
+                ExecConfig::default(),
+                QueryBudget::unlimited(),
+            )
+            .unwrap();
+        assert_eq!(r.value, Value::int_set([2]));
+    }
+
+    /// A `let` with a literal value, a generator over a comprehension and
+    /// one over a `union` of comprehensions are planned directly and served
+    /// by the engine, with the interpreter's answers.
+    #[test]
+    fn lets_and_nested_generators_are_engine_served() {
+        let mut core = SessionCore::new();
+        core.bind(
+            "db",
+            Value::set((0..6).map(|i| Value::pair(Value::Int(i), Value::int_orset([i % 3, 5])))),
+        );
+        for stmt in [
+            "let k = 2 in { fst(r) | r <- db, ormember(k, snd(r)) }",
+            "{ y | y <- { fst(r) | r <- db, fst(r) < 4 } }",
+            "{ (y, 1) | y <- union({ fst(r) | r <- db }, { fst(r) + 10 | r <- db, fst(r) > 3 }) }",
+        ] {
+            let eval = |mode| {
+                core.eval_statement(stmt, mode, ExecConfig::default(), QueryBudget::unlimited())
+                    .unwrap()
+            };
+            let served = eval(ExecMode::Engine);
+            assert!(
+                matches!(served.route, Route::Engine { .. }),
+                "{stmt}: {:?}",
+                served.route
+            );
+            assert_eq!(served.value, eval(ExecMode::Interp).value, "{stmt}");
+        }
+    }
+
+    /// A top-level chain of doubling `let`s, as deep as the parser accepts
+    /// up to 40: planning falls back at the first computed value rather
+    /// than substituting a tree of 2^k nodes, and the interpreter answers.
+    #[test]
+    fn doubling_let_chains_fall_back_to_the_interpreter() {
+        let chain = |depth: usize| {
+            let lets: String = (1..=depth)
+                .map(|k| format!("let a{k} = a{j} + a{j} in ", j = k - 1))
+                .collect();
+            format!("let a0 = 1 in {lets}{{ x | x <- db }}")
+        };
+        let depth = (1..=40)
+            .take_while(|&n| parse_statement(&chain(n)).is_ok())
+            .last()
+            .expect("shallow chains parse");
+        let mut core = SessionCore::new();
+        core.bind("db", Value::int_set([1, 2, 3]));
+        let stmt = chain(depth);
+        assert!(core.plan_statement(&stmt).unwrap().is_none());
+        let served = core
+            .eval_statement(
+                &stmt,
+                ExecMode::Engine,
+                ExecConfig::default(),
+                QueryBudget::unlimited(),
+            )
+            .unwrap();
+        assert!(
+            matches!(&served.route, Route::Fallback { reason: Some(r) } if r.contains("not a literal")),
+            "{:?}",
+            served.route
+        );
+        assert_eq!(served.value, Value::int_set([1, 2, 3]));
     }
 
     /// The interpreter fallback sees only the statement's free variables.

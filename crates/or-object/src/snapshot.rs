@@ -54,11 +54,16 @@ use std::sync::Arc;
 use crate::intern::{InternId, Interner};
 use crate::value::Value;
 
-/// One published relation: the rows of a set binding plus their interned
-/// ids in the owning snapshot's arena (`ids[i]` names `rows[i]`).
+/// One published relation: a set binding plus the interned ids of its rows
+/// in the owning snapshot's arena (`ids[i]` names `rows()[i]`).
+///
+/// The rows are **shared with the binding**: `Published` holds the same
+/// `Arc<Value>` the publisher keeps (an OrQL session's binding table), so a
+/// set binding is stored once, however many snapshots and session clones
+/// hold it.
 #[derive(Debug, Clone)]
 pub struct Published {
-    rows: Arc<Vec<Value>>,
+    set: Arc<Value>,
     ids: Arc<Vec<InternId>>,
     /// Arena nodes this publish contributed (the arena-length delta while
     /// interning it).  An upper bound on what rebinding it strands: nodes
@@ -67,10 +72,10 @@ pub struct Published {
 }
 
 impl Published {
-    /// The relation's rows, in canonical (sorted, deduplicated) order if
-    /// the publisher provided them that way.
-    pub fn rows(&self) -> &Arc<Vec<Value>> {
-        &self.rows
+    /// The relation's rows, in the set's canonical (sorted, deduplicated)
+    /// order.
+    pub fn rows(&self) -> &[Value] {
+        self.set.elements().unwrap_or_default()
     }
 
     /// Interned ids, parallel to [`Published::rows`], valid in the arena of
@@ -157,13 +162,19 @@ impl Snapshot {
             .map_or(0, |root| self.arena.len() - root.len())
     }
 
-    /// Publish (or republish) `name` with the given rows, interning them
-    /// against the snapshot's arena.  Sole-owner arenas are extended in
-    /// place; shared arenas are copied at the delta level first (readers
-    /// holding a clone of this snapshot are unaffected either way).  Compacts
-    /// afterwards when [`Snapshot::should_compact`] says so.
-    pub fn publish(&mut self, name: &str, rows: Vec<Value>) {
-        let published = self.intern_rows(rows);
+    /// Publish (or republish) `name` as the set `value`, interning its rows
+    /// against the snapshot's arena and sharing the value itself.  A value
+    /// that is not a set carries no rows: it retracts any stale publication
+    /// of `name` instead.  Sole-owner arenas are extended in place; shared
+    /// arenas are copied at the delta level first (readers holding a clone
+    /// of this snapshot are unaffected either way).  Compacts afterwards
+    /// when [`Snapshot::should_compact`] says so.
+    pub fn publish(&mut self, name: &str, value: Arc<Value>) {
+        if !matches!(*value, Value::Set(_)) {
+            self.retract(name);
+            return;
+        }
+        let published = self.intern_rows(value);
         if let Some(old) = self.relations.insert(name.to_string(), published) {
             self.garbage_hint += old.nodes_hint;
         }
@@ -197,18 +208,19 @@ impl Snapshot {
     }
 
     /// Re-freeze into a fresh arena, re-interning only the live relations.
-    /// Published `rows` `Arc`s are reused; only the id vectors are rebuilt.
+    /// Published values are shared as they are; only the id vectors are
+    /// rebuilt.
     /// Readers holding clones of the old snapshot keep their old arena.
     pub fn compact(&mut self) {
         let mut fresh = Interner::new();
         let mut relations = BTreeMap::new();
         for (name, published) in &self.relations {
             let before = fresh.len();
-            let ids: Vec<InternId> = published.rows.iter().map(|v| fresh.intern(v)).collect();
+            let ids: Vec<InternId> = published.rows().iter().map(|v| fresh.intern(v)).collect();
             relations.insert(
                 name.clone(),
                 Published {
-                    rows: Arc::clone(&published.rows),
+                    set: Arc::clone(&published.set),
                     ids: Arc::new(ids),
                     nodes_hint: fresh.len() - before,
                 },
@@ -219,22 +231,22 @@ impl Snapshot {
         self.garbage_hint = 0;
     }
 
-    /// Intern `rows`, extending the arena in place when this snapshot is
-    /// its sole owner.  A shared root gets a fresh delta chained on it; a
-    /// shared delta is copied (`Arc::make_mut`), so the chain never grows
-    /// past root + one delta.
-    fn intern_rows(&mut self, rows: Vec<Value>) -> Published {
+    /// Intern the rows of `set`, extending the arena in place when this
+    /// snapshot is its sole owner.  A shared root gets a fresh delta chained
+    /// on it; a shared delta is copied (`Arc::make_mut`), so the chain never
+    /// grows past root + one delta.
+    fn intern_rows(&mut self, set: Arc<Value>) -> Published {
         if self.arena.base().is_none() && Arc::get_mut(&mut self.arena).is_none() {
             self.arena = Arc::new(Interner::with_base(Arc::clone(&self.arena)));
         }
         let arena = Arc::make_mut(&mut self.arena);
         let before = arena.len();
+        let rows = set.elements().unwrap_or_default();
         let ids: Vec<InternId> = rows.iter().map(|v| arena.intern(v)).collect();
-        let nodes_hint = arena.len() - before;
         Published {
-            rows: Arc::new(rows),
+            set,
             ids: Arc::new(ids),
-            nodes_hint,
+            nodes_hint: arena.len() - before,
         }
     }
 }
@@ -249,8 +261,8 @@ impl Default for Snapshot {
 mod tests {
     use super::*;
 
-    fn int_rows(range: std::ops::Range<i64>) -> Vec<Value> {
-        range.map(Value::Int).collect()
+    fn int_rows(range: std::ops::Range<i64>) -> Arc<Value> {
+        Arc::new(Value::Set(range.map(Value::Int).collect()))
     }
 
     #[test]
@@ -356,6 +368,15 @@ mod tests {
         assert!(snap.get("b").is_some());
         // arena below the compaction floor: garbage is tracked, not yet
         // collected
+        assert!(snap.garbage_hint() > 0);
+    }
+
+    #[test]
+    fn publishing_a_non_set_retracts_the_name() {
+        let mut snap = Snapshot::new();
+        snap.publish("db", int_rows(0..3));
+        snap.publish("db", Arc::new(Value::Int(7)));
+        assert!(snap.get("db").is_none());
         assert!(snap.garbage_hint() > 0);
     }
 

@@ -717,6 +717,34 @@ mod tests {
         assert_eq!(statuses, [400, 422]);
     }
 
+    /// A few hundred bytes of doubling `let`s (as deep as the parser
+    /// accepts, up to 40) are answered by the interpreter: planning stops at
+    /// the first computed value instead of building 2^k-node trees.
+    #[test]
+    fn doubling_let_chains_are_answered_promptly() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        server.load_db("d", "let db = { 1, 2, 3 }").unwrap();
+        let chain = |depth: usize| {
+            let lets: String = (1..=depth)
+                .map(|k| format!("let a{k} = a{j} + a{j} in ", j = k - 1))
+                .collect();
+            format!("let a0 = 1 in {lets}{{ x | x <- db }}")
+        };
+        let depth = (1..=40)
+            .take_while(|&n| parse_statement(&chain(n)).is_ok())
+            .last()
+            .unwrap();
+        let request = Json::obj([
+            ("db", Json::str("d")),
+            ("statement", Json::str(chain(depth))),
+        ]);
+        let (status, response) = query(&server.state, &request.to_string());
+        assert_eq!(status, 200, "{response}");
+        let parsed = Json::parse(&response).unwrap();
+        assert_eq!(parsed.get("route").unwrap().as_str(), Some("fallback"));
+        assert_eq!(parsed.get("value").unwrap().as_str(), Some("{1, 2, 3}"));
+    }
+
     #[test]
     fn unknown_db_and_bad_bodies_are_client_errors() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();

@@ -44,6 +44,12 @@ curl -sf -X POST "$BASE/query" \
 curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ x | x <- pricey }"}' \
     | grep -q '"value":"{4, 5}"'
 
+# a `let` with a literal value is planned by substitution and engine-served
+LET='let k = 2 in { fst(r) | r <- parts, fst(r) <= k }'
+out="$(curl -sf -X POST "$BASE/query" -d "{\"db\":\"example\",\"statement\":\"$LET\"}")"
+echo "$out" | grep -q '"value":"{1, 2}"' || { echo "bad let result: $out"; exit 1; }
+echo "$out" | grep -q '"route":"engine"' || { echo "let not engine-served: $out"; exit 1; }
+
 # budget admission control rejects with 422, leaving the session intact
 STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/query" \
     -d '{"db":"example","statement":"{ p | p <- parts }","budget":{"time_ms":0}}')"

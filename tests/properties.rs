@@ -436,7 +436,7 @@ proptest! {
         seed in any::<u64>(), rows in 1usize..=24
     ) {
         use or_engine::prelude::PhysicalPlan;
-        use or_engine::{EngineInputs, ExecConfig, Executor};
+        use or_engine::{ExecConfig, Executor};
         use or_nra::derived;
         use or_nra::Prim;
 
@@ -519,7 +519,7 @@ proptest! {
         for (plan, query, input, slots) in cases {
             let expected = eval(&query, &input).unwrap();
             let seq = Executor::new(ExecConfig::default().with_batch_size(8));
-            let (seq_value, stats) = seq.run(&plan, &EngineInputs::from_values(&slots)).unwrap();
+            let (seq_value, stats) = seq.run(&plan, &slots.iter().copied().collect()).unwrap();
             prop_assert_eq!(
                 &seq_value, &expected,
                 "sequential engine disagreed on {}", query
@@ -530,7 +530,7 @@ proptest! {
                 "expected one decode per result row on {}", query
             );
             let par = Executor::new(ExecConfig::default().with_workers(3).with_batch_size(8));
-            let (par_value, _) = par.run(&plan, &EngineInputs::from_values(&slots)).unwrap();
+            let (par_value, _) = par.run(&plan, &slots.iter().copied().collect()).unwrap();
             prop_assert_eq!(&par_value, &expected, "parallel engine disagreed on {}", query);
         }
     }
@@ -548,7 +548,7 @@ proptest! {
         seed in any::<u64>(), rows in 30usize..=120
     ) {
         use or_engine::prelude::PhysicalPlan;
-        use or_engine::{EngineInputs, ExecConfig, Executor};
+        use or_engine::{ExecConfig, Executor};
         use or_nra::derived;
         use or_nra::Prim;
 
@@ -603,7 +603,7 @@ proptest! {
         for (plan, query, input, slots) in cases {
             let expected = eval(&query, &input).unwrap();
             let seq = Executor::new(ExecConfig::default().with_batch_size(8));
-            let (seq_value, _) = seq.run(&plan, &EngineInputs::from_values(&slots)).unwrap();
+            let (seq_value, _) = seq.run(&plan, &slots.iter().copied().collect()).unwrap();
             prop_assert_eq!(&seq_value, &expected, "sequential engine disagreed on {}", query);
             for workers in [2usize, 4, 8] {
                 let config = ExecConfig::default()
@@ -611,7 +611,7 @@ proptest! {
                     .with_morsel_rows(2)
                     .with_batch_size(8);
                 let (par_value, stats) = Executor::new(config)
-                    .run(&plan, &EngineInputs::from_values(&slots))
+                    .run(&plan, &slots.iter().copied().collect())
                     .unwrap();
                 prop_assert_eq!(
                     &par_value, &expected,
@@ -652,6 +652,13 @@ proptest! {
             format!("union({{ fst(u) | u <- users }}, {{ fst(g) | g <- groups, snd(g) <= {limit} }})"),
             "{ x | xs <- nested, x <- xs }".to_string(),
             "{ (u, g) | u <- users, g <- groups, fst(u) != fst(g) }".to_string(),
+            // a `let` with a closed value, generators over a comprehension
+            // and over a `union` of comprehensions, and a generator that
+            // shadows the `let`-bound name
+            format!("let k = {limit} in {{ fst(u) | u <- users, snd(u) <= k }}"),
+            format!("{{ (y, g) | y <- {{ fst(u) | u <- users, snd(u) <= {limit} }}, g <- groups, fst(g) == y }}"),
+            "{ y + 1 | y <- union({ fst(u) | u <- users }, { snd(g) | g <- groups }) }".to_string(),
+            format!("let k = {limit} in {{ k | k <- users }}"),
         ];
         let mut interp = Session::new();
         let mut engine = Session::with_engine(ExecConfig::default().with_workers(workers));
@@ -804,6 +811,7 @@ proptest! {
             ("alts", format!("{{ w | r <- R, w <- toset(normalize(r)), fst(snd(w)) < {} }}", limit % 7), true),
             ("alts", "{ (fst(snd(w)), snd(snd(w)) + 1) | r <- R, w <- toset(normalize(r)) }".to_string(), true),
             ("alts", reads_row.clone(), false),
+            ("alts", format!("{{ fst(y) | y <- {{ w | r <- R, w <- toset(normalize(r)) }}, fst(y) < {} }}", limit % 7), true),
             ("bags", before, true),
             ("bags", after, true),
             ("bags", "{ snd(w) | r <- R, w <- toset(normalize(r)) }".to_string(), true),

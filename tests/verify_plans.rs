@@ -1,7 +1,7 @@
 //! The static plan verifier against the planners: property tests that the
 //! rule catalog (`or_nra::verify`, `docs/ANALYZE.md`) produces **no false
 //! positives** on any plan the repository's own planners emit — random
-//! session scripts through `plan.rs`/`compile_query`+`lower`, and
+//! session scripts through `plan.rs`, lowered morphisms (`lower`), and
 //! α-expansion pipelines through the expand planner — plus end-to-end
 //! checks that the engine's verification gate rejects a hand-built
 //! malformed plan with the documented rule ID.
