@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! or-analyze lint         [--root PATH]   # source lint (L01–L06)
-//! or-analyze verify-plans [--root PATH]   # plan verification (V01–V10)
+//! or-analyze verify-plans [--root PATH]   # plan verification (V01–V10, V06 retired)
 //! ```
 //!
 //! Both subcommands print findings as `file:line [Lxx] …` /

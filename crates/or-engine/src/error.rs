@@ -22,11 +22,6 @@ pub enum EngineError {
         /// A rendering of the offending value.
         value: String,
     },
-    /// An `AttachEnv` setup morphism did not produce an `(env, {rows})` pair.
-    BadSetupResult {
-        /// A rendering of the offending value.
-        value: String,
-    },
     /// A row's α-expansion exceeded the configured denotation budget.
     BudgetExceeded {
         /// The configured per-row budget.
@@ -90,10 +85,6 @@ impl fmt::Display for EngineError {
             EngineError::NonBooleanPredicate { value } => {
                 write!(f, "predicate produced the non-boolean value {value}")
             }
-            EngineError::BadSetupResult { value } => write!(
-                f,
-                "AttachEnv setup must produce a pair (env, {{rows}}), got {value}"
-            ),
             EngineError::BudgetExceeded { budget, needed } => write!(
                 f,
                 "or-expansion budget exceeded: a row denotes {needed} complete \

@@ -58,13 +58,6 @@
 //!
 //! Below [`MIN_PARALLEL_ROWS`] driving rows an unpinned run uses one
 //! worker ([`ExecConfig::with_pinned_workers`] bypasses the threshold).
-//!
-//! `AttachEnv` is the one operator that must observe the **whole** input
-//! (its setup morphism runs once against the full set).  Before interning,
-//! the executor rewrites every scan-adjacent `AttachEnv` into an ordinary
-//! `Project` over a precomputed auxiliary input, evaluating the setup
-//! morphism exactly once; a plan that still carries an `AttachEnv` on the
-//! driving path after this rewrite is executed on a single worker.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -73,7 +66,6 @@ use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::thread;
 
-use or_nra::morphism::Morphism;
 use or_nra::physical::PhysicalPlan;
 use or_object::intern::{InternId, Interner};
 use or_object::Value;
@@ -81,7 +73,7 @@ use or_object::Value;
 use crate::column::ColumnarCounters;
 use crate::error::EngineError;
 use crate::morsel::MorselQueue;
-use crate::ops::{build, compile, drain_within, unpack_setup_result, BuildCtx, CompiledPlan};
+use crate::ops::{build, compile, drain_within, BuildCtx, CompiledPlan};
 
 /// Driving rows below which an unpinned run uses one worker: on smaller
 /// inputs thread spawn and merge overhead beat the row work (the committed
@@ -296,9 +288,8 @@ pub struct ExecStats {
     /// interner's decode counter, summed over the query arena and every
     /// worker overlay.  On the interned serving path this is (at most) one
     /// decode per result row: rows stay ids until the final merge.
-    /// Opaque fallbacks (morphisms outside the interned row fragment,
-    /// `AttachEnv` setups) add to it, which is exactly what makes them
-    /// visible.
+    /// Opaque fallbacks (morphisms outside the interned row fragment) add
+    /// to it, which is exactly what makes them visible.
     pub value_decodes: u64,
     /// Distinct nodes in the query arena (inputs + constants + rows built
     /// during execution; the maximum over workers for partitioned runs).
@@ -362,10 +353,6 @@ impl<'a> EngineInputs<'a> {
         };
         self.slots.push((rows, ids));
     }
-
-    fn value_slots(&self) -> Vec<&'a [Value]> {
-        self.slots.iter().map(|(rows, _)| *rows).collect()
-    }
 }
 
 /// One slot per row slice, each interned at query time.
@@ -418,12 +405,12 @@ impl Executor {
             deadline.check()?;
         }
 
-        let value_slots = inputs.value_slots();
+        let provided = inputs.slots.len();
         let arity = plan.input_arity();
-        if arity > value_slots.len() {
+        if arity > provided {
             return Err(EngineError::MissingInput {
                 slot: arity - 1,
-                provided: value_slots.len(),
+                provided,
             });
         }
 
@@ -433,7 +420,7 @@ impl Executor {
         // (`crate::query`, the session layer) run the typed rules too.
         if self.config.verify {
             let vconfig = or_nra::verify::VerifyConfig {
-                provided_inputs: Some(value_slots.len()),
+                provided_inputs: Some(provided),
                 or_budget: self.config.or_budget,
                 ..or_nra::verify::VerifyConfig::default()
             };
@@ -443,10 +430,6 @@ impl Executor {
             }
         }
 
-        // Hoist scan-adjacent AttachEnv nodes into precomputed projections
-        // (value-level: the setup morphism sees the whole input set once).
-        let (plan, extra_inputs) = prepare_attach_env(plan.clone(), &value_slots)?;
-
         // The query arena: fresh, or an overlay over the caller's base.
         let mut arena = match &inputs.base {
             Some(base) => Interner::with_base(base.clone()),
@@ -455,24 +438,19 @@ impl Executor {
 
         // Intern every input slot once — or borrow the caller's ids
         // outright (a session querying a large pre-interned binding pays
-        // neither interning nor copying) — then the hoisted auxiliary
-        // slots.
-        let mut interned: Vec<Cow<'_, [InternId]>> =
-            Vec::with_capacity(inputs.slots.len() + extra_inputs.len());
+        // neither interning nor copying).
+        let mut interned: Vec<Cow<'_, [InternId]>> = Vec::with_capacity(provided);
         for (rows, ids) in &inputs.slots {
             match ids {
                 Some(ids) => interned.push(Cow::Borrowed(*ids)),
                 None => interned.push(Cow::Owned(rows.iter().map(|v| arena.intern(v)).collect())),
             }
         }
-        for extra in &extra_inputs {
-            interned.push(Cow::Owned(extra.iter().map(|v| arena.intern(v)).collect()));
-        }
 
         // Compile: row programs, pre-interned constants, materialized
         // broadcast sides, id-keyed equi-join tables.
         let compiled = compile(
-            &plan,
+            plan,
             &mut arena,
             &interned,
             self.config.batch_size,
@@ -488,9 +466,7 @@ impl Executor {
                     slot: driver,
                     provided: interned.len(),
                 })?;
-        let workers = if compiled.has_driving_attach_env()
-            || (!self.config.pin_workers && driver_rows.len() < MIN_PARALLEL_ROWS)
-        {
+        let workers = if !self.config.pin_workers && driver_rows.len() < MIN_PARALLEL_ROWS {
             1
         } else {
             self.config.workers.max(1).min(driver_rows.len().max(1))
@@ -532,8 +508,8 @@ impl Executor {
             };
             // Freeze the query arena into a shared base; each lane interns
             // into a private overlay.  Decodes and nodes of the query arena
-            // from before the freeze (e.g. a broadcast-side AttachEnv
-            // setup) still count in the stats.
+            // from before the freeze (e.g. a materialized broadcast side)
+            // still count in the stats.
             let frozen = (arena.decode_count(), arena.len());
             let base = Arc::new(arena);
             let overlays = (0..lanes)
@@ -956,91 +932,11 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> EngineError {
     EngineError::WorkerPanic { message }
 }
 
-/// Rewrite every `AttachEnv` whose input is a bare `Scan` into
-/// `Project[⟨K_env ∘ !, id⟩]` over a fresh precomputed input, evaluating the
-/// setup morphism once.  Returns the rewritten plan and the auxiliary inputs
-/// appended after the caller's slots.
-fn prepare_attach_env(
-    plan: PhysicalPlan,
-    inputs: &[&[Value]],
-) -> Result<(PhysicalPlan, Vec<Vec<Value>>), EngineError> {
-    let mut extra: Vec<Vec<Value>> = Vec::new();
-    let next_slot = inputs.len();
-    let plan = rewrite(plan, inputs, next_slot, &mut extra)?;
-    return Ok((plan, extra));
-
-    fn rewrite(
-        plan: PhysicalPlan,
-        inputs: &[&[Value]],
-        next_slot: usize,
-        extra: &mut Vec<Vec<Value>>,
-    ) -> Result<PhysicalPlan, EngineError> {
-        Ok(match plan {
-            PhysicalPlan::AttachEnv { setup, input } => {
-                if let PhysicalPlan::Scan(slot) = *input {
-                    let rows = *inputs.get(slot).ok_or(EngineError::MissingInput {
-                        slot,
-                        provided: inputs.len(),
-                    })?;
-                    let set_value = Value::set(rows.to_vec());
-                    let (env, expanded) = unpack_setup_result(&setup, &set_value)?;
-                    let slot = next_slot + extra.len();
-                    extra.push(expanded);
-                    PhysicalPlan::Scan(slot)
-                        .project(Morphism::pair(Morphism::constant(env), Morphism::Id))
-                } else {
-                    PhysicalPlan::AttachEnv {
-                        setup,
-                        input: Box::new(rewrite(*input, inputs, next_slot, extra)?),
-                    }
-                }
-            }
-            PhysicalPlan::Filter { predicate, input } => PhysicalPlan::Filter {
-                predicate,
-                input: Box::new(rewrite(*input, inputs, next_slot, extra)?),
-            },
-            PhysicalPlan::Project { f, input } => PhysicalPlan::Project {
-                f,
-                input: Box::new(rewrite(*input, inputs, next_slot, extra)?),
-            },
-            PhysicalPlan::Cartesian { left, right } => PhysicalPlan::Cartesian {
-                left: Box::new(rewrite(*left, inputs, next_slot, extra)?),
-                right: Box::new(rewrite(*right, inputs, next_slot, extra)?),
-            },
-            PhysicalPlan::Join {
-                predicate,
-                left,
-                right,
-            } => PhysicalPlan::Join {
-                predicate,
-                left: Box::new(rewrite(*left, inputs, next_slot, extra)?),
-                right: Box::new(rewrite(*right, inputs, next_slot, extra)?),
-            },
-            PhysicalPlan::OrExpand {
-                budget,
-                dedup,
-                input,
-            } => PhysicalPlan::OrExpand {
-                budget,
-                dedup,
-                input: Box::new(rewrite(*input, inputs, next_slot, extra)?),
-            },
-            PhysicalPlan::Union { left, right } => PhysicalPlan::Union {
-                left: Box::new(rewrite(*left, inputs, next_slot, extra)?),
-                right: Box::new(rewrite(*right, inputs, next_slot, extra)?),
-            },
-            PhysicalPlan::Flatten { input } => PhysicalPlan::Flatten {
-                input: Box::new(rewrite(*input, inputs, next_slot, extra)?),
-            },
-            leaf @ PhysicalPlan::Scan(_) => leaf,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use or_nra::eval::eval;
+    use or_nra::morphism::Morphism;
 
     fn run_rows(exec: &Executor, plan: &PhysicalPlan, rows: &[Value]) -> (Value, ExecStats) {
         exec.run(plan, &[rows].into_iter().collect()).unwrap()

@@ -7,9 +7,10 @@
 //! scale:
 //!
 //! ```text
-//!   OrQL expression ──compile──▶ or-NRA⁺ morphism ──lower──▶ PhysicalPlan
-//!                                                              │
-//!                           or_engine::Executor  ◀─────────────┘
+//!   OrQL statement ──plan (or-lang)──┐
+//!                                    ├──▶ PhysicalPlan
+//!   or-NRA⁺ morphism ──lower─────────┘          │
+//!                           or_engine::Executor ◀┘
 //!                           (volcano operators, morsel-driven lanes,
 //!                            batches, id-merge)
 //! ```
@@ -17,8 +18,8 @@
 //! ## The operator model
 //!
 //! Plans ([`or_nra::physical::PhysicalPlan`]) form a tree of **row-stream
-//! operators**: `Scan`, `Filter`, `Project`, `AttachEnv`, `Cartesian`,
-//! `Join`, and `OrExpand`.  Execution is pull-based ("volcano"), but pulls
+//! operators**: `Scan`, `Filter`, `Project`, `Cartesian`, `Join`, `Union`,
+//! `Flatten` and `OrExpand`.  Execution is pull-based ("volcano"), but pulls
 //! move **batches** of rows ([`exec::ExecConfig::batch_size`], default 1024)
 //! instead of single rows, so dynamic dispatch and bounds checks are
 //! amortized.  Unary operators are row-local: they touch one row at a time
@@ -81,11 +82,6 @@
 //! The full design — layer by layer, with the stealing protocol and the
 //! arena-ownership rules — is written down in `docs/ENGINE.md` at the
 //! repository root.
-//!
-//! The one operator that must see the whole input — `AttachEnv`, carrying
-//! the OrQL environment tuple — is hoisted out of the worker pipeline before
-//! partitioning: its setup morphism runs **once** on the full input and the
-//! node is rewritten into a constant-attaching `Project`.
 //!
 //! ## Normalization budgets
 //!

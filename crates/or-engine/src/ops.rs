@@ -6,7 +6,7 @@
 //! [`crate::exec::ExecConfig::batch_size`] rows.  A batch is a plain
 //! `Vec<InternId>` — rows live in the query's hash-consing arena
 //! ([`or_object::intern::Interner`]) and every operator computes on
-//! `u32`-sized ids; `None` signals exhaustion.  [`Value`]s are
+//! `u32`-sized ids; `None` signals exhaustion.  [`Value`](or_object::Value)s are
 //! materialized exactly once, at the executor's result boundary.
 //!
 //! Plans are **compiled** before execution ([`compile`]): per-row morphisms
@@ -25,9 +25,6 @@
 //!   whole interned input or one partition of the driving input);
 //! * [`FilterOp`] / [`ProjectOp`] — per-row [`RowProgram`] evaluation: no
 //!   `Value` tree is ever rebuilt;
-//! * [`AttachEnvOp`] — materializes its input, runs the setup morphism once
-//!   (the one deliberately value-level step: the setup is an arbitrary
-//!   whole-set morphism), then streams interned `(env, row)` pairs;
 //! * [`CartesianOp`] / [`JoinOp`] — the right side is a materialized id
 //!   slice broadcast to all workers; equi-join predicates of the shape
 //!   `eq ∘ ⟨f ∘ π₁, g ∘ π₂⟩` probe a prebuilt `InternId`-keyed
@@ -49,13 +46,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use or_nra::colprog::{ColumnPredicate, ColumnProgram};
-use or_nra::eval::eval;
 use or_nra::lazy::LazyNormalizer;
 use or_nra::morphism::Morphism;
 use or_nra::physical::PhysicalPlan;
 use or_nra::rowprog::RowProgram;
 use or_object::intern::{Field, FnvBuildHasher, IdSet, InternId, Interner, Node};
-use or_object::Value;
 
 use crate::column::{self, ColumnarCounters, IdBlock};
 use crate::error::EngineError;
@@ -104,10 +99,9 @@ pub(crate) fn drain_within(
 /// itself.  Cheap to copy; shared by every lane of a run.
 #[derive(Clone, Copy)]
 pub struct BuildCtx<'a> {
-    /// Slot-indexed interned inputs (caller inputs plus executor-hoisted
-    /// slots), all valid in the query arena (or its base chain).  Slots the
-    /// caller pre-interned are borrowed; slots interned at query time are
-    /// owned.
+    /// Slot-indexed interned inputs, all valid in the query arena (or its
+    /// base chain).  Slots the caller pre-interned are borrowed; slots
+    /// interned at query time are owned.
     pub inputs: &'a [Cow<'a, [InternId]>],
     /// Rows per operator batch.
     pub batch_size: usize,
@@ -298,15 +292,6 @@ pub enum CompiledPlan {
         /// Upstream plan.
         input: Box<CompiledPlan>,
     },
-    /// Evaluate `setup` once against the materialized input set, then
-    /// stream `(env, row)` pairs.  Kept as a morphism: the setup is a
-    /// whole-set computation outside the per-row fragment.
-    AttachEnv {
-        /// The setup morphism (`{t} → env × {t'}`).
-        setup: Morphism,
-        /// Upstream plan.
-        input: Box<CompiledPlan>,
-    },
     /// All pairs of left and broadcast rows.
     Cartesian {
         /// Left (streamed, partitionable) side.
@@ -355,28 +340,11 @@ impl CompiledPlan {
             CompiledPlan::Scan(i) => *i,
             CompiledPlan::Filter { input, .. }
             | CompiledPlan::Project { input, .. }
-            | CompiledPlan::AttachEnv { input, .. }
             | CompiledPlan::Flatten { input }
             | CompiledPlan::OrExpand { input, .. } => input.driving_scan(),
             CompiledPlan::Cartesian { left, .. }
             | CompiledPlan::Join { left, .. }
             | CompiledPlan::Union { left, .. } => left.driving_scan(),
-        }
-    }
-
-    /// Does an `AttachEnv` survive on the driving path?  (It then needs to
-    /// see the whole input, so the plan cannot be partitioned.)
-    pub fn has_driving_attach_env(&self) -> bool {
-        match self {
-            CompiledPlan::Scan(_) => false,
-            CompiledPlan::AttachEnv { .. } => true,
-            CompiledPlan::Filter { input, .. }
-            | CompiledPlan::Project { input, .. }
-            | CompiledPlan::Flatten { input }
-            | CompiledPlan::OrExpand { input, .. } => input.has_driving_attach_env(),
-            CompiledPlan::Cartesian { left, .. }
-            | CompiledPlan::Join { left, .. }
-            | CompiledPlan::Union { left, .. } => left.has_driving_attach_env(),
         }
     }
 }
@@ -412,10 +380,6 @@ pub fn compile(
                 input: Box::new(compile(input, arena, inputs, batch_size, or_budget)?),
             }
         }
-        PhysicalPlan::AttachEnv { setup, input } => CompiledPlan::AttachEnv {
-            setup: setup.clone(),
-            input: Box::new(compile(input, arena, inputs, batch_size, or_budget)?),
-        },
         PhysicalPlan::Union { left, right } => CompiledPlan::Union {
             left: Box::new(compile(left, arena, inputs, batch_size, or_budget)?),
             right: Box::new(compile(right, arena, inputs, batch_size, or_budget)?),
@@ -521,31 +485,6 @@ fn materialize_right(
     Ok(Broadcast::Rows(Arc::new(rows)))
 }
 
-/// Evaluate an `AttachEnv` setup morphism against the materialized input set
-/// and unpack the required `(env, {rows})` shape.  Shared by the streaming
-/// operator and the executor's pre-partitioning hoist so the two paths
-/// cannot diverge.
-pub(crate) fn unpack_setup_result(
-    setup: &Morphism,
-    set_value: &Value,
-) -> Result<(Value, Vec<Value>), EngineError> {
-    let result = eval(setup, set_value)?;
-    let (env, rows_value) = match result.as_pair() {
-        Some((env, rows_value)) => (env.clone(), rows_value.clone()),
-        None => {
-            return Err(EngineError::BadSetupResult {
-                value: result.to_string(),
-            })
-        }
-    };
-    match rows_value {
-        Value::Set(items) => Ok((env, items)),
-        other => Err(EngineError::BadSetupResult {
-            value: Value::pair(env, other).to_string(),
-        }),
-    }
-}
-
 /// Build the operator tree for a compiled plan.
 ///
 /// `ctx.inputs` are the interned relations (slot-indexed id rows);
@@ -602,12 +541,6 @@ pub fn build<'a>(
                 None
             },
             counters: ctx.counters,
-        })),
-        CompiledPlan::AttachEnv { setup, input } => Ok(Box::new(AttachEnvOp {
-            input: Some(build(input, ctx, driver_override)?),
-            setup,
-            batch_size: ctx.batch_size,
-            state: None,
         })),
         CompiledPlan::Union { left, right } => Ok(Box::new(UnionOp {
             left: build(left, ctx, driver_override)?,
@@ -785,45 +718,6 @@ impl Operator for ProjectOp<'_> {
 
     fn rows_hint(&self) -> Option<usize> {
         self.input.rows_hint()
-    }
-}
-
-/// Materializes its input, evaluates `setup` once on the whole set, then
-/// streams interned `(env, row)` pairs.  The setup morphism is the one
-/// value-level evaluation in the operator inventory: it sees the whole set
-/// at once and is outside the per-row fragment, so the input ids are
-/// decoded for it and the results re-interned.
-pub struct AttachEnvOp<'a> {
-    input: Option<Box<dyn Operator + 'a>>,
-    setup: &'a Morphism,
-    batch_size: usize,
-    state: Option<(InternId, Vec<InternId>, usize)>,
-}
-
-impl Operator for AttachEnvOp<'_> {
-    fn next_batch(&mut self, arena: &mut Interner) -> Result<Option<Vec<InternId>>, EngineError> {
-        if self.state.is_none() {
-            let mut input = self.input.take().expect("AttachEnvOp polled after setup");
-            let ids = drain(input.as_mut(), arena)?;
-            let rows: Vec<Value> = ids.iter().map(|&id| arena.decode(id)).collect();
-            let set_value = Value::set(rows);
-            let (env, rows) = unpack_setup_result(self.setup, &set_value)?;
-            let env = arena.intern(&env);
-            let rows: Vec<InternId> = rows.iter().map(|r| arena.intern(r)).collect();
-            self.state = Some((env, rows, 0));
-        }
-        let (env, rows, pos) = self.state.as_mut().expect("state initialized above");
-        if *pos >= rows.len() {
-            return Ok(None);
-        }
-        let end = (*pos + self.batch_size).min(rows.len());
-        let env = *env;
-        let batch = rows[*pos..end]
-            .iter()
-            .map(|&row| arena.pair(env, row))
-            .collect();
-        *pos = end;
-        Ok(Some(batch))
     }
 }
 
@@ -1151,6 +1045,7 @@ impl Operator for OrExpandOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use or_object::Value;
 
     /// Build a key program `Proj1` (key = first field of each pair row).
     fn key_program(arena: &mut Interner) -> RowProgram {

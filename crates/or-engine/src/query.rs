@@ -69,9 +69,9 @@ fn relation_inputs<'a>(relations: &'a [&'a Relation]) -> EngineInputs<'a> {
 /// Run a physical plan over relations; slot `i` of the plan scans
 /// `relations[i]`.  Returns the result as a set value and the execution
 /// counters.  Morphisms lower to plans with [`or_nra::optimize::lower`];
-/// those outside the lowerable fragment report [`EngineError::Lower`], and
-/// callers can fall back to [`or_nra::eval::eval`] on
-/// [`Relation::to_value`].
+/// those outside the lowerable fragment — among them the environment
+/// prefix that or-lang's `compile_query` emits — report [`EngineError::Lower`], and callers can fall back to
+/// [`or_nra::eval::eval`] on [`Relation::to_value`].
 pub fn run_plan(
     plan: &PhysicalPlan,
     relations: &[&Relation],

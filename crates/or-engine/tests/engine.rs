@@ -460,6 +460,25 @@ fn unsupported_morphisms_report_lower_errors() {
 }
 
 #[test]
+fn the_comprehension_env_scaffold_is_not_lowered() {
+    // the shape compile_query emits for `{ x | x <- db }`:
+    // map(π₂) ∘ μ ∘ map(ρ₂ ∘ ⟨id, π₂⟩) ∘ η ∘ ⟨!, id⟩
+    let query = M::pair(M::Bang, M::Id)
+        .then(M::Eta)
+        .then(M::map(M::pair(M::Id, M::Proj2).then(M::Rho2)))
+        .then(M::Mu)
+        .then(M::map(M::Proj2));
+    assert!(lower(&query).is_err());
+    let db = Value::set(priced_rows(3));
+    assert!(matches!(
+        run_morphism_on_value(&db, &query, ExecConfig::default()),
+        Err(EngineError::Lower(_))
+    ));
+    // the interpreter, which callers fall back to, still answers
+    assert_eq!(eval(&query, &db).unwrap(), db);
+}
+
+#[test]
 fn missing_inputs_are_reported() {
     let plan = PhysicalPlan::scan(1).filter(cheap(5));
     let rows = priced_rows(3);

@@ -1379,7 +1379,6 @@ mod tests {
                 PhysicalPlan::Scan(_) => ("Scan", None),
                 PhysicalPlan::Filter { input, .. } => ("Filter", Some(input)),
                 PhysicalPlan::Project { input, .. } => ("Project", Some(input)),
-                PhysicalPlan::AttachEnv { input, .. } => ("AttachEnv", Some(input)),
                 PhysicalPlan::Flatten { input } => ("Flatten", Some(input)),
                 PhysicalPlan::OrExpand { input, .. } => ("OrExpand", Some(input)),
                 PhysicalPlan::Cartesian { left, .. } => ("Cartesian", Some(left)),

@@ -264,8 +264,8 @@ fn rewrite_compose(f: &M, g: &M) -> Option<M> {
 /// Lower a morphism `{s} → {t}` into a [`PhysicalPlan`] over a single scan
 /// (input slot 0).
 ///
-/// The morphism is first [`simplified`] (the monad laws collapse the
-/// comprehension compiler's `μ ∘ map(…) ∘ η` scaffolding), then its
+/// The morphism is first [`simplified`] (the monad laws collapse
+/// `μ ∘ map(…) ∘ η` round trips), then its
 /// composition chain is matched against the **set-pipeline fragment**:
 ///
 /// * `id` — the bare scan;
@@ -275,19 +275,18 @@ fn rewrite_compose(f: &M, g: &M) -> Option<M> {
 /// * `μ ∘ map(ortoset ∘ normalize)` (per-row α-expansion) —
 ///   [`PhysicalPlan::OrExpand`];
 /// * a bare `μ` stage (each intermediate row is itself a set) —
-///   [`PhysicalPlan::Flatten`]; this is what the comprehension compiler's
-///   *dependent* generators (`{ x | xs <- db, x <- xs }`) reduce to after
-///   simplification: `map(ρ₂ ∘ …)` projects each row to a set of extended
-///   rows and the following `μ` streams their elements;
+///   [`PhysicalPlan::Flatten`]: a *dependent* generator
+///   (`{ x | xs <- db, x <- xs }`) projects each row to a set, and the `μ`
+///   streams its elements;
 /// * `∪ ∘ ⟨f, g⟩` (the `union(a, b)` translation) — [`PhysicalPlan::Union`]
-///   of the two lowered arms, each grafted onto the pipeline built so far;
-/// * a leading `ρ₂ ∘ e` prefix, where `e` builds an `(env, {rows})` pair
-///   from the input set (the OrQL environment-tuple translation) —
-///   [`PhysicalPlan::AttachEnv`].
+///   of the two lowered arms, each grafted onto the pipeline built so far.
 ///
-/// Anything outside this fragment (or-monad pipelines, whole-relation
-/// `normalize`) returns a [`LowerError`]; callers such as the OrQL session
-/// fall back to the tree-walking interpreter.  Binary operators over
+/// Anything outside this fragment returns a [`LowerError`], and callers fall
+/// back to the tree-walking interpreter.  Outside it are or-monad
+/// pipelines, whole-relation `normalize`, and the environment prefix
+/// (`ρ₂ ∘ e`) that the OrQL comprehension translation (or-lang's
+/// `compile_query`) emits: its `e` would have to run once over the whole
+/// input set, which no row operator does.  Binary operators over
 /// *distinct* relations (`Cartesian`, `Join`) are built directly through the
 /// [`PhysicalPlan`] builder API, since a morphism's single input cannot
 /// reference two relations.
@@ -298,36 +297,12 @@ pub fn lower(m: &M) -> Result<PhysicalPlan, LowerError> {
     // `stages` is now in application order (first applied first).
     let mut plan = PhysicalPlan::scan(0);
     let mut i = 0;
-    // A leading prefix of row-building stages ending in ρ₂ becomes
-    // AttachEnv: `ρ₂ ∘ e` streams the set component of `e`'s output paired
-    // with its environment component.  A bare leading ρ₂ (no prefix) is NOT
-    // lowerable: it would require the engine's set-of-rows input to itself
-    // be a pair, which is outside the `{rows} → {t}` contract.
-    if let Some(rho_at) = leading_rho2_prefix(&stages) {
-        let setup = compose_stages(&stages[..rho_at]);
-        plan = plan.attach_env(setup);
-        i = rho_at + 1;
-    } else if let Some((setup, consumed)) = match_eta_scaffold(&stages) {
-        // The unsimplified comprehension shape
-        // `μ ∘ map(ρ₂ ∘ ⟨a, b⟩ ∘ d) ∘ η ∘ p`: the η wraps the whole input,
-        // the map body splits it into (env, source-set), and the μ unwraps —
-        // semantically the same AttachEnv.
-        plan = plan.attach_env(setup);
-        i = consumed;
-    }
     while i < stages.len() {
         let stage = stages[i];
         let next = stages.get(i + 1).copied();
         match stage {
             M::Id => {
                 i += 1;
-            }
-            // η directly followed by μ cancels (the monad law μ ∘ η = id);
-            // the comprehension compiler's scaffolding reaches `lower` in
-            // this shape when the simplifier's local rewrites cannot see
-            // across the composition's association.
-            M::Eta if next == Some(&M::Mu) => {
-                i += 2;
             }
             // ∪ ∘ ⟨f, g⟩: both arms consume the stream built so far, and the
             // engine's canonical merge makes concatenation an exact union.
@@ -395,10 +370,6 @@ fn graft(plan: PhysicalPlan, base: &PhysicalPlan) -> PhysicalPlan {
             f,
             input: Box::new(graft(*input, base)),
         },
-        PhysicalPlan::AttachEnv { setup, input } => PhysicalPlan::AttachEnv {
-            setup,
-            input: Box::new(graft(*input, base)),
-        },
         PhysicalPlan::Flatten { input } => PhysicalPlan::Flatten {
             input: Box::new(graft(*input, base)),
         },
@@ -440,63 +411,6 @@ fn flatten_into<'m>(m: &'m M, out: &mut Vec<&'m M>) {
         }
         other => out.push(other),
     }
-}
-
-/// If the stage list starts with zero or more non-set-operator stages
-/// followed by `ρ₂`, return the index of the `ρ₂`.
-fn leading_rho2_prefix(stages: &[&M]) -> Option<usize> {
-    let rho_at = stages.iter().position(|s| matches!(s, M::Rho2))?;
-    // A bare leading ρ₂ has no setup morphism to build the (env, {rows})
-    // pair from the input set — it is outside the lowerable fragment.
-    if rho_at == 0 {
-        return None;
-    }
-    let prefix_ok = stages[..rho_at]
-        .iter()
-        .all(|s| !matches!(s, M::Map(_) | M::Mu | M::Eta | M::OrMap(_) | M::OrMu));
-    if prefix_ok {
-        Some(rho_at)
-    } else {
-        None
-    }
-}
-
-/// Match a leading `μ ∘ map(ρ₂ ∘ ⟨a, b⟩ ∘ d) ∘ η ∘ p` scaffold (stage order
-/// `p…, η, map(…), μ`) and return the equivalent AttachEnv setup morphism
-/// `⟨a ∘ d ∘ p, b ∘ d ∘ p⟩` plus the number of stages consumed.
-fn match_eta_scaffold(stages: &[&M]) -> Option<(M, usize)> {
-    let eta_at = stages.iter().position(|s| {
-        matches!(
-            s,
-            M::Map(_) | M::Mu | M::Eta | M::Rho2 | M::OrMap(_) | M::OrMu
-        )
-    })?;
-    if !matches!(stages[eta_at], M::Eta) {
-        return None;
-    }
-    let body = match stages.get(eta_at + 1) {
-        Some(M::Map(body)) => body,
-        _ => return None,
-    };
-    if !matches!(stages.get(eta_at + 2), Some(M::Mu)) {
-        return None;
-    }
-    let mut body_stages = Vec::new();
-    flatten_into(body, &mut body_stages);
-    let (rho, rest) = body_stages.split_last()?;
-    if !matches!(rho, M::Rho2) {
-        return None;
-    }
-    let (pairw, d_stages) = rest.split_last()?;
-    let M::PairWith(a, b) = pairw else {
-        return None;
-    };
-    // p then d, then split into the pair's components
-    let mut p_stages: Vec<&M> = stages[..eta_at].to_vec();
-    p_stages.extend(d_stages.iter().copied());
-    let p = compose_stages(&p_stages);
-    let setup = M::pair(p.clone().then((**a).clone()), p.then((**b).clone()));
-    Some((setup, eta_at + 3))
 }
 
 /// Re-compose a stage slice (application order) into a single morphism.
@@ -621,17 +535,6 @@ fn output_row_type(plan: &PhysicalPlan, row_types: &[Type]) -> Option<Type> {
             let in_ty = output_row_type(input, row_types)?;
             output_type(f, &in_ty).ok()
         }
-        PhysicalPlan::AttachEnv { setup, input } => {
-            // setup : {t} → env × {t'}; rows become (env, t') pairs
-            let in_ty = output_row_type(input, row_types)?;
-            match output_type(setup, &Type::set(in_ty)).ok()? {
-                Type::Prod(env, rows) => match *rows {
-                    Type::Set(elem) => Some(Type::prod(*env, *elem)),
-                    _ => None,
-                },
-                _ => None,
-            }
-        }
         PhysicalPlan::Cartesian { left, right } | PhysicalPlan::Join { left, right, .. } => {
             let l = output_row_type(left, row_types)?;
             let r = output_row_type(right, row_types)?;
@@ -702,7 +605,7 @@ pub fn optimize_expansion(
 /// The filter predicates sitting between the outermost `OrExpand` on the
 /// driving path and its driving scan — the rows the expansion actually sees
 /// are the ones satisfying all of them.  Collection stops at any operator
-/// that changes the row shape (`Project`, `AttachEnv`, a binary node):
+/// that changes the row shape (`Project`, `Flatten`, a binary node):
 /// predicates below such an operator do not apply to raw scan rows and
 /// cannot be pre-evaluated against them.
 fn filters_below_expand(plan: &PhysicalPlan) -> Vec<&M> {
@@ -717,9 +620,7 @@ fn filters_below_expand(plan: &PhysicalPlan) -> Vec<&M> {
             PhysicalPlan::OrExpand { input, .. } => below(input, true, out),
             // before the expand, keep descending toward it; after it, any
             // row-shape change invalidates raw-row pre-evaluation
-            PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::AttachEnv { input, .. }
-            | PhysicalPlan::Flatten { input } => {
+            PhysicalPlan::Project { input, .. } | PhysicalPlan::Flatten { input } => {
                 if seen_expand {
                     out.clear();
                 } else {
@@ -756,10 +657,6 @@ fn push_below_expand(
         },
         PhysicalPlan::Project { f, input } => PhysicalPlan::Project {
             f,
-            input: Box::new(push_below_expand(*input, config, report)),
-        },
-        PhysicalPlan::AttachEnv { setup, input } => PhysicalPlan::AttachEnv {
-            setup,
             input: Box::new(push_below_expand(*input, config, report)),
         },
         PhysicalPlan::OrExpand {
@@ -866,7 +763,6 @@ fn pinned_filters(plan: &PhysicalPlan, config: &ExpandPlannerConfig) -> usize {
         PhysicalPlan::OrExpand { input, .. } => chain(input, config),
         PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::AttachEnv { input, .. }
         | PhysicalPlan::Flatten { input } => pinned_filters(input, config),
         PhysicalPlan::Cartesian { left, right }
         | PhysicalPlan::Join { left, right, .. }
@@ -1197,23 +1093,10 @@ mod tests {
 
     #[test]
     fn lower_rejects_a_bare_leading_rho2() {
-        // ρ₂ with no setup prefix would require the engine's set-of-rows
-        // input to be a pair; it must be a LowerError, not a silent no-op.
+        // a leading ρ₂ would require the engine's set-of-rows input to be
+        // a pair; it must be a LowerError, not a silent no-op.
         assert!(lower(&M::Rho2).is_err());
         assert!(lower(&M::Rho2.then(M::map(M::Proj2))).is_err());
-    }
-
-    #[test]
-    fn lower_handles_the_comprehension_compilers_env_scaffolding() {
-        // the shape compile_query emits for `{ x | x <- db }`:
-        // map(π₂) ∘ μ ∘ map(ρ₂ ∘ ⟨id, π₂⟩) ∘ η ∘ ⟨!, id⟩
-        let query = M::pair(M::Bang, M::Id)
-            .then(M::Eta)
-            .then(M::map(M::pair(M::Id, M::Proj2).then(M::Rho2)))
-            .then(M::Mu)
-            .then(M::map(M::Proj2));
-        let plan = lower(&query).unwrap();
-        assert!(plan.to_string().contains("AttachEnv"), "plan: {plan}");
     }
 
     fn fanout_row_type() -> or_object::Type {

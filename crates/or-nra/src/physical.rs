@@ -13,7 +13,6 @@
 //! | `Scan`         | `id : {t} → {t}`                            | yes        |
 //! | `Project`      | `map(f)`                                    | yes        |
 //! | `Filter`       | `μ ∘ map(cond(p, η, K{} ∘ !))` (= `select`) | yes        |
-//! | `AttachEnv`    | `ρ₂ ∘ ⟨e, id⟩`                              | yes (e once) |
 //! | `Cartesian`    | `μ ∘ map(ρ₂) ∘ ρ₁` on a pair of scans       | right side materialized |
 //! | `Join`         | `select(p)` over a `Cartesian`              | right side materialized |
 //! | `Union`        | `∪ ∘ ⟨f, g⟩`                                | left streams, right broadcast |
@@ -29,7 +28,7 @@
 //! Plans are produced either directly through the builder methods
 //! ([`PhysicalPlan::scan`], [`PhysicalPlan::filter`], …) or from a morphism
 //! by [`crate::optimize::lower`], which recognizes the set-pipeline fragment
-//! of or-NRA⁺ (including the shapes the OrQL comprehension compiler emits).
+//! of or-NRA⁺.
 //! Execution lives in the `or-engine` crate.
 
 use std::fmt;
@@ -56,17 +55,6 @@ pub enum PhysicalPlan {
     Project {
         /// The row-level transformer (`row → row'`).
         f: Morphism,
-        /// Upstream plan.
-        input: Box<PhysicalPlan>,
-    },
-    /// Evaluate `setup` **once** against the materialized input set; the
-    /// result must be a pair `(env, {rows})`, and the operator then streams
-    /// `(env, row)` pairs.  This is how the OrQL comprehension translation's
-    /// environment tuples (`ρ₂ ∘ ⟨e, id⟩` prefixes) are carried through a row
-    /// pipeline: `e` runs once, not per row.
-    AttachEnv {
-        /// Morphism from the whole input set to the `(env, {rows})` pair.
-        setup: Morphism,
         /// Upstream plan.
         input: Box<PhysicalPlan>,
     },
@@ -143,15 +131,6 @@ impl PhysicalPlan {
         }
     }
 
-    /// Attach an environment computed once from the driving input set
-    /// (`setup : {t} → env × {t'}`).
-    pub fn attach_env(self, setup: Morphism) -> PhysicalPlan {
-        PhysicalPlan::AttachEnv {
-            setup,
-            input: Box::new(self),
-        }
-    }
-
     /// Cartesian product with `right`.
     pub fn cartesian(self, right: PhysicalPlan) -> PhysicalPlan {
         PhysicalPlan::Cartesian {
@@ -210,7 +189,6 @@ impl PhysicalPlan {
             PhysicalPlan::Scan(i) => i + 1,
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::AttachEnv { input, .. }
             | PhysicalPlan::Flatten { input }
             | PhysicalPlan::OrExpand { input, .. } => input.input_arity(),
             PhysicalPlan::Cartesian { left, right } | PhysicalPlan::Union { left, right } => {
@@ -228,7 +206,6 @@ impl PhysicalPlan {
             PhysicalPlan::Scan(i) => *i,
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::AttachEnv { input, .. }
             | PhysicalPlan::Flatten { input }
             | PhysicalPlan::OrExpand { input, .. } => input.driving_scan(),
             PhysicalPlan::Cartesian { left, .. }
@@ -244,7 +221,6 @@ impl PhysicalPlan {
             PhysicalPlan::OrExpand { .. } => true,
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::AttachEnv { input, .. }
             | PhysicalPlan::Flatten { input } => input.contains_or_expand(),
             PhysicalPlan::Cartesian { left, right }
             | PhysicalPlan::Join { left, right, .. }
@@ -267,10 +243,7 @@ impl PhysicalPlan {
                 predicate: m,
                 input,
             }
-            | PhysicalPlan::Project { f: m, input }
-            | PhysicalPlan::AttachEnv { setup: m, input } => {
-                expands(m) || input.expands_in_morphisms()
-            }
+            | PhysicalPlan::Project { f: m, input } => expands(m) || input.expands_in_morphisms(),
             PhysicalPlan::Flatten { input } | PhysicalPlan::OrExpand { input, .. } => {
                 input.expands_in_morphisms()
             }
@@ -291,7 +264,6 @@ impl PhysicalPlan {
             PhysicalPlan::Scan(_) => 1,
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::AttachEnv { input, .. }
             | PhysicalPlan::Flatten { input }
             | PhysicalPlan::OrExpand { input, .. } => 1 + input.operator_count(),
             PhysicalPlan::Cartesian { left, right } | PhysicalPlan::Union { left, right } => {
@@ -313,10 +285,6 @@ impl PhysicalPlan {
             }
             PhysicalPlan::Project { f: m, input } => {
                 writeln!(f, "{pad}Project[{m}]")?;
-                input.fmt_indented(f, depth + 1)
-            }
-            PhysicalPlan::AttachEnv { setup, input } => {
-                writeln!(f, "{pad}AttachEnv[{setup}]")?;
                 input.fmt_indented(f, depth + 1)
             }
             PhysicalPlan::Cartesian { left, right } => {

@@ -27,7 +27,7 @@
 //! | V03 | Deny | `Filter`/`Join` predicates produce `bool` |
 //! | V04 | Deny | `Flatten` consumes rows of a set type |
 //! | V05 | Deny | `Union` arms produce the same row type (canonical id-merge needs one element type) |
-//! | V06 | Deny | `AttachEnv` setup produces an `(env, {rows})` pair |
+//! | V06 | — | retired with the operator it checked; the id stays reserved |
 //! | V07 | Warn | `OrExpand` consumes rows that can actually contain or-sets |
 //! | V08 | Deny | operators *below* an `OrExpand` satisfy the Theorem 5.1 preservation preconditions |
 //! | V09 | Warn | projections below an `OrExpand` carry the consistency proviso |
@@ -71,8 +71,6 @@ pub enum Rule {
     FlattenNonSet,
     /// V05: `Union` arms with definite, different row types.
     UnionTypeMismatch,
-    /// V06: an `AttachEnv` setup with a definite non-`(env, {rows})` shape.
-    AttachEnvShape,
     /// V07: `OrExpand` over rows whose type cannot contain or-sets.
     ExpandOrFree,
     /// V08: an operator below an `OrExpand` violates the Theorem 5.1
@@ -95,7 +93,6 @@ impl Rule {
             Rule::NonBooleanPredicate => "V03",
             Rule::FlattenNonSet => "V04",
             Rule::UnionTypeMismatch => "V05",
-            Rule::AttachEnvShape => "V06",
             Rule::ExpandOrFree => "V07",
             Rule::NonPreservingBelowExpand => "V08",
             Rule::ProjectionProviso => "V09",
@@ -211,7 +208,6 @@ fn label(plan: &PhysicalPlan) -> String {
         PhysicalPlan::Scan(i) => format!("Scan(#{i})"),
         PhysicalPlan::Filter { .. } => "Filter".to_string(),
         PhysicalPlan::Project { .. } => "Project".to_string(),
-        PhysicalPlan::AttachEnv { .. } => "AttachEnv".to_string(),
         PhysicalPlan::Cartesian { .. } => "Cartesian".to_string(),
         PhysicalPlan::Join { .. } => "Join".to_string(),
         PhysicalPlan::Union { .. } => "Union".to_string(),
@@ -400,54 +396,6 @@ fn walk(
                 check_below_expand("projection", f, t, false, config, path, violations);
             }
             check_morphism("projection", f, t, path, violations)
-        }
-        PhysicalPlan::AttachEnv { setup, input } => {
-            let t = walk(
-                input,
-                config,
-                &child_path(path, None, input),
-                below_expand,
-                violations,
-            );
-            let t = t.as_ref()?;
-            // setup : {t} → (env, {t'}); the operator then streams (env, t')
-            // pairs, so the output row type is env × t'.
-            match check_morphism(
-                "AttachEnv setup",
-                setup,
-                &Type::set(t.clone()),
-                path,
-                violations,
-            ) {
-                Some(Type::Prod(env, rows)) => match *rows {
-                    Type::Set(elem) => Some(Type::prod(*env, *elem)),
-                    other => {
-                        push(
-                            violations,
-                            Rule::AttachEnvShape,
-                            path,
-                            format!(
-                                "AttachEnv setup `{setup}` must produce (env, {{rows}}); \
-                                 its second component is {other}, not a set"
-                            ),
-                        );
-                        None
-                    }
-                },
-                Some(other) => {
-                    push(
-                        violations,
-                        Rule::AttachEnvShape,
-                        path,
-                        format!(
-                            "AttachEnv setup `{setup}` must produce an (env, {{rows}}) \
-                             pair, got {other}"
-                        ),
-                    );
-                    None
-                }
-                None => None,
-            }
         }
         PhysicalPlan::Cartesian { left, right } => {
             let lt = walk(
@@ -647,14 +595,6 @@ mod tests {
         let plan = PhysicalPlan::scan(0).union_with(PhysicalPlan::scan(1));
         let config = typed(vec![Type::Int, Type::prod(Type::Int, Type::Int)]);
         assert_eq!(ids(&verify_plan(&plan, &config)), vec!["V05"]);
-    }
-
-    #[test]
-    fn bad_attach_env_shape_is_v06() {
-        // Id : {t} → {t} is not an (env, {rows}) pair.
-        let plan = PhysicalPlan::scan(0).attach_env(M::Id);
-        let config = typed(vec![Type::Int]);
-        assert_eq!(ids(&verify_plan(&plan, &config)), vec!["V06"]);
     }
 
     #[test]

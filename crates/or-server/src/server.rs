@@ -40,7 +40,7 @@
 //! [`Server::serve`] returns.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -244,7 +244,7 @@ impl Server {
     /// from elsewhere to stop it.
     pub fn serve(self) -> io::Result<()> {
         let Server { listener, state } = self;
-        let (tx, rx) = mpsc::channel::<TcpStream>();
+        let (tx, rx) = mpsc::channel::<(TcpStream, Instant)>();
         let rx = Arc::new(Mutex::new(rx));
         let workers: Vec<_> = (0..state.config.http_workers.max(1))
             .map(|_| {
@@ -253,7 +253,7 @@ impl Server {
                 std::thread::spawn(move || loop {
                     let next = relock(rx.lock()).recv();
                     match next {
-                        Ok(stream) => handle_connection(&state, stream),
+                        Ok((stream, accepted)) => handle_connection(&state, stream, accepted),
                         // the accept loop dropped the sender: shutdown
                         Err(_) => break,
                     }
@@ -272,7 +272,7 @@ impl Server {
                 Ok((stream, _)) => {
                     // workers only exit when the channel closes, so the
                     // send cannot fail while this loop runs
-                    let _ = tx.send(stream);
+                    let _ = tx.send((stream, Instant::now()));
                 }
                 Err(e) if is_transient_accept_error(e.kind()) => {}
                 Err(e) => break Err(e),
@@ -288,12 +288,42 @@ impl Server {
     }
 }
 
+/// How long a client has, from accept, to send its whole request.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// A reader over a socket that gives the whole request one deadline:
+/// before each read it sets the socket's read timeout to the time left, so
+/// a client trickling bytes cannot hold a pool worker past `deadline`.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        // checked first: `set_read_timeout` rejects a zero duration
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request deadline passed",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 /// Serve one connection: parse, route, respond, close.
-fn handle_connection(state: &State, mut stream: TcpStream) {
+fn handle_connection(state: &State, mut stream: TcpStream, accepted: Instant) {
     // a wedged client must not hold a pool worker hostage
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let request = match read_request(&mut stream) {
+    let reader = DeadlineReader {
+        stream: &stream,
+        deadline: accepted + REQUEST_DEADLINE,
+    };
+    let request = match read_request(reader) {
         Ok(request) => request,
         Err(_) => {
             let body = error_body("malformed request");
@@ -683,6 +713,44 @@ mod tests {
         assert_eq!(wake("[::]:7171"), "[::1]:7171");
         assert_eq!(wake("127.0.0.1:80"), "127.0.0.1:80");
         assert_eq!(wake("192.0.2.7:80"), "192.0.2.7:80");
+    }
+
+    /// A client that trickles bytes faster than any one read could time out
+    /// still loses its request at the deadline: the deadline bounds the
+    /// whole request, not each read.
+    #[test]
+    fn trickling_clients_fail_at_the_request_deadline() {
+        use std::io::Write;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let client = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                for byte in b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" {
+                    if stop.load(Ordering::Relaxed) || stream.write_all(&[*byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            })
+        };
+        let (stream, _) = listener.accept().unwrap();
+        let start = Instant::now();
+        let reader = DeadlineReader {
+            stream: &stream,
+            deadline: start + Duration::from_millis(150),
+        };
+        let outcome = read_request(reader);
+        let elapsed = start.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        client.join().unwrap();
+        assert!(outcome.is_err(), "a trickled request must not complete");
+        assert!(
+            elapsed >= Duration::from_millis(150) && elapsed < Duration::from_millis(500),
+            "failed after {elapsed:?}"
+        );
     }
 
     /// Deep nesting is rejected by the parsers, on a worker-sized stack:
