@@ -6,27 +6,30 @@
 //! [`IdBlock`]: each operand of a column-expressible program
 //! ([`or_nra::colprog`]) is **resolved once per block** — a field path
 //! gathers into an id column ([`Interner::gather_path`]: one pair-spine
-//! walk per row), an integer compare additionally resolves the column to
-//! raw `i64`s ([`Interner::resolve_ints`]) — and from there the kernels
-//! work on plain slices.  Surviving rows are reassembled by gathering the
-//! original batch through the selection vector, so filters never rebuild
-//! rows and projections intern only at the result boundary (late
-//! materialization).
+//! walk per row), an integer compare or an arithmetic head
+//! (`plus`/`minus`/`times`) additionally resolves the column to raw `i64`s
+//! ([`Interner::resolve_ints`]) — and from there the kernels work on plain
+//! slices.  Surviving rows are reassembled by gathering the original batch
+//! through the selection vector, so filters never rebuild rows, and
+//! projections intern only at the result boundary (late materialization):
+//! one pair or one integer per output row, none for the intermediates of
+//! nested arithmetic.
 //!
 //! **Fallback is per batch and total.**  Every entry point returns `bool`:
 //! `false` means some row's shape did not match the analyzed program (a
-//! non-pair on a path, a non-int under an integer compare) and *nothing*
-//! was consumed — the caller re-runs that same batch through the scalar
-//! [`RowProgram`](or_nra::rowprog::RowProgram) path, which produces the
-//! identical rows *or the identical error* the interpreter would.  The
-//! columnar path therefore never changes observable behavior, only cost.
+//! non-pair on a path, a non-int under an integer compare or arithmetic)
+//! and *nothing* was consumed — the caller re-runs that same batch through
+//! the scalar [`RowProgram`](or_nra::rowprog::RowProgram) path, which
+//! produces the identical rows *or the identical error* the interpreter
+//! would.  The columnar path therefore never changes observable behavior,
+//! only cost.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use or_nra::colprog::{ColumnCmp, ColumnPredicate, ColumnProgram};
 use or_object::intern::{Field, InternId, Interner, Node};
 
-use crate::kernels;
+use crate::kernels::{self, IntOperand};
 use crate::ops::JoinTable;
 
 /// Per-query batch accounting for the columnar engine, shared by every
@@ -97,6 +100,41 @@ fn operand_ids(
     match op {
         ColumnProgram::Const(c) => Some(Some(*c)),
         ColumnProgram::Path(p) => arena.gather_path(batch, p, buf).ok().map(|()| None),
+        ColumnProgram::Pair(..) | ColumnProgram::Arith(..) => None,
+    }
+}
+
+/// Evaluate an integer-valued program over the batch without interning:
+/// a broadcast constant (`Some(c)`) or a column left in `out` (`None`).
+/// Paths gather and resolve to `i64`s, arithmetic runs
+/// [`kernels::arith`] on its resolved operands.  `None` from the outer
+/// `Option` = some row's operand is not an integer (or lacks the path),
+/// fall back.
+fn int_values(
+    prog: &ColumnProgram,
+    batch: &[InternId],
+    arena: &Interner,
+    out: &mut Vec<i64>,
+) -> Option<Option<i64>> {
+    match prog {
+        ColumnProgram::Const(c) => int_of(arena, *c).map(Some),
+        ColumnProgram::Path(p) => {
+            let mut ids = Vec::new();
+            arena.gather_path(batch, p, &mut ids).ok()?;
+            arena.resolve_ints(&ids, out).ok().map(|()| None)
+        }
+        ColumnProgram::Arith(op, a, b) => {
+            let (mut xs, mut ys) = (Vec::new(), Vec::new());
+            let x = int_values(a, batch, arena, &mut xs)?;
+            let y = int_values(b, batch, arena, &mut ys)?;
+            if let (Some(x), Some(y)) = (x, y) {
+                return Some(Some(op.apply(x, y)));
+            }
+            let operand =
+                |c: Option<i64>, col| c.map_or(IntOperand::Column(col), IntOperand::Const);
+            kernels::arith(*op, operand(x, &xs), operand(y, &ys), batch.len(), out);
+            Some(None)
+        }
         ColumnProgram::Pair(..) => None,
     }
 }
@@ -182,9 +220,10 @@ pub fn filter_block(
 }
 
 /// Run a columnar projection over one batch into `out`.  Paths gather
-/// without interning anything; `Pair` programs intern exactly one pair per
-/// output row (the late-materialization boundary).  `false` = shape
-/// mismatch, re-run the batch on the scalar path.
+/// without interning anything; `Pair` programs intern exactly one pair and
+/// `Arith` programs one integer per output row (the late-materialization
+/// boundary).  `false` = shape mismatch, re-run the batch on the scalar
+/// path.
 pub fn project_block(
     prog: &ColumnProgram,
     batch: &[InternId],
@@ -209,6 +248,18 @@ pub fn project_block(
             out.reserve(batch.len());
             for i in 0..batch.len() {
                 out.push(arena.pair(ca[i], cb[i]));
+            }
+            true
+        }
+        ColumnProgram::Arith(..) => {
+            let mut ints = Vec::new();
+            let Some(constant) = int_values(prog, batch, arena, &mut ints) else {
+                return false;
+            };
+            out.clear();
+            match constant {
+                Some(v) => out.resize(batch.len(), arena.int(v)),
+                None => out.extend(ints.into_iter().map(|v| arena.int(v))),
             }
             true
         }
@@ -324,6 +375,53 @@ mod tests {
             .map(|&row| prog.run(row, &mut arena).unwrap())
             .collect();
         assert_eq!(out, scalar);
+    }
+
+    #[test]
+    fn arithmetic_projection_agrees_with_the_scalar_path() {
+        let mut arena = Interner::new();
+        let edges = [(i64::MAX, 1), (i64::MIN, -1), (i64::MIN, i64::MAX), (3, -4)];
+        let batch: Vec<InternId> = edges
+            .iter()
+            .map(|&(a, b)| arena.intern(&Value::pair(Value::Int(a), Value::Int(b))))
+            .collect();
+        // `(fst + snd) * 3 - 1`, `(fst, snd - fst)` and a constant-only sum
+        let heads = [
+            M::Prim(Prim::Plus)
+                .then(M::pair(M::Id, M::constant(Value::Int(3))))
+                .then(M::Prim(Prim::Times))
+                .then(M::pair(M::Id, M::constant(Value::Int(1))))
+                .then(M::Prim(Prim::Minus)),
+            M::pair(
+                M::Proj1,
+                M::pair(M::Proj2, M::Proj1).then(M::Prim(Prim::Minus)),
+            ),
+            M::pair(
+                M::constant(Value::Int(i64::MAX)),
+                M::constant(Value::Int(2)),
+            )
+            .then(M::Prim(Prim::Plus)),
+        ];
+        for head in &heads {
+            let prog = RowProgram::compile(head, &mut arena);
+            let col = ColumnProgram::of(&prog).expect("columnar");
+            let mut out = Vec::new();
+            assert!(project_block(&col, &batch, &mut arena, &mut out), "{head}");
+            let scalar: Vec<InternId> = batch
+                .iter()
+                .map(|&row| prog.run(row, &mut arena).unwrap())
+                .collect();
+            assert_eq!(out, scalar, "{head}");
+        }
+        // a non-int operand anywhere in the batch sends it to the scalar
+        // path, which reports the error
+        let mut mixed = batch.clone();
+        mixed.push(arena.intern(&Value::pair(Value::Int(1), Value::Bool(true))));
+        let prog = RowProgram::compile(&heads[0], &mut arena);
+        let col = ColumnProgram::of(&prog).unwrap();
+        let mut out = Vec::new();
+        assert!(!project_block(&col, &mixed, &mut arena, &mut out));
+        assert!(prog.run(*mixed.last().unwrap(), &mut arena).is_err());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Branch-free columnar kernels over **pre-resolved** slices.
 //!
 //! Each kernel takes plain slices (`&[InternId]` id columns, `&[i64]`
-//! integer columns) plus a selection vector and does one tight loop of
-//! data-parallel work: compare-into-selection (append the index, advance
-//! the cursor by the verdict — no taken branch per row), gather by
-//! selection, or probe a prebuilt [`JoinTable`] with a whole key column.
+//! integer columns) plus a selection vector or an output column and does
+//! one tight loop of data-parallel work: compare-into-selection (append
+//! the index, advance the cursor by the verdict — no taken branch per
+//! row), wrapping integer arithmetic, gather by selection, or probe a
+//! prebuilt [`JoinTable`] with a whole key column.
 //!
 //! The **interner stays out of this file** — that is the columnar
 //! contract, enforced statically by lint rule L07 (`or-analyze`): operands
@@ -16,6 +17,7 @@
 //! reintroduce exactly the pointer-chasing the columnar layout exists to
 //! amortize away.
 
+use or_nra::colprog::ColumnArith;
 use or_object::intern::InternId;
 
 use crate::ops::JoinTable;
@@ -87,6 +89,39 @@ pub fn select_all_if(keep: bool, len: usize, sel: &mut Vec<u32>) {
     }
 }
 
+/// An integer arithmetic operand: a column, or a constant broadcast to
+/// every row.
+#[derive(Debug, Clone, Copy)]
+pub enum IntOperand<'a> {
+    /// One value per row.
+    Column(&'a [i64]),
+    /// The same value for every row.
+    Const(i64),
+}
+
+impl IntOperand<'_> {
+    #[inline]
+    fn at(self, i: usize) -> i64 {
+        match self {
+            IntOperand::Column(col) => col[i],
+            IntOperand::Const(c) => c,
+        }
+    }
+}
+
+/// `out[i] = a[i] op b[i]` over `len` rows, wrapping on overflow exactly
+/// like the scalar `plus`/`minus`/`times` ([`ColumnArith::apply`]).
+pub fn arith(
+    op: ColumnArith,
+    a: IntOperand<'_>,
+    b: IntOperand<'_>,
+    len: usize,
+    out: &mut Vec<i64>,
+) {
+    out.clear();
+    out.extend((0..len).map(|i| op.apply(a.at(i), b.at(i))));
+}
+
 /// Gather the selected rows: `out[j] = rows[sel[j]]`.
 pub fn gather(rows: &[InternId], sel: &[u32], out: &mut Vec<InternId>) {
     out.clear();
@@ -149,6 +184,36 @@ mod tests {
         assert_eq!(sel, vec![0, 1, 2]);
         select_all_if(false, 3, &mut sel);
         assert!(sel.is_empty());
+    }
+
+    #[test]
+    fn arithmetic_kernels_wrap_like_the_scalar_primitives() {
+        let xs = [1i64, i64::MAX, i64::MIN, -4];
+        let ys = [2i64, 1, 1, 3];
+        let mut out = Vec::new();
+        let (a, b) = (IntOperand::Column(&xs), IntOperand::Column(&ys));
+        arith(ColumnArith::Plus, a, b, xs.len(), &mut out);
+        assert_eq!(out, [3, i64::MIN, i64::MIN + 1, -1]);
+        arith(ColumnArith::Minus, a, b, xs.len(), &mut out);
+        assert_eq!(out, [-1, i64::MAX - 1, i64::MAX, -7]);
+        arith(
+            ColumnArith::Times,
+            a,
+            IntOperand::Const(2),
+            xs.len(),
+            &mut out,
+        );
+        assert_eq!(out, [2, -2, 0, -8]);
+        arith(
+            ColumnArith::Minus,
+            IntOperand::Const(0),
+            b,
+            ys.len(),
+            &mut out,
+        );
+        assert_eq!(out, [-2, -1, -1, -3]);
+        arith(ColumnArith::Plus, a, b, 0, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -586,3 +586,67 @@ fn columnar_fallback_preserves_error_parity() {
     // the interpreter rejects the same relation
     assert!(eval(&query, &Value::set(rows)).is_err());
 }
+
+#[test]
+fn columnar_arithmetic_matches_scalar_at_overflow_and_on_errors() {
+    // (a, (b, c)) rows whose fields reach i64::MAX and i64::MIN, so every
+    // primitive wraps somewhere
+    let edges = [i64::MAX, i64::MIN, -1, 0, 1, 2, i64::MAX - 1, i64::MIN + 1];
+    let rows: Vec<Value> = (0..40)
+        .map(|i| {
+            let at = |k: usize| Value::Int(edges[(i + k) % edges.len()]);
+            Value::pair(at(0), Value::pair(at(3), at(5)))
+        })
+        .collect();
+    let a = || M::Proj1;
+    let b = || M::Proj2.then(M::Proj1);
+    let c = || M::Proj2.then(M::Proj2);
+    let arith = |p: Prim, x: M, y: M| M::pair(x, y).then(M::Prim(p));
+    let heads = [
+        arith(Prim::Plus, a(), M::constant(Value::Int(3))),
+        arith(Prim::Minus, b(), c()),
+        arith(Prim::Times, a(), b()),
+        // `(a, b * c - a)` and a constant on the left
+        M::pair(a(), arith(Prim::Minus, arith(Prim::Times, b(), c()), a())),
+        arith(Prim::Minus, M::constant(Value::Int(i64::MIN)), c()),
+    ];
+    for head in &heads {
+        let plan = PhysicalPlan::scan(0).project(head.clone());
+        let expected = eval(&M::map(head.clone()), &Value::set(rows.clone())).unwrap();
+        for workers in [1usize, 2, 4] {
+            let config = ExecConfig::default()
+                .with_pinned_workers(workers)
+                .with_batch_size(8);
+            let (columnar, stats) = run(&Executor::new(config), &plan, &[&rows]).unwrap();
+            assert_eq!(columnar, expected, "{head} ({workers} workers)");
+            assert!(stats.columnar_batches > 0, "{head}");
+            assert_eq!(stats.scalar_fallback_batches, 0, "{head}");
+            let scalar = Executor::new(config.with_columnar(false));
+            let (scalar_rows, _) = run(&scalar, &plan, &[&rows]).unwrap();
+            assert_eq!(scalar_rows, expected, "{head} ({workers} workers)");
+        }
+    }
+    // a non-int operand: the columnar batch falls back and the scalar path
+    // raises the interpreter's error, with the same text either way
+    let mut bad = rows.clone();
+    bad.push(Value::pair(
+        Value::Int(5),
+        Value::pair(Value::str("x"), Value::Int(1)),
+    ));
+    for head in &heads[1..4] {
+        let plan = PhysicalPlan::scan(0).project(head.clone());
+        let want = eval(&M::map(head.clone()), &Value::set(bad.clone()))
+            .unwrap_err()
+            .to_string();
+        for workers in [1usize, 2, 4] {
+            let config = ExecConfig::default()
+                .with_pinned_workers(workers)
+                .with_batch_size(8);
+            let columnar = run(&Executor::new(config), &plan, &[&bad]).unwrap_err();
+            let scalar =
+                run(&Executor::new(config.with_columnar(false)), &plan, &[&bad]).unwrap_err();
+            assert_eq!(columnar.to_string(), scalar.to_string(), "{head}");
+            assert!(columnar.to_string().contains(&want), "{columnar} vs {want}");
+        }
+    }
+}

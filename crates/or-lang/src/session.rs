@@ -1414,10 +1414,15 @@ mod tests {
             chain("{ w | r <- fan, w <- toset(normalize(r)), fst(w) < 3 }"),
             ["Project", "OrExpand", "Filter", "Scan"]
         );
-        // a head over the world's or-set components stays above
+        // a head's projection that drops only the or-free id moves below;
+        // what reads the world's or-set components stays above
         assert_eq!(
             chain("{ (fst(snd(w)), snd(snd(w)) + 1) | r <- fan, w <- toset(normalize(r)) }"),
-            ["Project", "OrExpand", "Scan"]
+            ["Project", "OrExpand", "Project", "Scan"]
+        );
+        assert_eq!(
+            chain("{ snd(w) | r <- fan, w <- toset(normalize(r)) }"),
+            ["OrExpand", "Project", "Scan"]
         );
         // a guard on an or-set component stays above the expansion
         assert_eq!(
@@ -1451,6 +1456,115 @@ mod tests {
         }
         assert_eq!(s.engine_stats().engine, kept.len() as u64);
         assert_eq!(s.engine_stats().fallback, 0);
+    }
+
+    /// The head's or-free projection runs below `OrExpand`, so worlds that
+    /// differ only in the dropped id are merged before the head runs: 250
+    /// rows of 32 worlds give 8 000 worlds but 128 answers, and the
+    /// arithmetic head runs columnar over them.
+    #[test]
+    fn pushed_heads_dedup_worlds_and_run_columnar() {
+        let mut s = Session::with_engine_checked(ExecConfig::default().with_pinned_workers(1));
+        let fan = Value::set((0..250).map(|i| {
+            Value::pair(
+                Value::Int(i),
+                Value::pair(
+                    Value::int_orset((0..8).map(|k| (i + k) % 32)),
+                    Value::int_orset((0..4).map(|k| (i + k) % 4)),
+                ),
+            )
+        }));
+        s.bind("fan", fan);
+        let r = s
+            .run("{ (fst(snd(w)), snd(snd(w)) + 3) | r <- fan, w <- toset(normalize(r)) }")
+            .unwrap();
+        assert!(matches!(&r.value, Value::Set(rows) if rows.len() == 128));
+        let before = s.engine_stats();
+        let r = s
+            .run("{ snd(snd(w)) + 3 | r <- fan, w <- toset(normalize(r)) }")
+            .unwrap();
+        assert_eq!(r.value, Value::int_set([3, 4, 5, 6]));
+        let stats = s.engine_stats();
+        assert_eq!(stats.engine, before.engine + 1);
+        assert!(
+            stats.columnar_batches > before.columnar_batches,
+            "{stats:?}"
+        );
+        assert_eq!(stats.scalar_fallback_batches, 0, "{stats:?}");
+    }
+
+    /// A projection that drops an or-set stays above `OrExpand`: a row
+    /// holding an empty or-set has no worlds, even when the head reads
+    /// none of it.  Only the or-free id is dropped below the expansion.
+    #[test]
+    fn rows_with_empty_orsets_yield_no_worlds_under_projecting_heads() {
+        let mut interp = Session::new();
+        let mut engine = Session::with_engine_checked(ExecConfig::default());
+        let row = |i: i64, a: &[i64], b: &[i64]| {
+            Value::pair(
+                Value::Int(i),
+                Value::pair(
+                    Value::int_orset(a.iter().copied()),
+                    Value::int_orset(b.iter().copied()),
+                ),
+            )
+        };
+        let rows = Value::set([row(0, &[2], &[3, 4]), row(1, &[], &[5]), row(2, &[6], &[])]);
+        for s in [&mut interp, &mut engine] {
+            s.bind("rows", rows.clone());
+        }
+        let pair = |a: i64, b: i64| Value::pair(Value::Int(a), Value::Int(b));
+        let cases = [
+            (
+                "{ snd(snd(w)) | r <- rows, w <- toset(normalize(r)) }",
+                vec!["Project", "OrExpand", "Project", "Scan"],
+                Value::int_set([3, 4]),
+            ),
+            (
+                "{ snd(w) | r <- rows, w <- toset(normalize(r)) }",
+                vec!["OrExpand", "Project", "Scan"],
+                Value::set([pair(2, 3), pair(2, 4)]),
+            ),
+            (
+                "{ fst(snd(w)) | r <- rows, w <- toset(normalize(r)) }",
+                vec!["Project", "OrExpand", "Project", "Scan"],
+                Value::int_set([2]),
+            ),
+        ];
+        for (statement, chain, want) in &cases {
+            let planned = engine.core().plan_statement(statement).unwrap().unwrap();
+            assert_eq!(&driving_chain(&planned.plan), chain, "{statement}");
+            assert_eq!(&interp.run(statement).unwrap().value, want, "{statement}");
+            assert_eq!(&engine.run(statement).unwrap().value, want, "{statement}");
+        }
+        assert_eq!(engine.engine_stats().engine, cases.len() as u64);
+    }
+
+    /// Dropping or-free parts keeps each row's denotation count, so the
+    /// denotation budget admits and rejects the pushed statement exactly
+    /// at the row's 32 worlds.
+    #[test]
+    fn denotation_budget_is_unchanged_by_pushed_heads() {
+        let mut s = Session::with_engine(ExecConfig::default());
+        s.bind("fan", fan(4));
+        let statement = "{ (fst(snd(w)), snd(snd(w)) + 3) | r <- fan, w <- toset(normalize(r)) }";
+        let planned = s.core().plan_statement(statement).unwrap().unwrap();
+        assert_eq!(
+            driving_chain(&planned.plan),
+            ["Project", "OrExpand", "Project", "Scan"]
+        );
+        match s.run_budgeted(statement, QueryBudget::unlimited().with_denotations(31)) {
+            Err(SessionError::Engine(e)) => assert!(
+                e.contains("or-expansion budget exceeded") && e.contains("denotes 32"),
+                "{e}"
+            ),
+            other => panic!("expected the engine's budget error, got {other:?}"),
+        }
+        let r = s
+            .run_budgeted(statement, QueryBudget::unlimited().with_denotations(32))
+            .unwrap();
+        assert!(matches!(&r.value, Value::Set(rows) if !rows.is_empty()));
+        assert_eq!(s.engine_stats().engine, 1);
     }
 
     /// A `nested` relation of `rows` records `(i, (i % 3, <3 alternatives>))`:

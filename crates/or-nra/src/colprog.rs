@@ -11,9 +11,14 @@
 //! then run a branch-free compare kernel over the plain slices — no
 //! intermediate interning, no per-row dispatch.
 //!
+//! The same holds for integer arithmetic heads such as `snd(w) + 3`:
+//! resolve the operand columns to `i64`s, run a wrapping `+`, `-` or `*`
+//! kernel over the slices, and intern each result once, at the result
+//! boundary — nested arithmetic interns no intermediate at all.
+//!
 //! This module is the *analysis*: [`ColumnProgram::of`] abstractly
-//! interprets a [`RowProgram`] over the algebra of field paths and
-//! constants, and [`ColumnPredicate::of`] recognizes the
+//! interprets a [`RowProgram`] over the algebra of field paths, constants,
+//! pairs and integer arithmetic, and [`ColumnPredicate::of`] recognizes the
 //! `compare ∘ ⟨operand, operand⟩` shape (with optional negations) that the
 //! engine's filter kernels execute.  Programs outside the fragment return
 //! `None` and keep the scalar path — the fallback is **per operator**, so
@@ -28,12 +33,14 @@ use crate::morphism::Prim;
 use crate::rowprog::RowProgram;
 
 /// A column-expressible row transformer: what a [`RowProgram`] denotes
-/// when it only projects, pairs, and emits pre-interned constants.
+/// when it only projects, pairs, emits pre-interned constants, and does
+/// integer arithmetic.
 ///
 /// `Path(p)` is the field of the input row at `p` (the empty path is the
 /// row itself); `Const` is a compile-time-interned constant; `Pair` builds
-/// a row from two column-expressible parts (the one construction that
-/// still interns — once per *surviving* row, at the result boundary).
+/// a row from two column-expressible parts and `Arith` an integer from two
+/// integer operands (the constructions that intern — once per *surviving*
+/// row, at the result boundary).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColumnProgram {
     /// The field of the input row at this pair-spine path.
@@ -42,12 +49,51 @@ pub enum ColumnProgram {
     Const(InternId),
     /// Pair formation from two column-expressible parts.
     Pair(Box<ColumnProgram>, Box<ColumnProgram>),
+    /// Integer arithmetic over two operands, each a path, a constant or
+    /// another arithmetic node.  A row whose operand is not an integer
+    /// sends its batch back to the scalar path, which reports the error.
+    Arith(ColumnArith, Box<ColumnProgram>, Box<ColumnProgram>),
+}
+
+/// The integer primitive an arithmetic kernel runs.  Overflow wraps, as on
+/// the scalar path ([`RowProgram`]) and in the interpreter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColumnArith {
+    /// `plus`: wrapping `a + b`.
+    Plus,
+    /// `minus`: wrapping `a - b`.
+    Minus,
+    /// `times`: wrapping `a * b`.
+    Times,
+}
+
+impl ColumnArith {
+    /// The kernel for an arithmetic primitive; `None` for every other one.
+    fn of(p: Prim) -> Option<ColumnArith> {
+        match p {
+            Prim::Plus => Some(ColumnArith::Plus),
+            Prim::Minus => Some(ColumnArith::Minus),
+            Prim::Times => Some(ColumnArith::Times),
+            _ => None,
+        }
+    }
+
+    /// Apply the primitive to one pair of operands.
+    #[inline]
+    pub fn apply(self, a: i64, b: i64) -> i64 {
+        match self {
+            ColumnArith::Plus => a.wrapping_add(b),
+            ColumnArith::Minus => a.wrapping_sub(b),
+            ColumnArith::Times => a.wrapping_mul(b),
+        }
+    }
 }
 
 impl ColumnProgram {
     /// Analyze a row program: `Some` iff every operation is
     /// column-expressible (identity, projections, pair formation,
-    /// constants, and compositions thereof).
+    /// constants, integer `plus`/`minus`/`times`, and compositions
+    /// thereof).
     pub fn of(prog: &RowProgram) -> Option<ColumnProgram> {
         eval_on(prog, ColumnProgram::Path(Vec::new()))
     }
@@ -68,13 +114,32 @@ impl ColumnProgram {
 
     /// Can this program error on *some* input row?  Constants and the
     /// identity cannot; a non-empty path errors on rows missing the pair
-    /// spine.  Totality is what licenses discarding a branch during
-    /// [`project`] simplification without changing error behavior.
+    /// spine, and arithmetic on non-integer operands.  Totality is what
+    /// licenses discarding a branch during [`project`] simplification
+    /// without changing error behavior.
     fn is_total(&self) -> bool {
         match self {
             ColumnProgram::Const(_) => true,
             ColumnProgram::Path(p) => p.is_empty(),
             ColumnProgram::Pair(a, b) => a.is_total() && b.is_total(),
+            ColumnProgram::Arith(..) => false,
+        }
+    }
+
+    /// The two components of the pair this program denotes: a constructed
+    /// pair's parts, or the `fst`/`snd` fields of a path.  `None` when the
+    /// components are not column-expressible (a constant or an integer).
+    fn components(self) -> Option<(ColumnProgram, ColumnProgram)> {
+        match self {
+            ColumnProgram::Pair(a, b) => Some((*a, *b)),
+            ColumnProgram::Path(p) => {
+                let mut fst = p.clone();
+                let mut snd = p;
+                fst.push(Field::Fst);
+                snd.push(Field::Snd);
+                Some((ColumnProgram::Path(fst), ColumnProgram::Path(snd)))
+            }
+            ColumnProgram::Const(_) | ColumnProgram::Arith(..) => None,
         }
     }
 }
@@ -92,6 +157,14 @@ fn eval_on(prog: &RowProgram, input: ColumnProgram) -> Option<ColumnProgram> {
             Some(ColumnProgram::Pair(Box::new(a), Box::new(b)))
         }
         RowProgram::Seq(steps) => steps.iter().try_fold(input, |acc, s| eval_on(s, acc)),
+        RowProgram::Prim(p) => {
+            let op = ColumnArith::of(*p)?;
+            let (a, b) = input.components()?;
+            // a constructed pair is never an integer operand
+            let int_operand = |x: &ColumnProgram| !matches!(x, ColumnProgram::Pair(..));
+            (int_operand(&a) && int_operand(&b))
+                .then(|| ColumnProgram::Arith(op, Box::new(a), Box::new(b)))
+        }
         _ => None,
     }
 }
@@ -103,7 +176,7 @@ fn eval_on(prog: &RowProgram, input: ColumnProgram) -> Option<ColumnProgram> {
 /// scalar error behavior.  (The total case is common — query planners
 /// scaffold predicates as `compare ∘ … ∘ ⟨!, id⟩`, pairing the row with a
 /// unit environment that a projection immediately discards.)  Projections
-/// off a `Const` stay out of the fragment.
+/// off a `Const` or an `Arith` (an integer) stay out of the fragment.
 fn project(input: ColumnProgram, field: Field) -> Option<ColumnProgram> {
     match input {
         ColumnProgram::Path(mut p) => {
@@ -117,7 +190,7 @@ fn project(input: ColumnProgram, field: Field) -> Option<ColumnProgram> {
             };
             drop.is_total().then_some(*keep)
         }
-        ColumnProgram::Const(_) => None,
+        ColumnProgram::Const(_) | ColumnProgram::Arith(..) => None,
     }
 }
 
@@ -175,22 +248,12 @@ impl ColumnPredicate {
             _ => return None,
         };
         // everything before the comparison must denote the operand pair
-        let operand_pair = steps[..end - 1]
+        // (when it reads a pair already present in the row, its components
+        // are the row's own fields)
+        let (a, b) = steps[..end - 1]
             .iter()
-            .try_fold(ColumnProgram::Path(Vec::new()), |acc, s| eval_on(s, acc))?;
-        let (a, b) = match operand_pair {
-            ColumnProgram::Pair(a, b) => (*a, *b),
-            // the comparison reads a pair already present in the row: its
-            // components are the row's own fields
-            ColumnProgram::Path(p) => {
-                let mut fst = p.clone();
-                let mut snd = p;
-                fst.push(Field::Fst);
-                snd.push(Field::Snd);
-                (ColumnProgram::Path(fst), ColumnProgram::Path(snd))
-            }
-            ColumnProgram::Const(_) => return None,
-        };
+            .try_fold(ColumnProgram::Path(Vec::new()), |acc, s| eval_on(s, acc))?
+            .components()?;
         if !a.is_operand() || !b.is_operand() {
             return None;
         }
@@ -294,6 +357,62 @@ mod tests {
         assert_eq!(pred.cmp, ColumnCmp::IntLeq);
         assert_eq!(pred.a, ColumnProgram::Path(vec![Field::Snd]));
         assert!(matches!(pred.b, ColumnProgram::Const(_)));
+    }
+
+    #[test]
+    fn arithmetic_heads_become_arith_programs() {
+        // the session head `snd(w) + 3` through the environment adapter
+        let plus3 = M::pair(M::Bang, M::Id).then(
+            M::pair(
+                M::Proj2.then(M::Proj2),
+                M::Bang.then(M::constant(Value::Int(3))),
+            )
+            .then(M::Prim(Prim::Plus)),
+        );
+        let col = ColumnProgram::of(&compile(&plus3)).expect("columnar");
+        assert!(matches!(
+            &col,
+            ColumnProgram::Arith(ColumnArith::Plus, a, b)
+                if **a == ColumnProgram::Path(vec![Field::Snd])
+                    && matches!(**b, ColumnProgram::Const(_))
+        ));
+        // point-free `times` reads the row's own fields; arithmetic nests
+        let m = M::pair(M::Prim(Prim::Times), M::Proj1).then(M::Prim(Prim::Minus));
+        let col = ColumnProgram::of(&compile(&m)).expect("columnar");
+        let fst = || Box::new(ColumnProgram::Path(vec![Field::Fst]));
+        let snd = || Box::new(ColumnProgram::Path(vec![Field::Snd]));
+        let times = ColumnProgram::Arith(ColumnArith::Times, fst(), snd());
+        assert_eq!(
+            col,
+            ColumnProgram::Arith(ColumnArith::Minus, Box::new(times), fst())
+        );
+        // overflow wraps, as on the scalar path
+        assert_eq!(ColumnArith::Plus.apply(i64::MAX, 1), i64::MIN);
+        assert_eq!(ColumnArith::Minus.apply(i64::MIN, 1), i64::MAX);
+        assert_eq!(ColumnArith::Times.apply(i64::MAX, 2), -2);
+    }
+
+    #[test]
+    fn arithmetic_stays_out_of_projections_and_compares() {
+        let plus = M::pair(M::Proj1, M::Proj2).then(M::Prim(Prim::Plus));
+        // an integer has no fields
+        assert_eq!(
+            ColumnProgram::of(&compile(&plus.clone().then(M::Proj1))),
+            None
+        );
+        // arithmetic over a constructed pair operand never yields an int
+        let nested_pair = M::pair(M::pair(M::Proj1, M::Proj2), M::Proj2).then(M::Prim(Prim::Plus));
+        assert_eq!(ColumnProgram::of(&compile(&nested_pair)), None);
+        // a projection off a pair may not discard an arithmetic branch,
+        // which errors on non-integer rows
+        let m = M::pair(M::Proj1, plus.clone()).then(M::Proj1);
+        assert_eq!(ColumnProgram::of(&compile(&m)), None);
+        // compare kernels take paths and constants only
+        let m = M::pair(plus, M::constant(Value::Int(3))).then(M::Prim(Prim::Lt));
+        assert_eq!(ColumnPredicate::of(&compile(&m)), None);
+        // other primitives stay scalar
+        assert_eq!(ColumnProgram::of(&compile(&M::Prim(Prim::Leq))), None);
+        assert_eq!(ColumnProgram::of(&compile(&M::Prim(Prim::And))), None);
     }
 
     #[test]

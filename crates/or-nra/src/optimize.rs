@@ -92,11 +92,30 @@
 //! proviso: Theorem 5.1 is stated for inputs free of empty or-sets.  A row
 //! containing an *empty* or-set denotes **no** worlds (`OrExpand` emits
 //! nothing), but if a projection dropped exactly the empty component before
-//! expansion, the projected row would suddenly denote a world.  Projection
-//! pushdown is therefore gated behind
-//! [`ExpandPlannerConfig::assume_consistent`], an explicit promise that no
-//! row contains an empty or-set; filters need no such promise (they drop or
-//! keep whole rows, so an inconsistent row yields nothing on either side).
+//! expansion, the projected row would suddenly denote a world.  The proviso
+//! only bites when the dropped component's **type** holds an or-set: an
+//! or-free component has exactly one world.  So the planner factors a head
+//! `f = h' ∘ π` ([`factor_through_projection`]'s machinery) and moves the
+//! longest prefix of `π` that drops only or-free components below the
+//! expansion on every input
+//! ([`crate::preserve::or_free_projection_prefix`]):
+//!
+//! ```text
+//! Project[⟨π₁, plus ∘ ⟨π₂, K3 ∘ !⟩⟩]      -- runs once per distinct world
+//!   OrExpand[dedup=true]                 -- dedups the projected worlds
+//!     Project[π₂]                        -- drops the or-free id
+//!       Scan(#0)
+//! ```
+//!
+//! for `{ (fst(snd(w)), snd(snd(w)) + 3) | … }` over rows of type
+//! `int × (⟨int⟩ × ⟨int⟩)`: the second `π₂` of `snd(snd(w))` would drop
+//! `⟨int⟩` and stays in the head.  With the id gone, worlds of different
+//! rows coincide and `OrExpand`'s id-dedup merges them before the head
+//! runs.  Pushing a whole head that drops or-set components is gated
+//! behind [`ExpandPlannerConfig::assume_consistent`], an explicit promise
+//! that no row contains an empty or-set; filters need no such promise
+//! (they drop or keep whole rows, so an inconsistent row yields nothing on
+//! either side).
 //!
 //! ## Cost model and partition-local expansion
 //!
@@ -117,7 +136,7 @@ use crate::cost::{estimate_expansion_where, ExpandEstimate};
 use crate::infer::output_type;
 use crate::morphism::Morphism as M;
 use crate::physical::{LowerError, PhysicalPlan};
-use crate::preserve::commutes_with_or_alpha;
+use crate::preserve::{commutes_with_or_alpha, or_free_projection_prefix};
 
 /// Result statistics of a simplification run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -457,8 +476,9 @@ pub struct ExpandPlannerConfig {
     /// preservation conditions cannot be checked without a type.
     pub row_types: Vec<Type>,
     /// Promise that no input row contains an empty or-set (the Theorem 5.1
-    /// proviso).  Enables projection pushdown below `OrExpand`; filters are
-    /// pushed regardless.
+    /// proviso).  Enables pushing projections that drop or-set components
+    /// below `OrExpand`; filters and projections that drop only or-free
+    /// components are pushed regardless.
     pub assume_consistent: bool,
     /// Hardware threads available to the executor.
     pub available_workers: usize,
@@ -557,13 +577,14 @@ fn output_row_type(plan: &PhysicalPlan, row_types: &[Type]) -> Option<Type> {
     }
 }
 
-/// Cost-based expand planning: push filters (and, for consistent inputs,
-/// projections) below `OrExpand` wherever the Theorem 5.1 preservation
-/// conditions allow, and recommend a worker count for partition-local
-/// expansion from a sampled cardinality estimate of `inputs`.
+/// Cost-based expand planning: push filters, the or-free projection
+/// prefix of heads (and, for consistent inputs, whole heads) below
+/// `OrExpand` wherever the Theorem 5.1 preservation conditions allow, and
+/// recommend a worker count for partition-local expansion from a sampled
+/// cardinality estimate of `inputs`.
 ///
 /// The rewritten plan computes the same world-set as `plan` on every input
-/// (for projections: on every input without empty or-sets, which
+/// (for whole heads: on every input without empty or-sets, which
 /// [`ExpandPlannerConfig::assume_consistent`] promises).  See the module
 /// docs for the full rule set and a worked example.
 pub fn optimize_expansion(
@@ -729,14 +750,43 @@ fn push_below_expand(
                 budget,
                 dedup,
                 input: inner,
-            } if config.assume_consistent && commutes_below(&f, &inner, config) => {
-                report.pushed_projects += 1;
-                let pushed = PhysicalPlan::OrExpand {
-                    budget,
-                    dedup,
-                    input: Box::new(PhysicalPlan::Project { f, input: inner }),
+            } => {
+                // the whole head under the consistency promise, else the
+                // part of it that drops only or-free components
+                let (head, below) = if config.assume_consistent
+                    && commutes_below(&f, &inner, config)
+                {
+                    (M::Id, f)
+                } else if let Some((projection, head)) = or_free_projection(&f, &inner, config) {
+                    (head, projection)
+                } else {
+                    return PhysicalPlan::Project {
+                        f,
+                        input: Box::new(PhysicalPlan::OrExpand {
+                            budget,
+                            dedup,
+                            input: inner,
+                        }),
+                    };
                 };
-                push_below_expand(pushed, config, report)
+                report.pushed_projects += 1;
+                let pushed = push_below_expand(
+                    PhysicalPlan::OrExpand {
+                        budget,
+                        dedup,
+                        input: Box::new(PhysicalPlan::Project {
+                            f: below,
+                            input: inner,
+                        }),
+                    },
+                    config,
+                    report,
+                );
+                if head == M::Id {
+                    pushed
+                } else {
+                    pushed.project(head)
+                }
             }
             other => PhysicalPlan::Project {
                 f,
@@ -745,6 +795,20 @@ fn push_below_expand(
         },
         other => other,
     }
+}
+
+/// Split the head `f` of a `Project` directly above the `OrExpand` whose
+/// input is `inner` into `(π, h')` with `f = h' ∘ π`, where `π` is the
+/// longest prefix of the projection chain `f` reads through that drops only
+/// or-free components of `inner`'s rows
+/// ([`or_free_projection_prefix`]).  Such a `π` runs below the expansion
+/// on every input: what it drops has exactly one world, so it is never an
+/// empty or-set, and the worlds of the projected row are the projections
+/// of the row's worlds.  `None` when no step qualifies or the row type is
+/// unknown.
+fn or_free_projection(f: &M, inner: &PhysicalPlan, config: &ExpandPlannerConfig) -> Option<(M, M)> {
+    let ty = output_row_type(inner, &config.row_types)?;
+    factor_path(f, |path| or_free_projection_prefix(path, &ty))
 }
 
 /// How many filters in the chains directly below `plan`'s `OrExpand`s do
@@ -797,11 +861,25 @@ fn pushable_filter(predicate: &M, inner: &PhysicalPlan, config: &ExpandPlannerCo
 /// its leading projection chains; `π` is their common prefix, and `p'` is
 /// the distributed form with `π` cut off each chain.
 pub fn factor_through_projection(m: &M) -> Option<M> {
+    let (projection, rest) = factor_path(m, <[M]>::len)?;
+    Some(projection.then(rest))
+}
+
+/// Split `m` into `(π, m')` with `m = m' ∘ π`, where `π` is the prefix of
+/// the projection chain every read of the input goes through that
+/// `prefix_len` keeps (it returns the prefix length for the whole chain).
+/// `None` when the kept prefix is empty, or under the conditions of
+/// [`factor_through_projection`].
+fn factor_path(m: &M, prefix_len: impl FnOnce(&[M]) -> usize) -> Option<(M, M)> {
     let mut fuel = DISTRIBUTE_FUEL_PER_NODE * m.size();
     let m = distribute(m, &mut fuel)?;
-    let path = read_path(&m).filter(|path| !path.is_empty())?;
+    let path = read_path(&m)?;
+    let path = &path[..prefix_len(&path)];
+    if path.is_empty() {
+        return None;
+    }
     let chain: Vec<&M> = path.iter().collect();
-    Some(compose_stages(&chain).then(strip_path(&m, &path)))
+    Some((compose_stages(&chain), strip_path(&m, path)))
 }
 
 /// Work budget of [`factor_through_projection`], per node of its input.
@@ -1280,6 +1358,97 @@ mod tests {
         let (pushed, report) = optimize_expansion(&plan, &[], &config);
         assert_eq!(report.pushed_projects, 1);
         assert!(pushed.to_string().trim_start().starts_with("OrExpand"));
+    }
+
+    /// The complete worlds of a row, as `OrExpand` emits them (none for a
+    /// row holding an empty or-set).
+    fn worlds(row: &Value) -> Vec<Value> {
+        match crate::normalize::normalize_value(row) {
+            Value::OrSet(worlds) => worlds,
+            or_free => vec![or_free],
+        }
+    }
+
+    /// `{ f(w) | row <- rows, w <- worlds(below(row)) }`, sorted.
+    fn heads_over_worlds(rows: &[Value], below: &M, f: &M) -> Vec<Value> {
+        let mut out: Vec<Value> = rows
+            .iter()
+            .flat_map(|row| worlds(&eval(below, row).unwrap()))
+            .map(|w| eval(f, &w).unwrap())
+            .collect();
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// `snd(snd(w)) + 3` as the OrQL planner compiles it for rows bound to
+    /// `w`, through the environment adapter.
+    fn adapted_plus_head() -> M {
+        M::pair(M::Bang, M::Id).then(
+            M::pair(
+                M::Proj2.then(M::Proj2).then(M::Proj2),
+                M::constant(Value::Int(3)),
+            )
+            .then(M::Prim(Prim::Plus)),
+        )
+    }
+
+    #[test]
+    fn planner_pushes_or_free_projections_without_a_promise() {
+        use crate::verify::{verify_plan, VerifyConfig};
+        let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
+        let verify_config = VerifyConfig {
+            provided_inputs: Some(1),
+            row_types: vec![Some(fanout_row_type())],
+            ..VerifyConfig::default()
+        };
+        // `π₂` drops the or-free id: the whole head moves below
+        let plan = PhysicalPlan::scan(0).or_expand().project(M::Proj2);
+        let (pushed, report) = optimize_expansion(&plan, &[], &config);
+        assert_eq!(report.pushed_projects, 1);
+        assert_eq!(pushed, PhysicalPlan::scan(0).project(M::Proj2).or_expand());
+        assert!(verify_plan(&pushed, &verify_config).is_empty());
+        // `snd(snd(w)) + 3`: the first `π₂` moves, the second would drop
+        // `⟨int⟩` and stays in the head
+        let head = adapted_plus_head();
+        let plan = PhysicalPlan::scan(0).or_expand().project(head.clone());
+        let (pushed, report) = optimize_expansion(&plan, &[], &config);
+        assert_eq!(report.pushed_projects, 1);
+        let rest = M::pair(M::Proj2, M::constant(Value::Int(3))).then(M::Prim(Prim::Plus));
+        assert_eq!(
+            pushed,
+            PhysicalPlan::scan(0)
+                .project(M::Proj2)
+                .or_expand()
+                .project(rest.clone())
+        );
+        assert!(verify_plan(&pushed, &verify_config).is_empty());
+        // same answers on generated rows, including ones holding empty
+        // or-sets (which denote no worlds)
+        let mut gen = Generator::with_seed(7);
+        let rows: Vec<Value> = (0..40).map(|_| gen.object_of(&fanout_row_type())).collect();
+        assert_eq!(
+            heads_over_worlds(&rows, &M::Id, &head),
+            heads_over_worlds(&rows, &M::Proj2, &rest)
+        );
+    }
+
+    #[test]
+    fn planner_keeps_projections_dropping_orsets_above_expand() {
+        // at `⟨int⟩ × ⟨int⟩`, `π₂` drops an or-set: `(<>, <1>)` has no
+        // worlds, but its projection `<1>` has one
+        let row_type = Type::prod(Type::orset(Type::Int), Type::orset(Type::Int));
+        let plan = PhysicalPlan::scan(0).or_expand().project(M::Proj2);
+        let config = ExpandPlannerConfig::for_row_types(vec![row_type]);
+        let (kept, report) = optimize_expansion(&plan, &[], &config);
+        assert_eq!(report.pushed_projects, 0);
+        assert_eq!(kept, plan);
+        let row = Value::pair(Value::int_orset([]), Value::int_orset([1]));
+        assert_eq!(
+            heads_over_worlds(std::slice::from_ref(&row), &M::Id, &M::Proj2),
+            []
+        );
+        assert_eq!(heads_over_worlds(&[row], &M::Proj2, &M::Id).len(), 1);
     }
 
     #[test]

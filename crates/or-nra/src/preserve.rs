@@ -233,6 +233,30 @@ pub fn commutes_with_or_alpha(f: &M, input: &Type) -> bool {
     matches!(lossless_preconditions(f, input), Ok((_, v)) if v.is_empty())
 }
 
+/// How many leading steps of the projection chain `path` (application
+/// order: `path[0]` applies first) drop only **or-free** components of a
+/// row of type `input`.  A component whose type has no or-set has exactly
+/// one world, so dropping it cannot drop an empty or-set: a projection
+/// along these steps commutes with α-expansion on every input, without
+/// Theorem 5.1's consistency proviso.  Counting stops at the first step
+/// that is not a projection of a product, or whose dropped sibling can
+/// hold an or-set.
+pub fn or_free_projection_prefix(path: &[M], input: &Type) -> usize {
+    let mut ty = input;
+    for (i, step) in path.iter().enumerate() {
+        let (kept, dropped) = match (step, ty) {
+            (M::Proj1, Type::Prod(a, b)) => (a, b),
+            (M::Proj2, Type::Prod(a, b)) => (b, a),
+            _ => return i,
+        };
+        if dropped.contains_orset() {
+            return i;
+        }
+        ty = kept;
+    }
+    path.len()
+}
+
 /// Evaluate both sides of the losslessness equation for a concrete input
 /// object `x : s`:
 ///

@@ -30,7 +30,7 @@
 //! | V06 | — | retired with the operator it checked; the id stays reserved |
 //! | V07 | Warn | `OrExpand` consumes rows that can actually contain or-sets |
 //! | V08 | Deny | operators *below* an `OrExpand` satisfy the Theorem 5.1 preservation preconditions |
-//! | V09 | Warn | projections below an `OrExpand` carry the consistency proviso |
+//! | V09 | Warn | projections below an `OrExpand` that drop a component able to hold an or-set carry the consistency proviso |
 //! | V10 | Deny | every `OrExpand` has an effective denotation budget (when admission control demands one) |
 //!
 //! Rules that need a row type are **conservative-accepting**: when the
@@ -46,7 +46,7 @@ use or_object::Type;
 use crate::infer::output_type;
 use crate::morphism::Morphism;
 use crate::physical::PhysicalPlan;
-use crate::preserve::lossless_preconditions;
+use crate::preserve::{lossless_preconditions, or_free_projection_prefix};
 
 /// How severe a rule violation is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +76,9 @@ pub enum Rule {
     /// V08: an operator below an `OrExpand` violates the Theorem 5.1
     /// preservation preconditions (it does not commute with α-expansion).
     NonPreservingBelowExpand,
-    /// V09: a projection below an `OrExpand` commutes but needs the
-    /// consistency proviso, and the verifier was not given that promise.
+    /// V09: a projection below an `OrExpand` commutes but drops a
+    /// component that can hold an or-set, so it needs the consistency
+    /// proviso, and the verifier was not given that promise.
     ProjectionProviso,
     /// V10: an `OrExpand` without an effective denotation budget under a
     /// configuration that requires admission control.
@@ -167,7 +168,8 @@ pub struct VerifyConfig {
     /// The Theorem 5.1 proviso: a promise that no input row contains an
     /// empty or-set.  Mirrors
     /// [`crate::optimize::ExpandPlannerConfig::assume_consistent`]; when
-    /// absent, projections below an `OrExpand` are reported under V09.
+    /// absent, projections below an `OrExpand` that drop a component able
+    /// to hold an or-set are reported under V09.
     pub assume_consistent: bool,
 }
 
@@ -271,7 +273,9 @@ fn check_morphism(
 /// projections).  `is_filter` distinguishes the two: per the paper
 /// (Section 5) and the expand planner, filters need no consistency
 /// promise — an inconsistent row expands to no worlds on either side —
-/// while projections that drop components do.
+/// while projections that drop components do, unless every component
+/// they drop is or-free ([`or_free_projection_prefix`]): such a component
+/// has exactly one world, so it cannot be an empty or-set.
 fn check_below_expand(
     what: &str,
     m: &Morphism,
@@ -283,7 +287,7 @@ fn check_below_expand(
 ) {
     match lossless_preconditions(m, input) {
         Ok((_, precondition_violations)) if precondition_violations.is_empty() => {
-            if !is_filter && !config.assume_consistent {
+            if !is_filter && !config.assume_consistent && !drops_only_or_free(m, input) {
                 push(
                     violations,
                     Rule::ProjectionProviso,
@@ -325,6 +329,24 @@ fn check_below_expand(
             );
         }
     }
+}
+
+/// Is `m` a projection chain whose every step drops an or-free component
+/// of a row of type `input`?
+fn drops_only_or_free(m: &Morphism, input: &Type) -> bool {
+    fn steps(m: &Morphism, out: &mut Vec<Morphism>) -> bool {
+        match m {
+            Morphism::Compose(f, g) => steps(g, out) && steps(f, out),
+            Morphism::Proj1 | Morphism::Proj2 => {
+                out.push(m.clone());
+                true
+            }
+            Morphism::Id => true,
+            _ => false,
+        }
+    }
+    let mut path = Vec::new();
+    steps(m, &mut path) && or_free_projection_prefix(&path, input) == path.len()
 }
 
 /// Walk the plan bottom-up.  Returns the inferred row type when known.
@@ -638,7 +660,8 @@ mod tests {
 
     #[test]
     fn projection_below_expand_without_proviso_is_v09_warn() {
-        let row = Type::prod(Type::Int, Type::orset(Type::Int));
+        // `π₂` drops the `⟨int⟩` field, which could be an empty or-set
+        let row = Type::prod(Type::orset(Type::Int), Type::orset(Type::Int));
         let plan = PhysicalPlan::scan(0).project(M::Proj2).or_expand();
         let config = typed(vec![row]);
         let violations = verify_plan(&plan, &config);
@@ -650,6 +673,23 @@ mod tests {
             ..config
         };
         assert_eq!(verify_plan(&plan, &config), Vec::new());
+    }
+
+    #[test]
+    fn projection_dropping_only_or_free_parts_needs_no_proviso() {
+        // `(id, (<a>, <b>))`: `π₂` drops the or-free id, `π₂ ∘ π₂` then
+        // drops `<a>` as well
+        let row = Type::prod(
+            Type::Int,
+            Type::prod(Type::orset(Type::Int), Type::orset(Type::Int)),
+        );
+        let config = typed(vec![row]);
+        let drops_id = PhysicalPlan::scan(0).project(M::Proj2).or_expand();
+        assert_eq!(verify_plan(&drops_id, &config), Vec::new());
+        let drops_orset = PhysicalPlan::scan(0)
+            .project(M::Proj2.then(M::Proj2))
+            .or_expand();
+        assert_eq!(ids(&verify_plan(&drops_orset, &config)), vec!["V09"]);
     }
 
     #[test]

@@ -66,6 +66,16 @@ STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/query" \
 [ "$STATUS" = "422" ] || { echo "expected 422 over the denotation budget, got $STATUS"; exit 1; }
 curl -sf "$BASE/stats" | grep -q '"errors":2'
 
+# the `choices` binding's head drops the part id below the expansion and
+# adds to an or-set component: the same answer, engine-served
+CHOICES='{ (fst(snd(w)), snd(snd(w)) + 1) | r <- options, w <- toset(normalize(r)) }'
+WANT='{(1, 11), (1, 21), (2, 11), (2, 21), (3, 31), (3, 41), (5, 51), (6, 51)}'
+out="$(curl -sf -X POST "$BASE/query" -d "{\"db\":\"example\",\"statement\":\"$CHOICES\"}")"
+echo "$out" | grep -qF "\"value\":\"$WANT\"" || { echo "bad choices result: $out"; exit 1; }
+echo "$out" | grep -q '"route":"engine"' || { echo "choices not engine-served: $out"; exit 1; }
+curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ c | c <- choices }"}' \
+    | grep -qF "\"value\":\"$WANT\""
+
 # hostile nesting: a 100 000-deep JSON body is a 400 and a 100 000-deep
 # statement a 422 (parse errors, not a stack overflow), and the server
 # keeps serving

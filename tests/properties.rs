@@ -684,7 +684,8 @@ proptest! {
     }
 
     /// Differential test for the **columnar** execution path: generated
-    /// filter/project/join scripts must produce identical results whether
+    /// filter/project/join scripts, and heads with wrapping integer
+    /// arithmetic, must produce identical results whether
     /// batches run through the vectorized columnar kernels or the scalar
     /// row loop, at forced worker counts {1, 2, 4}, and both must agree
     /// with the tree-walking interpreter.  Adversarial selectivities are
@@ -716,6 +717,11 @@ proptest! {
             "{ fst(u) | u <- users, fst(snd(u)) <= 1 }".to_string(),
             format!("{{ snd(snd(u)) | u <- users, snd(snd(u)) <= {limit} }}"),
             "{ (fst(u), snd(g)) | u <- users, g <- groups, fst(snd(u)) == fst(g) }".to_string(),
+            // integer arithmetic heads, wrapping at i64::MAX and i64::MIN
+            format!("{{ (fst(u), fst(snd(u)) * snd(snd(u)) - {limit}) | u <- users }}"),
+            "{ snd(snd(u)) + 9223372036854775807 | u <- users }".to_string(),
+            "{ 0 - 9223372036854775807 - fst(snd(u)) * 2 | u <- users }".to_string(),
+            "{ snd(snd(u)) * 4611686018427387904 | u <- users }".to_string(),
         ];
         let mut interp = Session::new();
         interp.bind("users", users.clone());
@@ -765,10 +771,13 @@ proptest! {
     /// some rows are singletons throughout (one world, like an or-free
     /// row); `bags` rows carry a set of 1..=3 or-sets, which normalization
     /// turns into an or-set of sets; `nested` rows carry two or-free
-    /// fields before their or-set.  Templates that read only the world run
-    /// through `OrExpand` (an or-free guard after the expansion is pushed
-    /// below it), while a head that reads the row, and a guard before the
-    /// expansion that compares two fields, keep the `Flatten` plan.
+    /// fields before their or-set; `holes` rows are `alts` rows whose
+    /// or-sets may be empty, so they denote no worlds.  Templates that read
+    /// only the world run through `OrExpand` (an or-free guard after the
+    /// expansion, and the part of a head that drops only the or-free id,
+    /// are pushed below it), while a head that reads the row, and a guard
+    /// before the expansion that compares two fields, keep the `Flatten`
+    /// plan.
     ///
     /// Rows without any or-set are left out: the interpreter's value-level
     /// `normalize` returns such a row unwrapped, so `toset` rejects it.
@@ -801,7 +810,22 @@ proptest! {
             let j = (hash(i, 6) % (rows as u64 + 1)) as i64;
             Value::pair(Value::Int(i), Value::pair(Value::Int(j), alternatives(i, 7)))
         }));
+        // like `alts`, but any or-set after row 0 may be empty (row 0 fixes
+        // the relation's inferred type)
+        let holes = Value::set((0..rows as i64).map(|i| {
+            let maybe_empty = |salt: u64| match hash(i, salt) % 4 {
+                0 if i > 0 => Value::int_orset([]),
+                _ => alternatives(i, salt),
+            };
+            Value::pair(Value::Int(i), Value::pair(maybe_empty(8), maybe_empty(9)))
+        }));
         let limit = (seed % (rows as u64 + 1)) as i64;
+        let k = (seed % 5) as i64;
+        let pushed_heads = [
+            "{ snd(w) | r <- R, w <- toset(normalize(r)) }".to_string(),
+            format!("{{ snd(snd(w)) + {k} | r <- R, w <- toset(normalize(r)) }}"),
+            format!("{{ (fst(snd(w)), snd(snd(w)) - {k}) | r <- R, w <- toset(normalize(r)) }}"),
+        ];
         let before = format!("{{ w | r <- R, fst(r) < {limit}, w <- toset(normalize(r)) }}");
         let after = format!("{{ w | r <- R, w <- toset(normalize(r)), fst(w) < {limit} }}");
         let reads_row = "{ (fst(r), snd(w)) | r <- R, w <- toset(normalize(r)) }".to_string();
@@ -813,22 +837,31 @@ proptest! {
             ("alts", reads_row.clone(), false),
             ("alts", format!("{{ fst(y) | y <- {{ w | r <- R, w <- toset(normalize(r)) }}, fst(y) < {} }}", limit % 7), true),
             ("bags", before, true),
-            ("bags", after, true),
+            ("bags", after.clone(), true),
             ("bags", "{ snd(w) | r <- R, w <- toset(normalize(r)) }".to_string(), true),
             ("bags", reads_row, false),
             ("nested", format!("{{ w | r <- R, fst(snd(r)) < {limit}, w <- toset(normalize(r)) }}"), true),
             ("nested", "{ w | r <- R, fst(r) < fst(snd(r)), w <- toset(normalize(r)) }".to_string(), false),
+            ("alts", pushed_heads[0].clone(), true),
+            ("alts", pushed_heads[1].clone(), true),
+            ("alts", pushed_heads[2].clone(), true),
+            ("holes", pushed_heads[0].clone(), true),
+            ("holes", pushed_heads[1].clone(), true),
+            ("holes", pushed_heads[2].clone(), true),
+            ("holes", after, true),
         ];
         let mut interp = Session::new();
         interp.bind("alts", alts.clone());
         interp.bind("bags", bags.clone());
         interp.bind("nested", nested.clone());
+        interp.bind("holes", holes.clone());
         for workers in [1usize, 2] {
             let mut checked =
                 Session::with_engine_checked(ExecConfig::default().with_pinned_workers(workers));
             checked.bind("alts", alts.clone());
             checked.bind("bags", bags.clone());
             checked.bind("nested", nested.clone());
+            checked.bind("holes", holes.clone());
             for (relation, template, expands) in &templates {
                 let stmt = template.replace("<- R", &format!("<- {relation}"));
                 let planned = checked.core().plan_statement(&stmt).unwrap().expect("plannable");

@@ -216,12 +216,15 @@ fn the_gate_is_what_rejects_malformed_plans() {
 /// that plan verifies clean under a serving configuration (every
 /// `OrExpand` budgeted, V10; filters the expand planner placed below an
 /// `OrExpand` commute with it, V08).  At least one example statement is
-/// served with a filter below its expansion.
+/// served with a filter below its expansion, and at least one with a
+/// projection there that drops only or-free parts, which no V09 warning
+/// may flag without a consistency promise.
 #[test]
 fn plan_statement_matches_the_engine_route_on_every_example_script() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
     let mut statements = 0;
     let mut filtered_expansions = 0;
+    let mut projected_expansions = 0;
     for entry in std::fs::read_dir(&dir).expect("examples directory is readable") {
         let path = entry.expect("directory entry").path();
         if path.extension().map_or(true, |ext| ext != "orql") {
@@ -256,6 +259,10 @@ fn plan_statement_matches_the_engine_route_on_every_example_script() {
                 if let PhysicalPlan::OrExpand { input, .. } = node {
                     filtered_expansions +=
                         usize::from(matches!(**input, PhysicalPlan::Filter { .. }));
+                    if matches!(**input, PhysicalPlan::Project { .. }) {
+                        projected_expansions += 1;
+                        assert!(violations.is_empty(), "`{stmt}`: {violations:?}");
+                    }
                 }
             }
             let evaluated = core
@@ -280,5 +287,9 @@ fn plan_statement_matches_the_engine_route_on_every_example_script() {
     assert!(
         filtered_expansions > 0,
         "no example runs a filter below OrExpand"
+    );
+    assert!(
+        projected_expansions > 0,
+        "no example runs a projection below OrExpand"
     );
 }
