@@ -128,12 +128,11 @@ fn int_values(
             let x = int_values(a, batch, arena, &mut xs)?;
             let y = int_values(b, batch, arena, &mut ys)?;
             if let (Some(x), Some(y)) = (x, y) {
-                return Some(Some(op.apply(x, y)));
+                return op.int_op(x, y).map(Some);
             }
             let operand =
                 |c: Option<i64>, col| c.map_or(IntOperand::Column(col), IntOperand::Const);
-            kernels::arith(*op, operand(x, &xs), operand(y, &ys), batch.len(), out);
-            Some(None)
+            kernels::arith(*op, operand(x, &xs), operand(y, &ys), batch.len(), out).then_some(None)
         }
         ColumnProgram::Pair(..) => None,
     }

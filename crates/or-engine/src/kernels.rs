@@ -17,7 +17,7 @@
 //! reintroduce exactly the pointer-chasing the columnar layout exists to
 //! amortize away.
 
-use or_nra::colprog::ColumnArith;
+use or_nra::morphism::Prim;
 use or_object::intern::InternId;
 
 use crate::ops::JoinTable;
@@ -109,17 +109,19 @@ impl IntOperand<'_> {
     }
 }
 
-/// `out[i] = a[i] op b[i]` over `len` rows, wrapping on overflow exactly
-/// like the scalar `plus`/`minus`/`times` ([`ColumnArith::apply`]).
+/// `out[i] = a[i] op b[i]` over `len` rows with the scalar path's own
+/// arithmetic ([`Prim::int_op`]: `plus`/`minus`/`times`, wrapping on
+/// overflow).  `false` when `op` is not an arithmetic primitive.
 pub fn arith(
-    op: ColumnArith,
+    op: Prim,
     a: IntOperand<'_>,
     b: IntOperand<'_>,
     len: usize,
     out: &mut Vec<i64>,
-) {
+) -> bool {
     out.clear();
-    out.extend((0..len).map(|i| op.apply(a.at(i), b.at(i))));
+    out.extend((0..len).map_while(|i| op.int_op(a.at(i), b.at(i))));
+    out.len() == len
 }
 
 /// Gather the selected rows: `out[j] = rows[sel[j]]`.
@@ -192,28 +194,30 @@ mod tests {
         let ys = [2i64, 1, 1, 3];
         let mut out = Vec::new();
         let (a, b) = (IntOperand::Column(&xs), IntOperand::Column(&ys));
-        arith(ColumnArith::Plus, a, b, xs.len(), &mut out);
+        assert!(arith(Prim::Plus, a, b, xs.len(), &mut out));
         assert_eq!(out, [3, i64::MIN, i64::MIN + 1, -1]);
-        arith(ColumnArith::Minus, a, b, xs.len(), &mut out);
+        assert!(arith(Prim::Minus, a, b, xs.len(), &mut out));
         assert_eq!(out, [-1, i64::MAX - 1, i64::MAX, -7]);
-        arith(
-            ColumnArith::Times,
+        assert!(arith(
+            Prim::Times,
             a,
             IntOperand::Const(2),
             xs.len(),
             &mut out,
-        );
+        ));
         assert_eq!(out, [2, -2, 0, -8]);
-        arith(
-            ColumnArith::Minus,
+        assert!(arith(
+            Prim::Minus,
             IntOperand::Const(0),
             b,
             ys.len(),
             &mut out,
-        );
+        ));
         assert_eq!(out, [-2, -1, -1, -3]);
-        arith(ColumnArith::Plus, a, b, 0, &mut out);
+        assert!(arith(Prim::Plus, a, b, 0, &mut out));
         assert!(out.is_empty());
+        // not an arithmetic primitive: no kernel
+        assert!(!arith(Prim::Lt, a, b, xs.len(), &mut out));
     }
 
     #[test]

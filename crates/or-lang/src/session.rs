@@ -1437,11 +1437,15 @@ mod tests {
         // guards before the expansion that cannot run below `OrExpand`
         // keep the `Flatten` lowering: one that reads an or-set, one over
         // two or-free fields (no projection common to both reads), and one
-        // that reads nothing of the row
+        // that reads nothing of the row — also under a head whose or-free
+        // projection could otherwise move below the expansion, above them
         let kept = [
             "{ w | r <- fan, ormember(3, fst(snd(r))), w <- toset(normalize(r)) }",
             "{ w | r <- nested, fst(r) < fst(snd(r)), w <- toset(normalize(r)) }",
             "{ w | r <- fan, 1 < 2, w <- toset(normalize(r)) }",
+            "{ snd(w) | r <- fan, ormember(3, fst(snd(r))), w <- toset(normalize(r)) }",
+            "{ snd(w) | r <- nested, fst(r) < fst(snd(r)), w <- toset(normalize(r)) }",
+            "{ snd(w) | r <- fan, 1 < 2, w <- toset(normalize(r)) }",
         ];
         for statement in kept {
             assert_eq!(

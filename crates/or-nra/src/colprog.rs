@@ -49,44 +49,11 @@ pub enum ColumnProgram {
     Const(InternId),
     /// Pair formation from two column-expressible parts.
     Pair(Box<ColumnProgram>, Box<ColumnProgram>),
-    /// Integer arithmetic over two operands, each a path, a constant or
+    /// Integer arithmetic — one of `plus`, `minus`, `times`
+    /// ([`Prim::int_op`]) — over two operands, each a path, a constant or
     /// another arithmetic node.  A row whose operand is not an integer
     /// sends its batch back to the scalar path, which reports the error.
-    Arith(ColumnArith, Box<ColumnProgram>, Box<ColumnProgram>),
-}
-
-/// The integer primitive an arithmetic kernel runs.  Overflow wraps, as on
-/// the scalar path ([`RowProgram`]) and in the interpreter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColumnArith {
-    /// `plus`: wrapping `a + b`.
-    Plus,
-    /// `minus`: wrapping `a - b`.
-    Minus,
-    /// `times`: wrapping `a * b`.
-    Times,
-}
-
-impl ColumnArith {
-    /// The kernel for an arithmetic primitive; `None` for every other one.
-    fn of(p: Prim) -> Option<ColumnArith> {
-        match p {
-            Prim::Plus => Some(ColumnArith::Plus),
-            Prim::Minus => Some(ColumnArith::Minus),
-            Prim::Times => Some(ColumnArith::Times),
-            _ => None,
-        }
-    }
-
-    /// Apply the primitive to one pair of operands.
-    #[inline]
-    pub fn apply(self, a: i64, b: i64) -> i64 {
-        match self {
-            ColumnArith::Plus => a.wrapping_add(b),
-            ColumnArith::Minus => a.wrapping_sub(b),
-            ColumnArith::Times => a.wrapping_mul(b),
-        }
-    }
+    Arith(Prim, Box<ColumnProgram>, Box<ColumnProgram>),
 }
 
 impl ColumnProgram {
@@ -157,13 +124,12 @@ fn eval_on(prog: &RowProgram, input: ColumnProgram) -> Option<ColumnProgram> {
             Some(ColumnProgram::Pair(Box::new(a), Box::new(b)))
         }
         RowProgram::Seq(steps) => steps.iter().try_fold(input, |acc, s| eval_on(s, acc)),
-        RowProgram::Prim(p) => {
-            let op = ColumnArith::of(*p)?;
+        RowProgram::Prim(op @ (Prim::Plus | Prim::Minus | Prim::Times)) => {
             let (a, b) = input.components()?;
             // a constructed pair is never an integer operand
             let int_operand = |x: &ColumnProgram| !matches!(x, ColumnProgram::Pair(..));
             (int_operand(&a) && int_operand(&b))
-                .then(|| ColumnProgram::Arith(op, Box::new(a), Box::new(b)))
+                .then(|| ColumnProgram::Arith(*op, Box::new(a), Box::new(b)))
         }
         _ => None,
     }
@@ -372,7 +338,7 @@ mod tests {
         let col = ColumnProgram::of(&compile(&plus3)).expect("columnar");
         assert!(matches!(
             &col,
-            ColumnProgram::Arith(ColumnArith::Plus, a, b)
+            ColumnProgram::Arith(Prim::Plus, a, b)
                 if **a == ColumnProgram::Path(vec![Field::Snd])
                     && matches!(**b, ColumnProgram::Const(_))
         ));
@@ -381,15 +347,16 @@ mod tests {
         let col = ColumnProgram::of(&compile(&m)).expect("columnar");
         let fst = || Box::new(ColumnProgram::Path(vec![Field::Fst]));
         let snd = || Box::new(ColumnProgram::Path(vec![Field::Snd]));
-        let times = ColumnProgram::Arith(ColumnArith::Times, fst(), snd());
+        let times = ColumnProgram::Arith(Prim::Times, fst(), snd());
         assert_eq!(
             col,
-            ColumnProgram::Arith(ColumnArith::Minus, Box::new(times), fst())
+            ColumnProgram::Arith(Prim::Minus, Box::new(times), fst())
         );
         // overflow wraps, as on the scalar path
-        assert_eq!(ColumnArith::Plus.apply(i64::MAX, 1), i64::MIN);
-        assert_eq!(ColumnArith::Minus.apply(i64::MIN, 1), i64::MAX);
-        assert_eq!(ColumnArith::Times.apply(i64::MAX, 2), -2);
+        assert_eq!(Prim::Plus.int_op(i64::MAX, 1), Some(i64::MIN));
+        assert_eq!(Prim::Minus.int_op(i64::MIN, 1), Some(i64::MAX));
+        assert_eq!(Prim::Times.int_op(i64::MAX, 2), Some(-2));
+        assert_eq!(Prim::Lt.int_op(1, 2), None);
     }
 
     #[test]

@@ -264,14 +264,9 @@ impl Evaluator {
             message: format!("inapplicable to {v}"),
         };
         match p {
-            Prim::Plus => int_pair(v)
-                .map(|(a, b)| Value::Int(a.wrapping_add(b)))
-                .ok_or_else(|| err(p, v)),
-            Prim::Minus => int_pair(v)
-                .map(|(a, b)| Value::Int(a.wrapping_sub(b)))
-                .ok_or_else(|| err(p, v)),
-            Prim::Times => int_pair(v)
-                .map(|(a, b)| Value::Int(a.wrapping_mul(b)))
+            Prim::Plus | Prim::Minus | Prim::Times => int_pair(v)
+                .and_then(|(a, b)| p.int_op(a, b))
+                .map(Value::Int)
                 .ok_or_else(|| err(p, v)),
             Prim::Leq => int_pair(v)
                 .map(|(a, b)| Value::Bool(a <= b))

@@ -70,7 +70,7 @@ pub mod verify;
 
 /// Convenient re-exports of the most frequently used items.
 pub mod prelude {
-    pub use crate::colprog::{ColumnArith, ColumnCmp, ColumnPredicate, ColumnProgram};
+    pub use crate::colprog::{ColumnCmp, ColumnPredicate, ColumnProgram};
     pub use crate::derived::{
         cartesian_product, difference, exists, forall, intersect, member, or_difference, or_exists,
         or_forall, or_intersect, or_member, or_select, or_subset, powerset_via_alpha, select,

@@ -41,6 +41,20 @@ pub enum Prim {
 }
 
 impl Prim {
+    /// Apply an integer arithmetic primitive (`plus`, `minus`, `times`) to
+    /// one pair of operands; `None` for every other primitive.  Overflow
+    /// wraps.  This is the one definition of the arithmetic the evaluator,
+    /// the row programs and the columnar kernels all run.
+    #[inline]
+    pub fn int_op(self, a: i64, b: i64) -> Option<i64> {
+        match self {
+            Prim::Plus => Some(a.wrapping_add(b)),
+            Prim::Minus => Some(a.wrapping_sub(b)),
+            Prim::Times => Some(a.wrapping_mul(b)),
+            _ => None,
+        }
+    }
+
     /// The printable name of the primitive.
     pub fn name(self) -> &'static str {
         match self {
@@ -175,6 +189,24 @@ impl Morphism {
     /// input.
     pub fn after_bang(self) -> Morphism {
         Morphism::compose(self, Morphism::Bang)
+    }
+
+    /// The composition tree flattened into its stages, in application order
+    /// (`stages()[0]` applies first); a morphism that is not a composition
+    /// is its own single stage.
+    pub fn stages(&self) -> Vec<&Morphism> {
+        fn flatten_into<'m>(m: &'m Morphism, out: &mut Vec<&'m Morphism>) {
+            match m {
+                Morphism::Compose(f, g) => {
+                    flatten_into(g, out);
+                    flatten_into(f, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        flatten_into(self, &mut out);
+        out
     }
 
     /// Number of constructors in the expression tree (used as a cost proxy by

@@ -311,8 +311,7 @@ fn rewrite_compose(f: &M, g: &M) -> Option<M> {
 /// reference two relations.
 pub fn lower(m: &M) -> Result<PhysicalPlan, LowerError> {
     let simplified = simplified(m);
-    let mut stages = Vec::new();
-    flatten_into(&simplified, &mut stages);
+    let stages = simplified.stages();
     // `stages` is now in application order (first applied first).
     let mut plan = PhysicalPlan::scan(0);
     let mut i = 0;
@@ -421,17 +420,6 @@ fn graft(plan: PhysicalPlan, base: &PhysicalPlan) -> PhysicalPlan {
     }
 }
 
-/// Flatten a composition tree into application order.
-fn flatten_into<'m>(m: &'m M, out: &mut Vec<&'m M>) {
-    match m {
-        M::Compose(f, g) => {
-            flatten_into(g, out);
-            flatten_into(f, out);
-        }
-        other => out.push(other),
-    }
-}
-
 /// Re-compose a stage slice (application order) into a single morphism.
 fn compose_stages(stages: &[&M]) -> M {
     let mut it = stages.iter();
@@ -532,8 +520,8 @@ pub struct ExpandPlanReport {
     pub pushed_filters: usize,
     /// Projections moved below an `OrExpand`.
     pub pushed_projects: usize,
-    /// Filters the plan already had directly below an `OrExpand` that do
-    /// not commute with it — such as a guard that reads or-set structure
+    /// Filters the plan already had directly below an `OrExpand` (under
+    /// any projections the planner put there) that do not commute with it — such as a guard that reads or-set structure
     /// before the expansion.  They stay where the query put them, but a
     /// verifier given the row types denies the plan under rule V08.
     pub pinned_filters: usize,
@@ -624,24 +612,37 @@ pub fn optimize_expansion(
 }
 
 /// The filter predicates sitting between the outermost `OrExpand` on the
-/// driving path and its driving scan — the rows the expansion actually sees
-/// are the ones satisfying all of them.  Collection stops at any operator
-/// that changes the row shape (`Project`, `Flatten`, a binary node):
-/// predicates below such an operator do not apply to raw scan rows and
-/// cannot be pre-evaluated against them.
-fn filters_below_expand(plan: &PhysicalPlan) -> Vec<&M> {
-    fn below<'p>(plan: &'p PhysicalPlan, seen_expand: bool, out: &mut Vec<&'p M>) {
+/// driving path and its driving scan, as predicates on the raw scan rows —
+/// the rows the expansion actually sees are the ones satisfying all of
+/// them.  A filter above a `Project[π]` is read through it (`p ∘ π`), so
+/// the filters on either side of a head projection pushed below the
+/// expansion all count.  Collection stops at any operator that changes the
+/// row count or shape otherwise (`Flatten`, a binary node): predicates
+/// above such an operator do not apply to raw scan rows and cannot be
+/// pre-evaluated against them.
+fn filters_below_expand(plan: &PhysicalPlan) -> Vec<M> {
+    fn below(plan: &PhysicalPlan, seen_expand: bool, out: &mut Vec<M>) {
         match plan {
             PhysicalPlan::Filter { predicate, input } => {
                 if seen_expand {
-                    out.push(predicate);
+                    out.push(predicate.clone());
                 }
                 below(input, seen_expand, out);
             }
             PhysicalPlan::OrExpand { input, .. } => below(input, true, out),
-            // before the expand, keep descending toward it; after it, any
-            // row-shape change invalidates raw-row pre-evaluation
-            PhysicalPlan::Project { input, .. } | PhysicalPlan::Flatten { input } => {
+            // before the expand, keep descending toward it; after it, the
+            // predicates collected so far read the projection's output
+            PhysicalPlan::Project { f, input } => {
+                if seen_expand {
+                    for p in out.iter_mut() {
+                        *p = f.clone().then(std::mem::replace(p, M::Id));
+                    }
+                }
+                below(input, seen_expand, out);
+            }
+            // after the expand, any other row-shape change invalidates
+            // raw-row pre-evaluation
+            PhysicalPlan::Flatten { input } => {
                 if seen_expand {
                     out.clear();
                 } else {
@@ -811,14 +812,19 @@ fn or_free_projection(f: &M, inner: &PhysicalPlan, config: &ExpandPlannerConfig)
     factor_path(f, |path| or_free_projection_prefix(path, &ty))
 }
 
-/// How many filters in the chains directly below `plan`'s `OrExpand`s do
-/// not commute with the expansion ([`ExpandPlanReport::pinned_filters`]).
+/// How many filters in the chains of filters and projections directly
+/// below `plan`'s `OrExpand`s do not commute with the expansion
+/// ([`ExpandPlanReport::pinned_filters`]).  The chain runs through
+/// projections because the planner puts a head's or-free projection
+/// directly below the expansion, above the filters the query already had
+/// there.
 fn pinned_filters(plan: &PhysicalPlan, config: &ExpandPlannerConfig) -> usize {
     fn chain(plan: &PhysicalPlan, config: &ExpandPlannerConfig) -> usize {
         match plan {
             PhysicalPlan::Filter { predicate, input } => {
                 usize::from(!commutes_below(predicate, input, config)) + chain(input, config)
             }
+            PhysicalPlan::Project { input, .. } => chain(input, config),
             other => pinned_filters(other, config),
         }
     }
@@ -947,8 +953,7 @@ fn copy(m: &M, fuel: &mut usize) -> Option<M> {
 /// through in the distributed morphism `m`; `None` when `m` reads nothing
 /// of its input (`!`, or pairs of such).
 fn read_path(m: &M) -> Option<Vec<M>> {
-    let mut stages = Vec::new();
-    flatten_into(m, &mut stages);
+    let stages = m.stages();
     let mut path: Vec<M> = Vec::new();
     for stage in stages {
         match stage {
@@ -977,8 +982,7 @@ fn read_path(m: &M) -> Option<Vec<M>> {
 /// prefix of every read path of the distributed morphism `m`
 /// ([`read_path`]).
 fn strip_path(m: &M, path: &[M]) -> M {
-    let mut stages = Vec::new();
-    flatten_into(m, &mut stages);
+    let stages = m.stages();
     let mut rest = path;
     let mut kept: Vec<M> = Vec::new();
     for stage in stages {
@@ -1529,6 +1533,31 @@ mod tests {
         let bare = PhysicalPlan::scan(0).or_expand();
         let (_, full) = optimize_expansion(&bare, &[&rows], &config);
         assert_eq!(full.estimate.expect("estimate").total_denotations, 40 * 6);
+        // a head's or-free projection pushed on top of the filter leaves
+        // the filter counted
+        let plan = PhysicalPlan::scan(0)
+            .or_expand()
+            .filter(id_predicate(9))
+            .project(M::Proj2);
+        let (optimized, report) = optimize_expansion(&plan, &[&rows], &config);
+        assert_eq!((report.pushed_filters, report.pushed_projects), (1, 1));
+        assert_eq!(
+            optimized,
+            PhysicalPlan::scan(0)
+                .filter(id_predicate(9))
+                .project(M::Proj2)
+                .or_expand()
+        );
+        assert_eq!(report.estimate.expect("estimate").total_denotations, 10 * 6);
+        // a filter above a projection below the expansion is read through
+        // the projection: `id ≤ 9` on the projected id keeps 10 rows
+        let int_leq_9 = M::pair(M::Id, M::constant(Value::Int(9))).then(M::Prim(Prim::Leq));
+        let plan = PhysicalPlan::scan(0)
+            .project(M::Proj1)
+            .filter(int_leq_9)
+            .or_expand();
+        let (_, report) = optimize_expansion(&plan, &[&rows], &config);
+        assert_eq!(report.estimate.expect("estimate").total_denotations, 10 * 6);
     }
 
     #[test]

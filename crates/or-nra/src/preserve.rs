@@ -257,6 +257,20 @@ pub fn or_free_projection_prefix(path: &[M], input: &Type) -> usize {
     path.len()
 }
 
+/// Is `m` a projection chain (`π₁`, `π₂` and `id` under composition) whose
+/// every step drops an or-free component of a row of type `input`
+/// ([`or_free_projection_prefix`])?  Below an `OrExpand` such a projection
+/// needs no consistency proviso.
+pub fn is_or_free_projection(m: &M, input: &Type) -> bool {
+    let path: Option<Vec<M>> = m
+        .stages()
+        .into_iter()
+        .filter(|stage| **stage != M::Id)
+        .map(|stage| matches!(stage, M::Proj1 | M::Proj2).then(|| stage.clone()))
+        .collect();
+    path.is_some_and(|path| or_free_projection_prefix(&path, input) == path.len())
+}
+
 /// Evaluate both sides of the losslessness equation for a concrete input
 /// object `x : s`:
 ///
@@ -441,5 +455,22 @@ mod tests {
         for x in &inputs {
             assert_eq!(eval(&pf, x).unwrap(), eval(&map_like, x).unwrap());
         }
+    }
+
+    #[test]
+    fn or_free_projections_are_projection_chains_dropping_no_orset() {
+        // int × (⟨int⟩ × ⟨int⟩)
+        let row = Type::prod(
+            Type::Int,
+            Type::prod(Type::orset(Type::Int), Type::orset(Type::Int)),
+        );
+        assert!(is_or_free_projection(&M::Id, &row));
+        assert!(is_or_free_projection(&M::Proj2, &row));
+        assert!(is_or_free_projection(&M::Id.then(M::Proj2), &row));
+        // the second `π₂` drops `⟨int⟩`; `π₁` drops the or-set pair
+        assert!(!is_or_free_projection(&M::Proj2.then(M::Proj2), &row));
+        assert!(!is_or_free_projection(&M::Proj1, &row));
+        // not a projection chain
+        assert!(!is_or_free_projection(&M::pair(M::Proj2, M::Proj1), &row));
     }
 }

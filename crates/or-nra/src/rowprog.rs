@@ -367,14 +367,9 @@ fn run_prim(p: Prim, row: InternId, arena: &mut Interner) -> Result<InternId, Ev
         None
     };
     match p {
-        Prim::Plus => int_pair(row, arena)
-            .map(|(a, b)| arena.int(a.wrapping_add(b)))
-            .ok_or_else(|| err(p, row, arena)),
-        Prim::Minus => int_pair(row, arena)
-            .map(|(a, b)| arena.int(a.wrapping_sub(b)))
-            .ok_or_else(|| err(p, row, arena)),
-        Prim::Times => int_pair(row, arena)
-            .map(|(a, b)| arena.int(a.wrapping_mul(b)))
+        Prim::Plus | Prim::Minus | Prim::Times => int_pair(row, arena)
+            .and_then(|(a, b)| p.int_op(a, b))
+            .map(|v| arena.int(v))
             .ok_or_else(|| err(p, row, arena)),
         Prim::Leq => int_pair(row, arena)
             .map(|(a, b)| arena.bool(a <= b))

@@ -46,7 +46,7 @@ use or_object::Type;
 use crate::infer::output_type;
 use crate::morphism::Morphism;
 use crate::physical::PhysicalPlan;
-use crate::preserve::{lossless_preconditions, or_free_projection_prefix};
+use crate::preserve::{is_or_free_projection, lossless_preconditions};
 
 /// How severe a rule violation is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,7 +274,7 @@ fn check_morphism(
 /// (Section 5) and the expand planner, filters need no consistency
 /// promise — an inconsistent row expands to no worlds on either side —
 /// while projections that drop components do, unless every component
-/// they drop is or-free ([`or_free_projection_prefix`]): such a component
+/// they drop is or-free ([`is_or_free_projection`]): such a component
 /// has exactly one world, so it cannot be an empty or-set.
 fn check_below_expand(
     what: &str,
@@ -287,7 +287,7 @@ fn check_below_expand(
 ) {
     match lossless_preconditions(m, input) {
         Ok((_, precondition_violations)) if precondition_violations.is_empty() => {
-            if !is_filter && !config.assume_consistent && !drops_only_or_free(m, input) {
+            if !is_filter && !config.assume_consistent && !is_or_free_projection(m, input) {
                 push(
                     violations,
                     Rule::ProjectionProviso,
@@ -329,24 +329,6 @@ fn check_below_expand(
             );
         }
     }
-}
-
-/// Is `m` a projection chain whose every step drops an or-free component
-/// of a row of type `input`?
-fn drops_only_or_free(m: &Morphism, input: &Type) -> bool {
-    fn steps(m: &Morphism, out: &mut Vec<Morphism>) -> bool {
-        match m {
-            Morphism::Compose(f, g) => steps(g, out) && steps(f, out),
-            Morphism::Proj1 | Morphism::Proj2 => {
-                out.push(m.clone());
-                true
-            }
-            Morphism::Id => true,
-            _ => false,
-        }
-    }
-    let mut path = Vec::new();
-    steps(m, &mut path) && or_free_projection_prefix(&path, input) == path.len()
 }
 
 /// Walk the plan bottom-up.  Returns the inferred row type when known.

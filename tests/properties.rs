@@ -842,6 +842,10 @@ proptest! {
             ("bags", reads_row, false),
             ("nested", format!("{{ w | r <- R, fst(snd(r)) < {limit}, w <- toset(normalize(r)) }}"), true),
             ("nested", "{ w | r <- R, fst(r) < fst(snd(r)), w <- toset(normalize(r)) }".to_string(), false),
+            // a guard that cannot run below the expansion keeps the
+            // `Flatten` lowering under a head with an or-free projection too
+            ("nested", "{ snd(w) | r <- R, fst(r) < fst(snd(r)), w <- toset(normalize(r)) }".to_string(), false),
+            ("holes", "{ snd(w) | r <- R, ormember(3, fst(snd(r))), w <- toset(normalize(r)) }".to_string(), false),
             ("alts", pushed_heads[0].clone(), true),
             ("alts", pushed_heads[1].clone(), true),
             ("alts", pushed_heads[2].clone(), true),
