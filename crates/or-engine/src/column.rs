@@ -9,20 +9,23 @@
 //! walk per row), an integer compare or an arithmetic head
 //! (`plus`/`minus`/`times`) additionally resolves the column to raw `i64`s
 //! ([`Interner::resolve_ints`]) — and from there the kernels work on plain
-//! slices.  Surviving rows are reassembled by gathering the original batch
-//! through the selection vector, so filters never rebuild rows, and
-//! projections intern only at the result boundary (late materialization):
-//! one pair or one integer per output row, none for the intermediates of
-//! nested arithmetic.
+//! slices.  A membership guard (`ormember`/`member`) gathers its element
+//! and collection columns and scans each collection node's children for
+//! the element's id; that scan reads nodes, so it lives here rather than
+//! in the arena-free kernels.  Surviving rows are reassembled by gathering
+//! the original batch through the selection vector, so filters never
+//! rebuild rows, and projections intern only at the result boundary (late
+//! materialization): one pair or one integer per output row, none for the
+//! intermediates of nested arithmetic.
 //!
 //! **Fallback is per batch and total.**  Every entry point returns `bool`:
 //! `false` means some row's shape did not match the analyzed program (a
-//! non-pair on a path, a non-int under an integer compare or arithmetic)
-//! and *nothing* was consumed — the caller re-runs that same batch through
-//! the scalar [`RowProgram`](or_nra::rowprog::RowProgram) path, which
-//! produces the identical rows *or the identical error* the interpreter
-//! would.  The columnar path therefore never changes observable behavior,
-//! only cost.
+//! non-pair on a path, a non-int under an integer compare or arithmetic, a
+//! membership's collection that is not an or-set or set) and *nothing* was
+//! consumed — the caller re-runs that same batch through the scalar
+//! [`RowProgram`](or_nra::rowprog::RowProgram) path, which produces the
+//! identical rows *or the identical error* the interpreter would.  The
+//! columnar path therefore never changes observable behavior, only cost.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -213,8 +216,43 @@ pub fn filter_block(
                 }
             }
         }
+        ColumnCmp::Member { orset } => {
+            // the analysis only admits a collection column
+            if b.is_some() || !select_members(a, ids_a, ids_b, orset, pred.negate, arena, sel) {
+                return false;
+            }
+        }
     }
     kernels::gather(batch, sel, out);
+    true
+}
+
+/// Membership scan: select row `i` when collection `colls[i]` — an or-set
+/// node for `orset`, a set node otherwise — lists the element (the
+/// broadcast `elem`, else `elems[i]`) among its children, inverted by
+/// `negate`.  Ids compare as values under hash-consing, so the scan reads
+/// the collection nodes in place and interns nothing.  `false` = some
+/// row's collection has the wrong kind: fall back.
+fn select_members(
+    elem: Option<InternId>,
+    elems: &[InternId],
+    colls: &[InternId],
+    orset: bool,
+    negate: bool,
+    arena: &Interner,
+    sel: &mut Vec<u32>,
+) -> bool {
+    sel.clear();
+    for (i, &coll) in colls.iter().enumerate() {
+        let items = match (orset, arena.node(coll)) {
+            (true, Node::OrSet(items)) | (false, Node::Set(items)) => items,
+            _ => return false,
+        };
+        let x = elem.unwrap_or_else(|| elems[i]);
+        if items.contains(&x) != negate {
+            sel.push(i as u32);
+        }
+    }
     true
 }
 

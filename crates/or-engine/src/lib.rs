@@ -90,8 +90,9 @@
 //! `OrExpand` operator therefore
 //!
 //! 1. expands **lazily**, one denotation at a time, via
-//!    [`or_nra::lazy::LazyNormalizer`] — downstream operators and early
-//!    termination see rows before the expansion is complete;
+//!    [`or_nra::lazy::ExpandProgram`] — an odometer over each row's own
+//!    or-set alternatives — so downstream operators and early termination
+//!    see rows before the expansion is complete;
 //! 2. deduplicates **incrementally** while streaming, so the antichain of
 //!    distinct complete rows is maintained instead of a duplicate-laden
 //!    multiset;
@@ -101,7 +102,7 @@
 //!    budget aborts the query with
 //!    [`error::EngineError::BudgetExceeded`] — a reported resource limit
 //!    rather than an accidental out-of-memory.  Because
-//!    `LazyNormalizer::total()` is a closed-form count, the check costs
+//!    `ExpandProgram::total()` is a closed-form count, the check costs
 //!    O(row size), not O(budget).
 //!
 //! ## Cross-checking

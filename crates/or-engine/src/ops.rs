@@ -35,18 +35,20 @@
 //!   runs only the lead worker streams the right side;
 //! * [`FlattenOp`] — row-wise `μ`: each row must be an interned set node,
 //!   its element ids are streamed;
-//! * [`OrExpandOp`] — batched per-row lazy α-expansion via
-//!   [`LazyNormalizer::of_interned`], decoding each possible world straight
-//!   into the shared arena: or-free sub-rows are reused as ids (zero
-//!   re-interning), streaming dedup is a `HashSet<InternId>`, and the
-//!   per-row denotation budget is enforced before any decoding happens.
+//! * [`OrExpandOp`] — batched per-row lazy α-expansion by one reused
+//!   [`ExpandProgram`], which reads each row's or-set nodes in place and
+//!   steps an odometer over their alternatives, interning each possible
+//!   world straight into the shared arena: or-free sub-rows are reused as
+//!   ids (zero re-interning), streaming dedup is a `HashSet<InternId>`, and
+//!   the per-row denotation budget is enforced before any world is
+//!   interned.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use or_nra::colprog::{ColumnPredicate, ColumnProgram};
-use or_nra::lazy::LazyNormalizer;
+use or_nra::lazy::ExpandProgram;
 use or_nra::morphism::Morphism;
 use or_nra::physical::PhysicalPlan;
 use or_nra::rowprog::RowProgram;
@@ -602,7 +604,7 @@ pub fn build<'a>(
                 source,
                 budget: budget.or(ctx.or_budget),
                 seen: if *dedup { Some(IdSet::default()) } else { None },
-                current: None,
+                program: ExpandProgram::new(),
                 batch_size: ctx.batch_size,
             }))
         }
@@ -937,19 +939,21 @@ fn strip_side(m: &Morphism, proj: &Morphism) -> Option<Morphism> {
 /// Batched per-row lazy α-expansion with interned streaming dedup and a
 /// denotation budget.
 ///
-/// Rows arrive as ids in the shared query arena; each is compiled via
-/// [`LazyNormalizer::of_interned`], so its or-free sub-structure is reused
-/// **as ids** and only genuine choice points are decoded per world.  Worlds
-/// land in the same arena — repeated sub-values across rows are stored
-/// once, world identity is an [`InternId`], and the dedup filter is a hash
-/// set of 4-byte ids.  Surviving worlds are emitted as ids; nothing is
-/// materialized here.  The per-row denotation budget is enforced from the
-/// normalizer's closed-form count before any decoding happens.
+/// Rows arrive as ids in the shared query arena.  The operator owns one
+/// [`ExpandProgram`] and resets it per row: the program reads the row's
+/// nodes in place, keeps its or-free sub-structure **as ids**, and steps an
+/// odometer over the row's choice points, so each world costs one intern
+/// per constructed node.  Worlds land in the same arena — repeated
+/// sub-values across rows are stored once, world identity is an
+/// [`InternId`], and the dedup filter is a hash set of 4-byte ids.
+/// Surviving worlds are emitted as ids; nothing is materialized here.  The
+/// per-row denotation budget is enforced from the program's closed-form
+/// count before any world is interned.
 pub struct OrExpandOp<'a> {
     source: ExpandSource<'a>,
     budget: Option<u64>,
     seen: Option<IdSet>,
-    current: Option<LazyNormalizer>,
+    program: ExpandProgram,
     batch_size: usize,
 }
 
@@ -967,23 +971,17 @@ enum ExpandSource<'a> {
 }
 
 impl ExpandSource<'_> {
-    /// Compile the next row's normalizer, or `None` when exhausted.
-    fn next_normalizer(
-        &mut self,
-        arena: &mut Interner,
-    ) -> Result<Option<LazyNormalizer>, EngineError> {
+    /// The next row to expand, or `None` when exhausted.
+    fn next_row(&mut self, arena: &mut Interner) -> Result<Option<InternId>, EngineError> {
         match self {
             ExpandSource::Rows { rows, pos } => {
-                if *pos >= rows.len() {
-                    return Ok(None);
-                }
-                let n = LazyNormalizer::of_interned(arena, rows[*pos]);
+                let row = rows.get(*pos).copied();
                 *pos += 1;
-                Ok(Some(n))
+                Ok(row)
             }
             ExpandSource::Op { input, queue } => loop {
                 if let Some(row) = queue.pop() {
-                    return Ok(Some(LazyNormalizer::of_interned(arena, row)));
+                    return Ok(Some(row));
                 }
                 match input.next_batch(arena)? {
                     Some(batch) => {
@@ -1002,40 +1000,27 @@ impl Operator for OrExpandOp<'_> {
         let mut out = Vec::with_capacity(self.batch_size);
         loop {
             // 1. stream from the current row's expansion
-            if let Some(normalizer) = &mut self.current {
-                while let Some(world) = normalizer.next_interned(arena) {
-                    let fresh = match &mut self.seen {
-                        Some(seen) => seen.insert(world),
-                        None => true,
-                    };
-                    if fresh {
-                        out.push(world);
-                        if out.len() >= self.batch_size {
-                            return Ok(Some(out));
-                        }
+            while let Some(world) = self.program.next_world(arena) {
+                let fresh = match &mut self.seen {
+                    Some(seen) => seen.insert(world),
+                    None => true,
+                };
+                if fresh {
+                    out.push(world);
+                    if out.len() >= self.batch_size {
+                        return Ok(Some(out));
                     }
                 }
-                self.current = None;
             }
             // 2. start expanding the next source row
-            match self.source.next_normalizer(arena)? {
-                Some(normalizer) => {
-                    if let Some(budget) = self.budget {
-                        if normalizer.total() > u128::from(budget) {
-                            return Err(EngineError::BudgetExceeded {
-                                budget,
-                                needed: normalizer.total(),
-                            });
-                        }
-                    }
-                    self.current = Some(normalizer);
-                }
-                None => {
-                    return if out.is_empty() {
-                        Ok(None)
-                    } else {
-                        Ok(Some(out))
-                    };
+            let Some(row) = self.source.next_row(arena)? else {
+                return Ok((!out.is_empty()).then_some(out));
+            };
+            self.program.reset(arena, row);
+            if let Some(budget) = self.budget {
+                let needed = self.program.total();
+                if needed > u128::from(budget) {
+                    return Err(EngineError::BudgetExceeded { budget, needed });
                 }
             }
         }

@@ -650,3 +650,69 @@ fn columnar_arithmetic_matches_scalar_at_overflow_and_on_errors() {
         }
     }
 }
+
+#[test]
+fn membership_filters_run_columnar_and_keep_error_parity() {
+    // (id, (<alternatives>, {members})) rows; some or-sets and sets empty
+    let rows: Vec<Value> = (0..60i64)
+        .map(|i| {
+            Value::pair(
+                Value::Int(i),
+                Value::pair(
+                    Value::int_orset((0..i % 4).map(|k| (i + k) % 7)),
+                    Value::int_set((0..i % 3).map(|k| (i * k) % 5)),
+                ),
+            )
+        })
+        .collect();
+    let elem_const = |c: i64| M::constant(Value::Int(c));
+    let alts = || M::Proj2.then(M::Proj1);
+    let members = || M::Proj2.then(M::Proj2);
+    let guards = [
+        M::pair(elem_const(3), alts()).then(derived::or_member()),
+        M::pair(M::Proj1, alts()).then(derived::or_member()),
+        derived::negate(M::pair(elem_const(2), alts()).then(derived::or_member())),
+        M::pair(elem_const(0), members()).then(derived::member()),
+        derived::negate(M::pair(M::Proj1, members()).then(derived::member())),
+    ];
+    for guard in &guards {
+        let plan = PhysicalPlan::scan(0).filter(guard.clone());
+        let expected = eval(&derived::select(guard.clone()), &Value::set(rows.clone())).unwrap();
+        for workers in [1usize, 2, 4] {
+            let config = ExecConfig::default()
+                .with_pinned_workers(workers)
+                .with_batch_size(8);
+            let (columnar, stats) = run(&Executor::new(config), &plan, &[&rows]).unwrap();
+            assert_eq!(columnar, expected, "{guard} ({workers} workers)");
+            assert!(stats.columnar_batches > 0, "{guard}");
+            assert_eq!(stats.scalar_fallback_batches, 0, "{guard}");
+            let scalar = Executor::new(config.with_columnar(false));
+            let (scalar_rows, _) = run(&scalar, &plan, &[&rows]).unwrap();
+            assert_eq!(scalar_rows, expected, "{guard} ({workers} workers)");
+        }
+    }
+    // a collection operand of the wrong kind: the columnar batch falls back
+    // and the scalar path raises the composite's error, with the same text
+    // on both paths as the interpreter's
+    let mut bad = rows.clone();
+    bad.push(Value::pair(
+        Value::Int(99),
+        Value::pair(Value::Int(5), Value::int_orset([1])),
+    ));
+    for guard in [&guards[0], &guards[2], &guards[3]] {
+        let plan = PhysicalPlan::scan(0).filter(guard.clone());
+        let want = eval(&derived::select(guard.clone()), &Value::set(bad.clone()))
+            .unwrap_err()
+            .to_string();
+        for workers in [1usize, 2, 4] {
+            let config = ExecConfig::default()
+                .with_pinned_workers(workers)
+                .with_batch_size(8);
+            let columnar = run(&Executor::new(config), &plan, &[&bad]).unwrap_err();
+            let scalar =
+                run(&Executor::new(config.with_columnar(false)), &plan, &[&bad]).unwrap_err();
+            assert_eq!(columnar.to_string(), scalar.to_string(), "{guard}");
+            assert!(columnar.to_string().contains(&want), "{columnar} vs {want}");
+        }
+    }
+}

@@ -1497,6 +1497,31 @@ mod tests {
         assert_eq!(stats.scalar_fallback_batches, 0, "{stats:?}");
     }
 
+    /// Both `ormember` scan forms of the expansion benchmark — the literal
+    /// constant and the `let k = … in` binding — run the fused membership
+    /// step columnar: every filter batch is a column batch.
+    #[test]
+    fn ormember_scans_run_columnar_in_both_forms() {
+        let mut s = Session::with_engine_checked(ExecConfig::default());
+        s.bind("alts", fan(500));
+        for statement in [
+            "{ fst(r) | r <- alts, ormember(4, fst(snd(r))) }",
+            "let k = 5 in { fst(r) | r <- alts, ormember(k, fst(snd(r))) }",
+            "{ fst(r) | r <- alts, !ormember(4, fst(snd(r))) }",
+        ] {
+            let before = s.engine_stats();
+            let r = s.run(statement).unwrap();
+            assert!(matches!(&r.value, Value::Set(rows) if !rows.is_empty()));
+            let stats = s.engine_stats();
+            assert_eq!(stats.engine, before.engine + 1, "{statement}");
+            assert!(
+                stats.columnar_batches > before.columnar_batches,
+                "{statement}: {stats:?}"
+            );
+            assert_eq!(stats.scalar_fallback_batches, 0, "{statement}: {stats:?}");
+        }
+    }
+
     /// A projection that drops an or-set stays above `OrExpand`: a row
     /// holding an empty or-set has no worlds, even when the head reads
     /// none of it.  Only the or-free id is dropped below the expansion.
@@ -1513,7 +1538,9 @@ mod tests {
                 ),
             )
         };
-        let rows = Value::set([row(0, &[2], &[3, 4]), row(1, &[], &[5]), row(2, &[6], &[])]);
+        // the first row holds an empty or-set: binding types the relation
+        // from all its rows
+        let rows = Value::set([row(0, &[], &[5]), row(1, &[2], &[3, 4]), row(2, &[6], &[])]);
         for s in [&mut interp, &mut engine] {
             s.bind("rows", rows.clone());
         }
@@ -1542,6 +1569,49 @@ mod tests {
             assert_eq!(&engine.run(statement).unwrap().value, want, "{statement}");
         }
         assert_eq!(engine.engine_stats().engine, cases.len() as u64);
+    }
+
+    /// A relation whose first row holds an empty or-set is bound with the
+    /// type its other rows give that field, so statements over it run
+    /// (a row with an empty or-set has no worlds).
+    #[test]
+    fn binding_types_relations_whose_first_row_holds_an_empty_orset() {
+        let mut s = Session::with_engine_checked(ExecConfig::default());
+        let row = |a: &[i64], b: &[i64]| {
+            Value::pair(
+                Value::int_orset(a.iter().copied()),
+                Value::int_orset(b.iter().copied()),
+            )
+        };
+        s.bind("pairs", Value::set([row(&[], &[1]), row(&[2], &[3, 4])]));
+        s.bind("sparse", Value::set([row(&[], &[1]), row(&[2], &[])]));
+        let ints = Type::set(Type::prod(Type::orset(Type::Int), Type::orset(Type::Int)));
+        let bindings = s.core().bindings();
+        for name in ["pairs", "sparse"] {
+            assert!(
+                bindings.contains(&(name.to_string(), ints.clone())),
+                "{name}"
+            );
+        }
+        let pair = |a: i64, b: i64| Value::pair(Value::Int(a), Value::Int(b));
+        let cases = [
+            (
+                "{ w | r <- pairs, w <- toset(normalize(r)) }",
+                Value::set([pair(2, 3), pair(2, 4)]),
+            ),
+            (
+                "{ snd(w) | r <- pairs, w <- toset(normalize(r)) }",
+                Value::int_set([3, 4]),
+            ),
+            (
+                "{ w | r <- sparse, w <- toset(normalize(r)) }",
+                Value::empty_set(),
+            ),
+        ];
+        for (statement, want) in &cases {
+            assert_eq!(&s.run(statement).unwrap().value, want, "{statement}");
+        }
+        assert_eq!(s.engine_stats().engine, cases.len() as u64);
     }
 
     /// Dropping or-free parts keeps each row's denotation count, so the

@@ -16,11 +16,17 @@
 //! kernel over the slices, and intern each result once, at the result
 //! boundary — nested arithmetic interns no intermediate at all.
 //!
+//! Membership guards (`ormember(x, c)`, `member(x, c)`) compile to one
+//! fused [`RowProgram::Member`] step, and run columnar too: gather the
+//! element and the collection columns, then scan each collection node's
+//! children for the element's id — no pair, or-set or boolean is interned.
+//!
 //! This module is the *analysis*: [`ColumnProgram::of`] abstractly
 //! interprets a [`RowProgram`] over the algebra of field paths, constants,
 //! pairs and integer arithmetic, and [`ColumnPredicate::of`] recognizes the
 //! `compare ∘ ⟨operand, operand⟩` shape (with optional negations) that the
-//! engine's filter kernels execute.  Programs outside the fragment return
+//! engine's filter kernels execute, where the compare is an equality, an
+//! integer order or a membership.  Programs outside the fragment return
 //! `None` and keep the scalar path — the fallback is **per operator**, so
 //! one inexpressible predicate does not de-columnarize the rest of a plan.
 //! Execution lives in `or-engine` (`column`/`kernels` modules), which also
@@ -170,6 +176,13 @@ pub enum ColumnCmp {
     IntLeq,
     /// Integer `<` (operand columns resolved to `i64` first).
     IntLt,
+    /// Membership of the left operand among the children of the right
+    /// operand's or-set (`orset`) or set node — the columnar form of
+    /// [`RowProgram::Member`].  The collection operand is always a column.
+    Member {
+        /// Or-set membership (`ormember`) rather than set membership.
+        orset: bool,
+    },
 }
 
 /// A column-expressible filter predicate: `cmp(a, b)`, optionally negated
@@ -189,9 +202,10 @@ pub struct ColumnPredicate {
 
 impl ColumnPredicate {
     /// Recognize a row program of the shape
-    /// `not* ∘ (eq | leq | lt) ∘ ⟨operand, operand⟩` (or the point-free
-    /// variant where the comparison reads an already-paired row), with
-    /// every operand column-expressible.
+    /// `not* ∘ (eq | leq | lt | member) ∘ ⟨operand, operand⟩` (or the
+    /// point-free variant where the comparison reads an already-paired
+    /// row), with every operand column-expressible and a membership's
+    /// collection a column.
     pub fn of(prog: &RowProgram) -> Option<ColumnPredicate> {
         let steps: &[RowProgram] = match prog {
             RowProgram::Seq(steps) => steps,
@@ -211,6 +225,7 @@ impl ColumnPredicate {
             RowProgram::Eq => ColumnCmp::IdEq,
             RowProgram::Prim(Prim::Leq) => ColumnCmp::IntLeq,
             RowProgram::Prim(Prim::Lt) => ColumnCmp::IntLt,
+            RowProgram::Member { orset, .. } => ColumnCmp::Member { orset: *orset },
             _ => return None,
         };
         // everything before the comparison must denote the operand pair
@@ -221,6 +236,9 @@ impl ColumnPredicate {
             .try_fold(ColumnProgram::Path(Vec::new()), |acc, s| eval_on(s, acc))?
             .components()?;
         if !a.is_operand() || !b.is_operand() {
+            return None;
+        }
+        if matches!(cmp, ColumnCmp::Member { .. }) && b.as_path().is_none() {
             return None;
         }
         Some(ColumnPredicate { cmp, a, b, negate })
@@ -305,6 +323,31 @@ mod tests {
             .then(M::Prim(Prim::Not));
         let pred = ColumnPredicate::of(&compile(&m)).expect("columnar");
         assert!(pred.negate);
+    }
+
+    #[test]
+    fn membership_predicates_are_recognized() {
+        use crate::derived;
+        // ormember(3, fst(snd(r))) and its negation
+        let m =
+            M::pair(M::constant(Value::Int(3)), M::Proj2.then(M::Proj1)).then(derived::or_member());
+        let pred = ColumnPredicate::of(&compile(&m)).expect("columnar");
+        assert_eq!(pred.cmp, ColumnCmp::Member { orset: true });
+        assert!(matches!(pred.a, ColumnProgram::Const(_)));
+        assert_eq!(pred.b, ColumnProgram::Path(vec![Field::Snd, Field::Fst]));
+        assert!(!pred.negate);
+        let pred = ColumnPredicate::of(&compile(&derived::negate(m))).expect("columnar");
+        assert!(pred.negate);
+        // member(fst(r), snd(r)): a column element, point-free
+        let pred = ColumnPredicate::of(&compile(&derived::member())).expect("columnar");
+        assert_eq!(pred.cmp, ColumnCmp::Member { orset: false });
+        assert_eq!(pred.a, ColumnProgram::Path(vec![Field::Fst]));
+        // the collection must be a column, the element a column or constant
+        let constant =
+            M::pair(M::Proj1, M::constant(Value::int_orset([1, 2]))).then(derived::or_member());
+        assert_eq!(ColumnPredicate::of(&compile(&constant)), None);
+        let built = M::pair(M::pair(M::Proj1, M::Proj1), M::Proj2).then(derived::or_member());
+        assert_eq!(ColumnPredicate::of(&compile(&built)), None);
     }
 
     #[test]

@@ -6,22 +6,28 @@
 //! the whole — generally exponential — normal form.  (The idea was later
 //! developed by Libkin in "Normalizing incomplete databases", PODS 1995.)
 //!
-//! [`LazyNormalizer`] enumerates the conceptual denotations of an object one
-//! at a time.  Internally the object is compiled into a plan whose nodes
-//! **precompute** how many denotations they have (and, for product nodes,
-//! the mixed-radix divisors); the `i`-th denotation is then decoded by a
-//! mixed-radix walk, so producing one element costs time proportional to the
-//! size of the object, independent of how many elements the full normal form
-//! would have.  Counts are computed once at compile time — decoding performs
-//! no recursive re-counting and no per-call allocation beyond the output.
+//! Two enumerators produce the same denotations in the same order: the
+//! position of the last or-set varies fastest, and each or-set runs through
+//! its alternatives in canonical order.
 //!
-//! For the physical engine's α-expansion operator,
-//! [`LazyNormalizer::next_interned`] decodes straight into an [`Interner`]
-//! arena: the denotation is produced
-//! as an [`InternId`] whose sub-structure is shared with every previously
-//! decoded world, and equality of worlds is id equality.
+//! * [`LazyNormalizer`] works on [`Value`]s.  The object is compiled into a
+//!   plan whose nodes **precompute** how many denotations they have (and,
+//!   for product nodes, the mixed-radix divisors); the `i`-th denotation is
+//!   then decoded by a mixed-radix walk, so producing one element costs
+//!   time proportional to the size of the object, independent of how many
+//!   elements the full normal form would have.
+//! * [`ExpandProgram`] works on interned rows, for the physical engine's
+//!   α-expansion operator.  It reads the row's own nodes in place: one walk
+//!   per row fills retained flat buffers with a post-order instruction list
+//!   (a constant id, the current alternative of choice point `k`, a pair, a
+//!   set of `n`) and each choice point's alternatives.  Worlds are then
+//!   enumerated by an **odometer** — one counter per choice point, the last
+//!   one moving fastest, with no mixed-radix division — and each world costs
+//!   one intern per constructed node.  Or-free subtrees stay ids, so the
+//!   parts of a row that do not vary are never re-interned, and equality of
+//!   worlds is id equality.
 
-use or_object::intern::{InternId, Interner};
+use or_object::intern::{InternId, Interner, Node};
 use or_object::Value;
 
 use crate::error::EvalError;
@@ -32,10 +38,6 @@ use crate::error::EvalError;
 #[derive(Debug, Clone)]
 struct Plan {
     count: u128,
-    /// For constant subtrees (`count == 1` — or-free parts of the object,
-    /// which decode identically in every world): the interned id of that one
-    /// denotation, keyed by the arena token it was produced against.
-    memo: Option<(u64, InternId)>,
     kind: PlanKind,
 }
 
@@ -43,14 +45,6 @@ struct Plan {
 enum PlanKind {
     /// A base value: exactly one denotation.
     Leaf(Value),
-    /// An already-interned **or-free** subtree: exactly one denotation,
-    /// namely the id itself.  Produced only by
-    /// [`LazyNormalizer::of_interned`]; decoding is the identity (no
-    /// re-interning, no materialization), which is what makes interned
-    /// α-expansion O(choices) instead of O(row size) per world.  Plans
-    /// containing this variant must be driven through
-    /// [`LazyNormalizer::next_interned`] with an arena of the same chain.
-    Interned(InternId),
     /// A pair: the product of the component enumerations.
     Pair(Box<Plan>, Box<Plan>),
     /// A set (one choice per element position): the product of the element
@@ -66,14 +60,12 @@ impl Plan {
         match v {
             x if x.is_base() => Plan {
                 count: 1,
-                memo: None,
                 kind: PlanKind::Leaf(x.clone()),
             },
             Value::Pair(a, b) => {
                 let (a, b) = (Plan::compile(a), Plan::compile(b));
                 Plan {
                     count: a.count.saturating_mul(b.count),
-                    memo: None,
                     kind: PlanKind::Pair(Box::new(a), Box::new(b)),
                 }
             }
@@ -89,7 +81,6 @@ impl Plan {
                     .fold(1u128, |acc, n| acc.saturating_mul(n));
                 Plan {
                     count,
-                    memo: None,
                     kind: PlanKind::SetOf(items, divisors),
                 }
             }
@@ -101,94 +92,11 @@ impl Plan {
                     .fold(0u128, u128::saturating_add);
                 Plan {
                     count,
-                    memo: None,
                     kind: PlanKind::OneOf(items),
                 }
             }
             _ => unreachable!("all shapes covered"),
         }
-    }
-
-    /// Compile an enumeration plan straight from an interned object.
-    /// Or-free subtrees collapse to [`PlanKind::Interned`] leaves — their
-    /// one denotation *is* the id, so per-world decoding touches only the
-    /// or-set choice points.
-    fn compile_interned(arena: &Interner, id: InternId) -> Plan {
-        use or_object::intern::Node;
-        let interned_leaf = |id: InternId| Plan {
-            count: 1,
-            memo: None,
-            kind: PlanKind::Interned(id),
-        };
-        match arena.node(id) {
-            Node::Unit | Node::Bool(_) | Node::Int(_) | Node::Str(_) | Node::Null => {
-                interned_leaf(id)
-            }
-            Node::Pair(a, b) => {
-                let (a, b) = (
-                    Plan::compile_interned(arena, *a),
-                    Plan::compile_interned(arena, *b),
-                );
-                if a.is_interned_leaf() && b.is_interned_leaf() {
-                    return interned_leaf(id);
-                }
-                Plan {
-                    count: a.count.saturating_mul(b.count),
-                    memo: None,
-                    kind: PlanKind::Pair(Box::new(a), Box::new(b)),
-                }
-            }
-            node @ (Node::Set(_) | Node::Bag(_)) => {
-                let (items, is_bag) = match node {
-                    Node::Set(items) => (items, false),
-                    Node::Bag(items) => (items, true),
-                    _ => unreachable!("outer match narrows to Set | Bag"),
-                };
-                let items: Vec<Plan> = items
-                    .iter()
-                    .map(|&i| Plan::compile_interned(arena, i))
-                    .collect();
-                // A constant *set* is its own single denotation, but a bag
-                // must NOT collapse to itself: normalization converts bags
-                // to deduplicated sets, which the non-collapsed SetOf path
-                // performs via `arena.set(..)` during decoding.
-                if !is_bag && items.iter().all(Plan::is_interned_leaf) {
-                    return interned_leaf(id);
-                }
-                let mut divisors = vec![1u128; items.len()];
-                for i in (0..items.len().saturating_sub(1)).rev() {
-                    divisors[i] = divisors[i + 1].saturating_mul(items[i + 1].count);
-                }
-                let count = items
-                    .iter()
-                    .map(|p| p.count)
-                    .fold(1u128, |acc, n| acc.saturating_mul(n));
-                Plan {
-                    count,
-                    memo: None,
-                    kind: PlanKind::SetOf(items, divisors),
-                }
-            }
-            Node::OrSet(items) => {
-                let items: Vec<Plan> = items
-                    .iter()
-                    .map(|&i| Plan::compile_interned(arena, i))
-                    .collect();
-                let count = items
-                    .iter()
-                    .map(|p| p.count)
-                    .fold(0u128, u128::saturating_add);
-                Plan {
-                    count,
-                    memo: None,
-                    kind: PlanKind::OneOf(items),
-                }
-            }
-        }
-    }
-
-    fn is_interned_leaf(&self) -> bool {
-        matches!(self.kind, PlanKind::Interned(_))
     }
 
     /// Total number of denotations (with multiplicity), saturating at
@@ -201,10 +109,6 @@ impl Plan {
     fn decode(&self, idx: u128) -> Value {
         match &self.kind {
             PlanKind::Leaf(v) => v.clone(),
-            PlanKind::Interned(_) => unreachable!(
-                "plans built by LazyNormalizer::of_interned must be driven \
-                 through next_interned (the arena is needed to decode)"
-            ),
             PlanKind::Pair(a, b) => {
                 let nb = b.count;
                 Value::pair(a.decode(idx / nb), b.decode(idx % nb))
@@ -229,58 +133,6 @@ impl Plan {
                 unreachable!("index out of range for or-set plan")
             }
         }
-    }
-
-    /// Decode the `idx`-th denotation directly into `arena`, sharing all
-    /// repeated sub-structure with previously interned objects.
-    ///
-    /// Constant subtrees (`count == 1`) decode to the same id in every
-    /// world; that id is memoized per arena (checked via
-    /// [`Interner::token`]), so the or-free parts of a row are interned once
-    /// per row rather than once per world.
-    fn decode_interned(&mut self, idx: u128, arena: &mut Interner) -> InternId {
-        if self.count == 1 {
-            if let Some((token, id)) = self.memo {
-                if token == arena.token() {
-                    return id;
-                }
-            }
-        }
-        let id = match &mut self.kind {
-            PlanKind::Leaf(v) => arena.intern(v),
-            PlanKind::Interned(id) => return *id,
-            PlanKind::Pair(a, b) => {
-                let nb = b.count;
-                let ia = a.decode_interned(idx / nb, arena);
-                let ib = b.decode_interned(idx % nb, arena);
-                arena.pair(ia, ib)
-            }
-            PlanKind::SetOf(items, divisors) => {
-                let mut rest = idx;
-                let mut chosen = Vec::with_capacity(items.len());
-                for (item, &divisor) in items.iter_mut().zip(divisors.iter()) {
-                    chosen.push(item.decode_interned(rest / divisor, arena));
-                    rest %= divisor;
-                }
-                arena.set(chosen)
-            }
-            PlanKind::OneOf(items) => {
-                let mut rest = idx;
-                let mut found = None;
-                for item in items {
-                    if rest < item.count {
-                        found = Some(item.decode_interned(rest, arena));
-                        break;
-                    }
-                    rest -= item.count;
-                }
-                found.expect("index out of range for or-set plan")
-            }
-        };
-        if self.count == 1 {
-            self.memo = Some((arena.token(), id));
-        }
-        id
     }
 }
 
@@ -307,24 +159,6 @@ impl LazyNormalizer {
         }
     }
 
-    /// Compile an **interned** object for lazy normalization.  The
-    /// normalizer enumerates the same denotations as
-    /// [`LazyNormalizer::new`] on the decoded value, but its or-free
-    /// subtrees stay as ids: driving it with
-    /// [`LazyNormalizer::next_interned`] against an arena of the same
-    /// chain performs **zero** re-interning of unchanged sub-structure.
-    /// The plain [`Iterator`] interface is not available on normalizers
-    /// built this way (there is no arena to decode against).
-    pub fn of_interned(arena: &Interner, id: InternId) -> LazyNormalizer {
-        let plan = Plan::compile_interned(arena, id);
-        let total = plan.count();
-        LazyNormalizer {
-            plan,
-            next: 0,
-            total,
-        }
-    }
-
     /// The total number of denotations (with multiplicity).
     pub fn total(&self) -> u128 {
         self.total
@@ -340,21 +174,6 @@ impl LazyNormalizer {
     pub fn dedup(self) -> Value {
         let items: Vec<Value> = self.collect();
         Value::orset(items)
-    }
-
-    /// Produce the next denotation as an interned id in `arena` (the
-    /// hash-consed analogue of [`Iterator::next`]).  Sub-structure is shared
-    /// with everything previously interned into the same arena, so a
-    /// streaming consumer can deduplicate worlds with a `HashSet<InternId>`
-    /// instead of deep comparisons.
-    pub fn next_interned(&mut self, arena: &mut Interner) -> Option<InternId> {
-        if self.next >= self.total {
-            return None;
-        }
-        let next = self.next;
-        let id = self.plan.decode_interned(next, arena);
-        self.next += 1;
-        Some(id)
     }
 
     /// Search for a denotation satisfying `pred`, stopping at the first hit.
@@ -389,6 +208,209 @@ impl Iterator for LazyNormalizer {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let remaining = (self.total - self.next).min(usize::MAX as u128) as usize;
         (remaining, Some(remaining))
+    }
+}
+
+/// One instruction of an [`ExpandProgram`], run in order over a stack of
+/// ids to build one world.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Push an id that is the same in every world (an or-free, bag-free
+    /// subtree of the row).
+    Const(InternId),
+    /// Push the current alternative of choice point `k`.
+    Choice(usize),
+    /// Pop two ids, push their pair.
+    Pair,
+    /// Pop `n` ids, push the set of them (bags come out as sets, as
+    /// normalization requires).
+    Set(usize),
+}
+
+/// One choice point: an or-set of the row, its alternatives the range
+/// `start..start + len` of [`ExpandProgram::alts`].
+#[derive(Debug, Clone, Copy)]
+struct ChoicePoint {
+    start: usize,
+    len: usize,
+    /// Some alternative holds or-sets (or bags) itself: the range still
+    /// lists the raw alternatives, and each is replaced by its own worlds
+    /// before the first world is built.
+    nested: bool,
+}
+
+/// Per-row α-expansion of an **interned** row, reading the row's nodes in
+/// place (see the module docs).
+///
+/// One program is reused for every row an operator expands:
+/// [`ExpandProgram::reset`] rewrites its retained buffers for the next row
+/// without interning anything, [`ExpandProgram::total`] is then the row's
+/// denotation count (for a budget check), and [`ExpandProgram::next_world`]
+/// interns the worlds one at a time, in the order of [`LazyNormalizer`] on
+/// the decoded row.
+#[derive(Debug, Clone, Default)]
+pub struct ExpandProgram {
+    steps: Vec<Step>,
+    choices: Vec<ChoicePoint>,
+    alts: Vec<InternId>,
+    /// The odometer: the current alternative of each choice point.
+    digits: Vec<usize>,
+    stack: Vec<InternId>,
+    total: u128,
+    produced: u128,
+}
+
+impl ExpandProgram {
+    /// An empty program (no row loaded: it yields no worlds).
+    pub fn new() -> ExpandProgram {
+        ExpandProgram::default()
+    }
+
+    /// Load `row` for expansion: one walk of its nodes, interning nothing.
+    pub fn reset(&mut self, arena: &Interner, row: InternId) {
+        self.steps.clear();
+        self.choices.clear();
+        self.alts.clear();
+        self.produced = 0;
+        self.total = self.walk(arena, row).1;
+    }
+
+    /// The loaded row's number of worlds, with multiplicity (saturating at
+    /// `u128::MAX`).
+    pub fn total(&self) -> u128 {
+        self.total
+    }
+
+    /// Intern the next world of the loaded row into `arena`, or `None` once
+    /// all [`ExpandProgram::total`] worlds have been produced.
+    pub fn next_world(&mut self, arena: &mut Interner) -> Option<InternId> {
+        if self.produced >= self.total {
+            return None;
+        }
+        if self.produced == 0 {
+            self.expand_nested(arena);
+            self.digits.clear();
+            self.digits.resize(self.choices.len(), 0);
+        } else {
+            // advance the odometer: the last choice point moves fastest
+            for (digit, choice) in self.digits.iter_mut().zip(&self.choices).rev() {
+                *digit += 1;
+                if *digit < choice.len {
+                    break;
+                }
+                *digit = 0;
+            }
+        }
+        self.produced += 1;
+        self.stack.clear();
+        for step in &self.steps {
+            let id = match *step {
+                Step::Const(id) => id,
+                Step::Choice(k) => self.alts[self.choices[k].start + self.digits[k]],
+                Step::Pair => {
+                    let b = self.stack.pop().expect("pair operand");
+                    let a = self.stack.pop().expect("pair operand");
+                    arena.pair(a, b)
+                }
+                Step::Set(n) => {
+                    let items = self.stack.split_off(self.stack.len() - n);
+                    arena.set(items)
+                }
+            };
+            self.stack.push(id);
+        }
+        self.stack.pop()
+    }
+
+    /// Emit the steps for the subtree `id` in post-order; returns whether
+    /// the subtree is its own only world (or-free and bag-free) and its
+    /// world count.  Such a subtree collapses to one [`Step::Const`].
+    fn walk(&mut self, arena: &Interner, id: InternId) -> (bool, u128) {
+        let mark = self.steps.len();
+        match arena.node(id) {
+            Node::Unit | Node::Bool(_) | Node::Int(_) | Node::Str(_) | Node::Null => {
+                self.steps.push(Step::Const(id));
+                (true, 1)
+            }
+            Node::Pair(a, b) => {
+                let (fixed_a, count_a) = self.walk(arena, *a);
+                let (fixed_b, count_b) = self.walk(arena, *b);
+                if fixed_a && fixed_b {
+                    self.steps.truncate(mark);
+                    self.steps.push(Step::Const(id));
+                    return (true, 1);
+                }
+                self.steps.push(Step::Pair);
+                (false, count_a.saturating_mul(count_b))
+            }
+            node @ (Node::Set(items) | Node::Bag(items)) => {
+                let mut fixed = matches!(node, Node::Set(_));
+                let mut count = 1u128;
+                for &item in items.iter() {
+                    let (f, c) = self.walk(arena, item);
+                    fixed &= f;
+                    count = count.saturating_mul(c);
+                }
+                if fixed {
+                    self.steps.truncate(mark);
+                    self.steps.push(Step::Const(id));
+                    return (true, 1);
+                }
+                self.steps.push(Step::Set(items.len()));
+                (false, count)
+            }
+            Node::OrSet(items) => {
+                // walk the alternatives for their counts only, then forget
+                // their steps: the or-set is one choice point
+                let (choices, alts) = (self.choices.len(), self.alts.len());
+                let mut nested = false;
+                let mut count = 0u128;
+                for &item in items.iter() {
+                    let (f, c) = self.walk(arena, item);
+                    nested |= !f;
+                    count = count.saturating_add(c);
+                }
+                self.steps.truncate(mark);
+                self.choices.truncate(choices);
+                self.alts.truncate(alts);
+                self.alts.extend_from_slice(items);
+                self.choices.push(ChoicePoint {
+                    start: alts,
+                    len: items.len(),
+                    nested,
+                });
+                self.steps.push(Step::Choice(self.choices.len() - 1));
+                (false, count)
+            }
+        }
+    }
+
+    /// Replace the alternatives of every nested choice point by their own
+    /// worlds, in order, so every choice point picks one id.  Runs once per
+    /// row, after the budget check and before the first world.
+    fn expand_nested(&mut self, arena: &mut Interner) {
+        if !self.choices.iter().any(|c| c.nested) {
+            return;
+        }
+        let mut inner = ExpandProgram::new();
+        for k in 0..self.choices.len() {
+            let ChoicePoint { start, len, nested } = self.choices[k];
+            if !nested {
+                continue;
+            }
+            let begin = self.alts.len();
+            for i in start..start + len {
+                inner.reset(arena, self.alts[i]);
+                while let Some(world) = inner.next_world(arena) {
+                    self.alts.push(world);
+                }
+            }
+            self.choices[k] = ChoicePoint {
+                start: begin,
+                len: self.alts.len() - begin,
+                nested: false,
+            };
+        }
     }
 }
 
@@ -453,6 +475,16 @@ mod tests {
         assert_eq!(inspected, 256);
     }
 
+    /// Every world of `row` as `ExpandProgram` interns it, decoded.
+    fn expand_all(program: &mut ExpandProgram, arena: &mut Interner, row: InternId) -> Vec<Value> {
+        program.reset(arena, row);
+        let mut worlds = Vec::new();
+        while let Some(world) = program.next_world(arena) {
+            worlds.push(arena.value(world));
+        }
+        worlds
+    }
+
     #[test]
     fn interned_enumeration_matches_plain_enumeration() {
         let v = Value::pair(
@@ -460,13 +492,11 @@ mod tests {
             Value::int_orset([5, 6]),
         );
         let mut arena = Interner::new();
-        let mut interned = LazyNormalizer::new(&v);
+        let row = arena.intern(&v);
         let plain: Vec<Value> = LazyNormalizer::new(&v).collect();
-        let mut decoded = Vec::new();
-        while let Some(id) = interned.next_interned(&mut arena) {
-            decoded.push(arena.value(id));
-        }
-        assert_eq!(decoded, plain);
+        let mut program = ExpandProgram::new();
+        assert_eq!(expand_all(&mut program, &mut arena, row), plain);
+        assert_eq!(program.total(), plain.len() as u128);
     }
 
     #[test]
@@ -474,16 +504,18 @@ mod tests {
         // duplicated alternatives: 4 structural denotations, 2 distinct
         let v = Value::set([Value::orset([Value::int_orset([1, 1, 2])])]);
         let mut arena = Interner::new();
-        let mut lazy = LazyNormalizer::new(&v);
+        let row = arena.intern(&v);
+        let mut program = ExpandProgram::new();
+        program.reset(&arena, row);
         let mut seen = std::collections::HashSet::new();
-        while let Some(id) = lazy.next_interned(&mut arena) {
+        while let Some(id) = program.next_world(&mut arena) {
             seen.insert(id);
         }
         assert_eq!(seen.len(), 2);
     }
 
     #[test]
-    fn of_interned_enumerates_the_same_worlds_without_reinterning() {
+    fn expansion_enumerates_the_same_worlds_without_reinterning() {
         let v = Value::pair(
             Value::set([Value::int_orset([1, 2]), Value::int_orset([3, 4])]),
             Value::pair(Value::str("fixed"), Value::int_orset([5, 6])),
@@ -491,29 +523,24 @@ mod tests {
         let mut arena = Interner::new();
         let id = arena.intern(&v);
         let before = arena.len();
-        let mut interned = LazyNormalizer::of_interned(&arena, id);
+        let mut program = ExpandProgram::new();
         let plain: Vec<Value> = LazyNormalizer::new(&v).collect();
-        assert_eq!(interned.total(), plain.len() as u128);
-        let mut decoded = Vec::new();
-        while let Some(world) = interned.next_interned(&mut arena) {
-            decoded.push(arena.value(world));
-        }
-        assert_eq!(decoded, plain);
+        assert_eq!(expand_all(&mut program, &mut arena, id), plain);
+        assert_eq!(program.total(), plain.len() as u128);
         // or-free subtrees were reused as ids: only genuinely new world
         // nodes (chosen pairs/sets) may be added, never leaf re-interning
         // of the constant "fixed" etc.
         assert!(arena.len() > before, "worlds add composite nodes");
         // a second pass over an equal row adds nothing at all
         let grown = arena.len();
-        let mut again = LazyNormalizer::of_interned(&arena, id);
-        while again.next_interned(&mut arena).is_some() {}
+        expand_all(&mut program, &mut arena, id);
         assert_eq!(arena.len(), grown);
     }
 
     #[test]
-    fn of_interned_normalizes_bags_to_sets_like_the_value_path() {
-        // normalization converts bags to deduplicated sets; the interned
-        // compile must not short-circuit a constant bag to itself
+    fn expansion_normalizes_bags_to_sets_like_the_value_path() {
+        // normalization converts bags to deduplicated sets; the program
+        // must not short-circuit a constant bag to itself
         let v = Value::pair(
             Value::bag([Value::Int(1), Value::Int(1), Value::Int(2)]),
             Value::int_orset([7, 8]),
@@ -521,11 +548,8 @@ mod tests {
         let mut arena = Interner::new();
         let id = arena.intern(&v);
         let plain: Vec<Value> = LazyNormalizer::new(&v).collect();
-        let mut interned = LazyNormalizer::of_interned(&arena, id);
-        let mut decoded = Vec::new();
-        while let Some(world) = interned.next_interned(&mut arena) {
-            decoded.push(arena.value(world));
-        }
+        let mut program = ExpandProgram::new();
+        let decoded = expand_all(&mut program, &mut arena, id);
         assert_eq!(decoded, plain);
         assert_eq!(
             decoded[0],
@@ -537,27 +561,92 @@ mod tests {
             Value::bag([Value::Int(4), Value::Int(4)]),
         )]);
         let id = arena.intern(&nested);
-        let mut lazy = LazyNormalizer::of_interned(&arena, id);
-        let world = lazy.next_interned(&mut arena).unwrap();
         assert_eq!(
-            arena.value(world),
-            Value::set([Value::pair(Value::Int(3), Value::int_set([4]))])
+            expand_all(&mut program, &mut arena, id),
+            [Value::set([Value::pair(
+                Value::Int(3),
+                Value::int_set([4])
+            )])]
         );
     }
 
     #[test]
-    fn of_interned_handles_empty_orsets_and_constants() {
+    fn expansion_handles_empty_orsets_and_constants() {
         let mut arena = Interner::new();
         let none = arena.intern(&Value::set([Value::int_orset([1]), Value::empty_orset()]));
-        let lazy = LazyNormalizer::of_interned(&arena, none);
-        assert_eq!(lazy.total(), 0);
+        let mut program = ExpandProgram::new();
+        program.reset(&arena, none);
+        assert_eq!(program.total(), 0);
+        assert!(program.next_world(&mut arena).is_none());
         let constant = arena.intern(&Value::pair(Value::Int(1), Value::int_set([2, 3])));
-        let mut lazy = LazyNormalizer::of_interned(&arena, constant);
-        assert_eq!(lazy.total(), 1);
-        let world = lazy.next_interned(&mut arena).unwrap();
+        program.reset(&arena, constant);
+        assert_eq!(program.total(), 1);
         // the single denotation of an or-free row is the row itself
-        assert_eq!(world, constant);
-        assert!(lazy.next_interned(&mut arena).is_none());
+        assert_eq!(program.next_world(&mut arena), Some(constant));
+        assert!(program.next_world(&mut arena).is_none());
+    }
+
+    #[test]
+    fn expansion_expands_alternatives_that_hold_orsets() {
+        // `<(1, <2, 3>), 4>` has three worlds: (1, 2), (1, 3), 4 — an
+        // alternative's own worlds replace it, in order
+        let v = Value::pair(
+            Value::orset([
+                Value::pair(Value::Int(1), Value::int_orset([2, 3])),
+                Value::pair(Value::Int(0), Value::int_orset([9])),
+            ]),
+            Value::int_orset([5, 6]),
+        );
+        let mut arena = Interner::new();
+        let row = arena.intern(&v);
+        let plain: Vec<Value> = LazyNormalizer::new(&v).collect();
+        let mut program = ExpandProgram::new();
+        assert_eq!(expand_all(&mut program, &mut arena, row), plain);
+        assert_eq!(program.total(), 6);
+    }
+
+    /// One reused program agrees with `LazyNormalizer::new` — same worlds,
+    /// same order, same `total` — over generated rows of every shape in a
+    /// row: nested or-sets, sets and bags of or-sets, empty or-sets and
+    /// or-free rows.  Reuse is what would expose stale buffers.
+    #[test]
+    fn expansion_program_agrees_with_the_value_path_on_generated_rows() {
+        use or_object::generate::{GenConfig, Generator};
+        let mut arena = Interner::new();
+        let mut program = ExpandProgram::new();
+        let mut shapes = [0usize; 4]; // or-free, empty or-set, nested, bag
+        for seed in 0..240u64 {
+            let config = GenConfig {
+                max_depth: 4,
+                max_width: 3,
+                allow_empty_orsets: seed % 3 == 0,
+                ..GenConfig::default()
+            };
+            let mut gen = Generator::new(seed, config);
+            let (_, v) = gen.typed_object();
+            let v = if seed % 4 == 1 { v.to_bagged() } else { v };
+            let lazy = LazyNormalizer::new(&v);
+            if lazy.total() > 4096 {
+                continue;
+            }
+            let row = arena.intern(&v);
+            let total = lazy.total();
+            let plain: Vec<Value> = lazy.collect();
+            assert_eq!(
+                expand_all(&mut program, &mut arena, row),
+                plain,
+                "worlds of {v}"
+            );
+            assert_eq!(program.total(), total, "total of {v}");
+            let nested = v.subobjects().iter().any(
+                |s| matches!(s, Value::OrSet(items) if items.iter().any(Value::contains_orset)),
+            );
+            shapes[0] += usize::from(!v.contains_orset());
+            shapes[1] += usize::from(v.contains_empty_orset());
+            shapes[2] += usize::from(nested);
+            shapes[3] += usize::from(v.contains_bag());
+        }
+        assert!(shapes.iter().all(|&n| n > 0), "shape coverage {shapes:?}");
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub mod prelude {
     pub use crate::error::{EvalError, TypeError};
     pub use crate::eval::{eval, eval_antichain, EvalConfig, Evaluator};
     pub use crate::infer::{infer, output_type, FunType, SType};
-    pub use crate::lazy::LazyNormalizer;
+    pub use crate::lazy::{ExpandProgram, LazyNormalizer};
     pub use crate::morphism::{Morphism, Prim};
     pub use crate::normalize::{
         denotations, normalize_value, normalize_value_typed, normalize_with_strategy,

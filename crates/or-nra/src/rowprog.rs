@@ -83,6 +83,20 @@ pub enum RowProgram {
     OrToSet,
     /// `settoor : {s} → <s>`.
     SetToOr,
+    /// Membership over a row `(x, coll)`: the fused form of
+    /// [`derived::or_member`](crate::derived::or_member) (`orset`) or
+    /// [`derived::member`](crate::derived::member).  It answers whether
+    /// `coll`'s node lists `x`'s id among its children — under
+    /// hash-consing, id equality is structural equality — without building
+    /// the pairs and collections of the composite.  A row that is not a
+    /// pair with an or-set (a set) second runs `composite`, the original
+    /// steps, so errors read exactly as they did.
+    Member {
+        /// Or-set membership (`ormember`) rather than set membership.
+        orset: bool,
+        /// The composite program this step replaces.
+        composite: Vec<RowProgram>,
+    },
     /// Fallback for morphisms outside the interned fragment: decode the
     /// row, run the tree-walking evaluator, re-intern the result.
     Opaque(Box<Morphism>),
@@ -100,6 +114,7 @@ impl RowProgram {
                 let mut steps = Vec::new();
                 flatten_compose(g, arena, &mut steps);
                 flatten_compose(f, arena, &mut steps);
+                fuse_membership(&mut steps, arena);
                 RowProgram::Seq(steps)
             }
             Morphism::Proj1 => RowProgram::Proj1,
@@ -152,6 +167,9 @@ impl RowProgram {
                 p.fully_interned() && f.fully_interned() && g.fully_interned()
             }
             RowProgram::Map(f) | RowProgram::OrMap(f) => f.fully_interned(),
+            RowProgram::Member { composite, .. } => {
+                composite.iter().all(RowProgram::fully_interned)
+            }
             _ => true,
         }
     }
@@ -160,13 +178,7 @@ impl RowProgram {
     pub fn run(&self, row: InternId, arena: &mut Interner) -> Result<InternId, EvalError> {
         match self {
             RowProgram::Id => Ok(row),
-            RowProgram::Seq(steps) => {
-                let mut acc = row;
-                for step in steps {
-                    acc = step.run(acc, arena)?;
-                }
-                Ok(acc)
-            }
+            RowProgram::Seq(steps) => run_steps(steps, row, arena),
             RowProgram::Proj1 => match arena.node(row) {
                 Node::Pair(a, _) => Ok(*a),
                 _ => Err(shape("pi1", row, arena)),
@@ -301,12 +313,100 @@ impl RowProgram {
                 let items = collection(row, arena, CollKind::Set, "settoor")?;
                 Ok(arena.orset(items))
             }
+            RowProgram::Member { orset, composite } => {
+                if let Node::Pair(x, coll) = arena.node(row) {
+                    let hit = match (*orset, arena.node(*coll)) {
+                        (true, Node::OrSet(items)) | (false, Node::Set(items)) => {
+                            Some(items.contains(x))
+                        }
+                        _ => None,
+                    };
+                    if let Some(hit) = hit {
+                        return Ok(arena.bool(hit));
+                    }
+                }
+                run_steps(composite, row, arena)
+            }
             RowProgram::Opaque(m) => {
                 let input = arena.decode(row);
                 let output = eval(m, &input)?;
                 Ok(arena.intern(&output))
             }
         }
+    }
+}
+
+/// Run a step sequence, left to right.
+fn run_steps(
+    steps: &[RowProgram],
+    row: InternId,
+    arena: &mut Interner,
+) -> Result<InternId, EvalError> {
+    steps.iter().try_fold(row, |acc, step| step.run(acc, arena))
+}
+
+/// Replace each run of steps that spells out
+/// [`derived::or_member`](crate::derived::or_member) —
+/// `orρ₂ ; ormap(cond(eq, orη, K<>)) ; orμ ; ⟨id, K<>⟩ ; eq ; not` — or
+/// [`derived::member`](crate::derived::member) (the same with set
+/// operators) by one [`RowProgram::Member`] step.  Matching reads the
+/// compiled steps, so no [`Morphism`] is built to compare against.
+fn fuse_membership(steps: &mut Vec<RowProgram>, arena: &Interner) {
+    const LEN: usize = 6;
+    let mut at = 0;
+    while at + LEN <= steps.len() {
+        if let Some(orset) = membership_kind(&steps[at..at + LEN], arena) {
+            let composite: Vec<RowProgram> = steps.drain(at..at + LEN).collect();
+            steps.insert(at, RowProgram::Member { orset, composite });
+        }
+        at += 1;
+    }
+}
+
+/// Do these six steps spell out or-set (`Some(true)`) or set
+/// (`Some(false)`) membership?
+fn membership_kind(steps: &[RowProgram], arena: &Interner) -> Option<bool> {
+    use RowProgram as P;
+    let orset = match &steps[0] {
+        P::OrRho2 => true,
+        P::Rho2 => false,
+        _ => return None,
+    };
+    let is_empty = |k: &P| {
+        constant_of(k).is_some_and(|c| match (orset, arena.node(c)) {
+            (true, Node::OrSet(items)) | (false, Node::Set(items)) => items.is_empty(),
+            _ => false,
+        })
+    };
+    let selects_equal = |f: &P| match f {
+        P::Cond(p, then, otherwise) => {
+            matches!(**p, P::Eq)
+                && matches!((orset, &**then), (true, P::OrEta) | (false, P::Eta))
+                && is_empty(otherwise)
+        }
+        _ => false,
+    };
+    let selects = match (&steps[1], &steps[2]) {
+        (P::OrMap(f), P::OrMu) if orset => selects_equal(f),
+        (P::Map(f), P::Mu) if !orset => selects_equal(f),
+        _ => false,
+    };
+    let tests_nonempty = matches!(&steps[3], P::Pair(id, k) if matches!(**id, P::Id) && is_empty(k))
+        && matches!(steps[4], P::Eq)
+        && matches!(steps[5], P::Prim(Prim::Not));
+    (selects && tests_nonempty).then_some(orset)
+}
+
+/// The constant a program always yields without reading its input: a
+/// [`RowProgram::Const`], or a sequence of them (such as `K<> ∘ !`).
+fn constant_of(prog: &RowProgram) -> Option<InternId> {
+    match prog {
+        RowProgram::Const(c) => Some(*c),
+        RowProgram::Seq(steps) => steps.iter().try_fold(None, |_, s| match s {
+            RowProgram::Const(c) => Some(Some(*c)),
+            _ => None,
+        })?,
+        _ => None,
     }
 }
 
@@ -482,6 +582,61 @@ mod tests {
             &M::Prim(Prim::ValueLeq),
             &Value::pair(Value::Int(1), Value::str("x")),
         );
+    }
+
+    #[test]
+    fn membership_fuses_into_one_step_and_agrees_with_eval() {
+        use crate::derived;
+        let mut arena = Interner::new();
+        for (m, kind) in [(derived::or_member(), true), (derived::member(), false)] {
+            let prog = RowProgram::compile(&m, &mut arena);
+            assert!(
+                matches!(&prog, RowProgram::Seq(steps)
+                    if matches!(steps.as_slice(), [RowProgram::Member { orset, .. }] if *orset == kind)),
+                "{prog:?}"
+            );
+            // a guard around it keeps its own steps
+            let guard = M::pair(M::Proj1, M::Proj2)
+                .then(m.clone())
+                .then(M::Prim(Prim::Not));
+            let prog = RowProgram::compile(&guard, &mut arena);
+            assert!(matches!(&prog, RowProgram::Seq(steps)
+                if matches!(steps.as_slice(), [RowProgram::Pair(..), RowProgram::Member { .. }, RowProgram::Prim(Prim::Not)])));
+        }
+        let pair = |a: i64, b: i64| Value::pair(Value::Int(a), Value::Int(b));
+        let or_member = derived::or_member();
+        agree(
+            &or_member,
+            &Value::pair(Value::Int(2), Value::int_orset([1, 2])),
+        );
+        agree(
+            &or_member,
+            &Value::pair(Value::Int(3), Value::int_orset([1, 2])),
+        );
+        agree(
+            &or_member,
+            &Value::pair(Value::Int(3), Value::empty_orset()),
+        );
+        agree(
+            &or_member,
+            &Value::pair(pair(1, 2), Value::orset([pair(1, 2), pair(2, 1)])),
+        );
+        let member = derived::member();
+        agree(&member, &Value::pair(Value::Int(2), Value::int_set([2, 5])));
+        agree(&member, &Value::pair(Value::Int(4), Value::empty_set()));
+        // a collection of the other kind, or none at all, runs the
+        // composite: the error reads as the evaluator's
+        for (m, row) in [
+            (&or_member, Value::pair(Value::Int(1), Value::int_set([1]))),
+            (&or_member, pair(1, 2)),
+            (&member, Value::pair(Value::Int(1), Value::int_orset([1]))),
+            (&member, Value::Int(1)),
+        ] {
+            let prog = RowProgram::compile(m, &mut arena);
+            let id = arena.intern(&row);
+            let got = prog.run(id, &mut arena).unwrap_err().to_string();
+            assert_eq!(got, eval(m, &row).unwrap_err().to_string(), "{row}");
+        }
     }
 
     #[test]

@@ -46,6 +46,17 @@
 //! arena grows) so that sorting result ids is a `u32`-key sort
 //! ([`Interner::sort_ids`] picks whichever is cheaper).
 //!
+//! ## Hashing
+//!
+//! The lookup table is keyed by a 64-bit node hash: its low bits pick the
+//! slot, its top 32 bits are the fingerprint stored next to the id.  A
+//! [`Node::Pair`] — what α-expansion and row construction intern per world
+//! and per row — hashes its two ids with **one multiply-fold** (the word
+//! `a:b` times an odd constant, the 128-bit product's halves xored), not
+//! byte by byte.  Every other node runs [`FnvHasher`] over its derived
+//! `Hash`.  A miss inserts into the empty slot where its own probe stopped,
+//! so a new node costs one probe of the local table.
+//!
 //! ## When decode happens
 //!
 //! [`Interner::decode`] is the **only** sanctioned way to turn engine ids
@@ -57,7 +68,6 @@
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use crate::value::Value;
@@ -65,7 +75,8 @@ use crate::value::Value;
 /// FNV-1a, a tiny non-cryptographic hasher.  Interning hashes very small
 /// keys (a discriminant plus a few 4-byte ids) at very high rates, where the
 /// default SipHash's per-call setup dominates; FNV-1a is a multiply-xor per
-/// byte with no setup at all.
+/// byte with no setup at all.  (Pair nodes, the most frequent key, skip
+/// even that: see the hashing note in the module docs.)
 #[derive(Debug, Default, Clone)]
 pub struct FnvHasher(u64);
 
@@ -95,8 +106,6 @@ pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 /// A hash set of [`InternId`]s using the fast hasher — the recommended
 /// container for streaming world dedup.
 pub type IdSet = HashSet<InternId, FnvBuildHasher>;
-
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
 /// A reference to an interned object inside an [`Interner`].
 ///
@@ -166,7 +175,7 @@ pub enum Field {
 /// object already interned below always resolves to its base id, and new
 /// objects get ids above `base_len`.  The base is never mutated — overlays
 /// of a shared base are independent and may live on different threads.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Interner {
     /// Frozen ancestor arena (`None` for a root arena).
     base: Option<Arc<Interner>>,
@@ -174,8 +183,8 @@ pub struct Interner {
     /// node `i` has the global id `base_len + i`.
     base_len: usize,
     nodes: Vec<Node>,
-    /// FNV hash of each local node, parallel to `nodes` (used to re-place
-    /// entries when the table grows).
+    /// Hash of each local node ([`Interner::node_hash`]), parallel to
+    /// `nodes` (used to re-place entries when the table grows).
     hashes: Vec<u64>,
     /// Open-addressing index of the **local** nodes; always a power-of-two
     /// length.  Each occupied slot packs the hash's top 32 bits (a
@@ -183,7 +192,6 @@ pub struct Interner {
     /// probes stay inside this one cache-friendly array until a
     /// fingerprint matches.
     table: Vec<u64>,
-    token: u64,
     /// Lazily built id→rank permutation realizing the canonical order over
     /// the whole chain; valid while `ranks.len() == self.len()`.
     ranks: Vec<u32>,
@@ -201,23 +209,6 @@ fn slot_entry(hash: u64, id: u32) -> u64 {
     (hash & 0xFFFF_FFFF_0000_0000) | u64::from(id)
 }
 
-impl Clone for Interner {
-    fn clone(&self) -> Interner {
-        Interner {
-            base: self.base.clone(),
-            base_len: self.base_len,
-            nodes: self.nodes.clone(),
-            hashes: self.hashes.clone(),
-            table: self.table.clone(),
-            // a clone can diverge from the original, so it gets a fresh
-            // token: memoized ids from one are never replayed on the other
-            token: NEXT_TOKEN.fetch_add(1, AtomicOrdering::Relaxed),
-            ranks: self.ranks.clone(),
-            decodes: self.decodes,
-        }
-    }
-}
-
 impl Default for Interner {
     fn default() -> Interner {
         Interner::new()
@@ -233,7 +224,6 @@ impl Interner {
             nodes: Vec::new(),
             hashes: Vec::new(),
             table: vec![EMPTY_SLOT; 64],
-            token: NEXT_TOKEN.fetch_add(1, AtomicOrdering::Relaxed),
             ranks: Vec::new(),
             decodes: 0,
         }
@@ -252,7 +242,6 @@ impl Interner {
             nodes: Vec::new(),
             hashes: Vec::new(),
             table: vec![EMPTY_SLOT; 64],
-            token: NEXT_TOKEN.fetch_add(1, AtomicOrdering::Relaxed),
             ranks: Vec::new(),
             decodes: 0,
         }
@@ -261,14 +250,6 @@ impl Interner {
     /// The frozen arena this one overlays (`None` for a root arena).
     pub fn base(&self) -> Option<&Arc<Interner>> {
         self.base.as_ref()
-    }
-
-    /// A process-unique token identifying this arena instance.  Caches that
-    /// store [`InternId`]s alongside results (e.g. the lazy normalizer's
-    /// constant-subtree memo) key them by this token, so an id from one
-    /// arena is never replayed against another.
-    pub fn token(&self) -> u64 {
-        self.token
     }
 
     /// Number of distinct interned nodes reachable through this arena
@@ -301,20 +282,21 @@ impl Interner {
         }
     }
 
-    /// Probe this level's local table for `node`.
-    fn find_local(&self, hash: u64, node: &Node) -> Option<InternId> {
+    /// Probe this level's local table for `node`: its id, or on a miss the
+    /// empty slot where the probe stopped (where `node` would be inserted).
+    fn find_local(&self, hash: u64, node: &Node) -> Result<InternId, usize> {
         let mask = self.table.len() - 1;
         let fingerprint = hash & 0xFFFF_FFFF_0000_0000;
         let mut slot = (hash as usize) & mask;
         loop {
             let entry = self.table[slot];
             if entry == EMPTY_SLOT {
-                return None;
+                return Err(slot);
             }
             if entry & 0xFFFF_FFFF_0000_0000 == fingerprint {
                 let id = entry as u32;
                 if self.nodes[id as usize - self.base_len] == *node {
-                    return Some(InternId(id));
+                    return Ok(InternId(id));
                 }
             }
             slot = (slot + 1) & mask;
@@ -341,37 +323,33 @@ impl Interner {
     /// Probe the whole chain.  The local level goes first (it is small and
     /// hot — streaming dedup hits it on every repeated world), then the
     /// frozen base levels; a node is only ever stored at one level, so the
-    /// order does not affect the answer.
-    fn find(&self, hash: u64, node: &Node) -> Option<InternId> {
-        if let Some(id) = self.find_local(hash, node) {
-            return Some(id);
-        }
+    /// order does not affect the answer.  On a miss, the local empty slot
+    /// the probe stopped at is returned for the insertion.
+    fn find(&self, hash: u64, node: &Node) -> Result<InternId, usize> {
+        let slot = match self.find_local(hash, node) {
+            Ok(id) => return Ok(id),
+            Err(slot) => slot,
+        };
         if self.could_be_in_base(node) {
             let mut level = self.base.as_deref();
             while let Some(arena) = level {
-                if let Some(id) = arena.find_local(hash, node) {
-                    return Some(id);
+                if let Ok(id) = arena.find_local(hash, node) {
+                    return Ok(id);
                 }
                 level = arena.base.as_deref();
             }
         }
-        None
+        Err(slot)
     }
 
     fn insert(&mut self, node: Node) -> InternId {
         let hash = Self::node_hash(&node);
-        if let Some(id) = self.find(hash, &node) {
-            return id;
-        }
+        let slot = match self.find(hash, &node) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
         let raw = u32::try_from(self.len()).expect("intern arena overflow");
         assert_ne!(raw, u32::MAX, "intern arena overflow");
-        // find() left no slot cursor behind (the chain was probed); re-probe
-        // the local table for the insertion slot.
-        let mask = self.table.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        while self.table[slot] != EMPTY_SLOT {
-            slot = (slot + 1) & mask;
-        }
         self.nodes.push(node);
         self.hashes.push(hash);
         self.table[slot] = slot_entry(hash, raw);
@@ -382,8 +360,20 @@ impl Interner {
         InternId(raw)
     }
 
+    /// The table hash of a node.  A pair — the node α-expansion and row
+    /// construction intern most — hashes its two ids with one
+    /// multiply-fold: the 64-bit word `a:b` times an odd constant, the
+    /// 128-bit product's halves xored, so both the low bits (the slot) and
+    /// the high bits (the fingerprint) depend on every input bit.  Other
+    /// nodes go through FNV-1a over their derived `Hash`.
     fn node_hash(node: &Node) -> u64 {
         use std::hash::{Hash, Hasher};
+        if let Node::Pair(a, b) = node {
+            const K: u128 = 0x9E37_79B9_7F4A_7C15;
+            let word = (u64::from(a.0) << 32) | u64::from(b.0);
+            let product = u128::from(word) * K;
+            return (product as u64) ^ ((product >> 64) as u64);
+        }
         let mut h = FnvHasher::default();
         node.hash(&mut h);
         h.finish()
@@ -1039,5 +1029,39 @@ mod tests {
         }
         // 5 leaves + at most 5*5 distinct two-element sets
         assert!(arena.len() <= 5 + 25, "arena grew to {}", arena.len());
+    }
+
+    /// The pair hash spreads a dense grid of id pairs — the shape
+    /// α-expansion interns — over the slot bits and the fingerprint bits
+    /// alike, and interning the grid twice finds every pair again across
+    /// table growth.
+    #[test]
+    fn pair_hashes_spread_over_slots_and_fingerprints() {
+        let mut slots = HashSet::new();
+        let mut fingerprints = HashSet::new();
+        for a in 0..64u32 {
+            for b in 0..64u32 {
+                let h = Interner::node_hash(&Node::Pair(InternId(a), InternId(b)));
+                slots.insert(h & 0xFFF);
+                fingerprints.insert(h >> 32);
+            }
+        }
+        assert!(slots.len() > 2000, "{} of 4096 slots", slots.len());
+        assert_eq!(fingerprints.len(), 4096);
+        let mut arena = Interner::new();
+        let leaves: Vec<InternId> = (0..64).map(|i| arena.int(i)).collect();
+        let grid = |arena: &mut Interner| -> Vec<InternId> {
+            let mut ids = Vec::new();
+            for &a in &leaves {
+                for &b in &leaves {
+                    ids.push(arena.pair(a, b));
+                }
+            }
+            ids
+        };
+        let first = grid(&mut arena);
+        assert_eq!(arena.len(), 64 + 64 * 64);
+        assert_eq!(grid(&mut arena), first);
+        assert_eq!(arena.len(), 64 + 64 * 64);
     }
 }

@@ -311,40 +311,47 @@ impl Value {
         }
     }
 
-    /// Infer a type for the object, if one exists.  Empty collections are
-    /// given element type `unit`; heterogeneous collections fail.
+    /// Infer a type for the object, if one exists.  A collection's element
+    /// type is inferred from **all** its elements, position by position: an
+    /// empty collection inside one element takes its element type from the
+    /// same position in any sibling (`{(<>, <1>), (<2>, <>)}` is
+    /// `{<int> × <int>}`), and only a position no element fills is given
+    /// element type `unit`.  Heterogeneous collections fail.
+    /// A null takes its base type from a sibling; a null no sibling types
+    /// is an error.
     pub fn infer_type(&self) -> Result<Type, ValueError> {
-        match self {
-            Value::Unit => Ok(Type::Unit),
-            Value::Bool(_) => Ok(Type::Bool),
-            Value::Int(_) => Ok(Type::Int),
-            Value::Str(_) => Ok(Type::Str),
-            Value::Null => Err(ValueError::Shape(
-                "cannot infer the base type of a null".into(),
-            )),
-            Value::Pair(a, b) => Ok(Type::prod(a.infer_type()?, b.infer_type()?)),
-            Value::Set(v) | Value::OrSet(v) | Value::Bag(v) => {
-                let elem = match v.first() {
-                    None => Type::Unit,
-                    Some(first) => {
-                        let t = first.infer_type()?;
-                        for other in &v[1..] {
-                            if !other.has_type(&t) {
-                                return Err(ValueError::Shape(format!(
-                                    "heterogeneous collection: {other} is not of type {t}"
-                                )));
-                            }
-                        }
-                        t
-                    }
-                };
-                Ok(match self {
-                    Value::Set(_) => Type::set(elem),
-                    Value::OrSet(_) => Type::orset(elem),
-                    _ => Type::bag(elem),
-                })
+        self.infer_partial()?
+            .fill()
+            .ok_or_else(|| ValueError::Shape("cannot infer the base type of a null".into()))
+    }
+
+    fn infer_partial(&self) -> Result<Partial, ValueError> {
+        Ok(match self {
+            Value::Unit => Partial::Base(Type::Unit),
+            Value::Bool(_) => Partial::Base(Type::Bool),
+            Value::Int(_) => Partial::Base(Type::Int),
+            Value::Str(_) => Partial::Base(Type::Str),
+            Value::Null => Partial::Null,
+            Value::Pair(a, b) => {
+                Partial::Prod(Box::new(a.infer_partial()?), Box::new(b.infer_partial()?))
             }
-        }
+            Value::Set(v) | Value::OrSet(v) | Value::Bag(v) => {
+                let mut elem = Partial::Hole;
+                for item in v.iter() {
+                    elem = elem.unify(item.infer_partial()?).ok_or_else(|| {
+                        ValueError::Shape(format!(
+                            "heterogeneous collection: {item} does not match the elements before it"
+                        ))
+                    })?;
+                }
+                let kind = match self {
+                    Value::Set(_) => CollKind::Set,
+                    Value::OrSet(_) => CollKind::OrSet,
+                    _ => CollKind::Bag,
+                };
+                Partial::Coll(kind, Box::new(elem))
+            }
+        })
     }
 
     /// Iterate over every sub-object (including `self`), outermost first.
@@ -365,6 +372,59 @@ impl Value {
             }
         }
         out
+    }
+}
+
+/// A type inferred from part of a value: `Hole` where only empty
+/// collections have been seen so far and `Null` where only nulls (some base
+/// type), so a sibling can still fill them in.
+enum Partial {
+    Hole,
+    Null,
+    Base(Type),
+    Prod(Box<Partial>, Box<Partial>),
+    Coll(CollKind, Box<Partial>),
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum CollKind {
+    Set,
+    OrSet,
+    Bag,
+}
+
+impl Partial {
+    /// The most specific type both agree with, if any.
+    fn unify(self, other: Partial) -> Option<Partial> {
+        Some(match (self, other) {
+            (Partial::Hole, p) | (p, Partial::Hole) => p,
+            (Partial::Null, Partial::Null) => Partial::Null,
+            (Partial::Null, Partial::Base(t)) | (Partial::Base(t), Partial::Null) => {
+                Partial::Base(t)
+            }
+            (Partial::Base(s), Partial::Base(t)) => (s == t).then_some(Partial::Base(s))?,
+            (Partial::Prod(a, b), Partial::Prod(c, d)) => {
+                Partial::Prod(Box::new(a.unify(*c)?), Box::new(b.unify(*d)?))
+            }
+            (Partial::Coll(k, a), Partial::Coll(l, b)) if k == l => {
+                Partial::Coll(k, Box::new(a.unify(*b)?))
+            }
+            _ => return None,
+        })
+    }
+
+    /// The type, with every remaining hole read as `unit`; `None` if a
+    /// null was never given a base type.
+    fn fill(self) -> Option<Type> {
+        Some(match self {
+            Partial::Hole => Type::Unit,
+            Partial::Null => return None,
+            Partial::Base(t) => t,
+            Partial::Prod(a, b) => Type::prod(a.fill()?, b.fill()?),
+            Partial::Coll(CollKind::Set, t) => Type::set(t.fill()?),
+            Partial::Coll(CollKind::OrSet, t) => Type::orset(t.fill()?),
+            Partial::Coll(CollKind::Bag, t) => Type::bag(t.fill()?),
+        })
     }
 }
 
@@ -452,6 +512,40 @@ mod tests {
     fn infer_type_rejects_heterogeneous_collections() {
         let v = Value::set([Value::Int(1), Value::Bool(true)]);
         assert!(v.infer_type().is_err());
+    }
+
+    /// An empty collection takes its element type from the same position
+    /// in any sibling, whichever element comes first; a position no
+    /// element fills stays `unit`, and a real clash is still an error.
+    #[test]
+    fn infer_type_fills_empty_collections_from_siblings() {
+        let row = |a: &[i64], b: &[i64]| {
+            Value::pair(
+                Value::int_orset(a.iter().copied()),
+                Value::int_orset(b.iter().copied()),
+            )
+        };
+        let ints = Type::set(Type::prod(Type::orset(Type::Int), Type::orset(Type::Int)));
+        let v = Value::set([row(&[], &[1]), row(&[2], &[3, 4])]);
+        assert_eq!(v.infer_type().unwrap(), ints);
+        let v = Value::set([row(&[], &[1]), row(&[2], &[])]);
+        assert_eq!(v.infer_type().unwrap(), ints);
+        let v = Value::set([row(&[], &[1]), row(&[], &[])]);
+        assert_eq!(
+            v.infer_type().unwrap(),
+            Type::set(Type::prod(Type::orset(Type::Unit), Type::orset(Type::Int)))
+        );
+        let clash = Value::set([
+            Value::pair(Value::empty_orset(), Value::int_orset([1])),
+            Value::pair(Value::orset([Value::Bool(true)]), Value::empty_set()),
+        ]);
+        assert!(clash.infer_type().is_err());
+        let kinds = Value::set([Value::empty_set(), Value::int_orset([1])]);
+        assert!(kinds.infer_type().is_err());
+        // a null is typed by a sibling, never on its own
+        let nulls = Value::set([Value::Null, Value::Int(3)]);
+        assert_eq!(nulls.infer_type().unwrap(), Type::set(Type::Int));
+        assert!(Value::set([Value::Null]).infer_type().is_err());
     }
 
     #[test]

@@ -533,7 +533,11 @@ mod tests {
     fn load_query_and_stats_without_http() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
         server
-            .load_db("example", "let db = { (1, 10), (2, 20), (3, 30) }")
+            .load_db(
+                "example",
+                "let db = { (1, 10), (2, 20), (3, 30) }\n\
+                 let options = { (1, (<|1, 2|>, <|10|>)), (2, (<|3|>, <|30, 40|>)) }",
+            )
             .unwrap();
         assert_eq!(server.db_names(), vec!["example".to_string()]);
         let request = r#"{"db": "example", "statement": "{ fst(p) | p <- db, snd(p) <= 20 }"}"#;
@@ -555,6 +559,22 @@ mod tests {
         assert_eq!(example.get("plan_cache_hits").unwrap().as_u64(), Some(1));
         // the benchmark-shaped filter+project runs fully columnar
         assert!(example.get("columnar_batches").unwrap().as_u64() >= Some(1));
+        assert_eq!(
+            example.get("scalar_fallback_batches").unwrap().as_u64(),
+            Some(0)
+        );
+        // and so does an `ormember` scan, through the fused membership step
+        let columnar = example.get("columnar_batches").unwrap().as_u64();
+        let request = r#"{"db": "example", "statement": "{ fst(r) | r <- options, ormember(1, fst(snd(r))) }"}"#;
+        let (status, body) = query(&server.state, request);
+        assert_eq!(status, 200, "{body}");
+        let parsed = Json::parse(&body).unwrap();
+        assert_eq!(parsed.get("value").unwrap().as_str(), Some("{1}"));
+        assert_eq!(parsed.get("route").unwrap().as_str(), Some("engine"));
+        let (_, body) = stats(&server.state);
+        let parsed = Json::parse(&body).unwrap();
+        let example = parsed.get("dbs").unwrap().get("example").unwrap();
+        assert!(example.get("columnar_batches").unwrap().as_u64() > columnar);
         assert_eq!(
             example.get("scalar_fallback_batches").unwrap().as_u64(),
             Some(0)

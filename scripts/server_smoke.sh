@@ -76,6 +76,15 @@ echo "$out" | grep -q '"route":"engine"' || { echo "choices not engine-served: $
 curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ c | c <- choices }"}' \
     | grep -qF "\"value\":\"$WANT\""
 
+# the `colour_one` binding's `ormember` guard is engine-served: one fused
+# membership step over each row's colour or-set
+MEMBER='{ fst(r) | r <- options, ormember(1, fst(snd(r))) }'
+out="$(curl -sf -X POST "$BASE/query" -d "{\"db\":\"example\",\"statement\":\"$MEMBER\"}")"
+echo "$out" | grep -qF '"value":"{1}"' || { echo "bad ormember result: $out"; exit 1; }
+echo "$out" | grep -q '"route":"engine"' || { echo "ormember not engine-served: $out"; exit 1; }
+curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ c | c <- colour_one }"}' \
+    | grep -qF '"value":"{1}"'
+
 # hostile nesting: a 100 000-deep JSON body is a 400 and a 100 000-deep
 # statement a 422 (parse errors, not a stack overflow), and the server
 # keeps serving

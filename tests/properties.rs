@@ -321,13 +321,16 @@ proptest! {
     /// (pointwise, in order), sharing structure through the arena.
     #[test]
     fn interned_expansion_matches_eager_denotations((_, v) in typed_or_object()) {
+        use or_nra::lazy::ExpandProgram;
         use or_object::intern::Interner;
         prop_assume!(denotation_count(&v) <= 512);
         let eager = denotations(&v);
         let mut arena = Interner::new();
-        let mut lazy = LazyNormalizer::new(&v);
+        let row = arena.intern(&v);
+        let mut program = ExpandProgram::new();
+        program.reset(&arena, row);
         let mut decoded = Vec::new();
-        while let Some(id) = lazy.next_interned(&mut arena) {
+        while let Some(id) = program.next_world(&mut arena) {
             decoded.push(arena.value(id));
         }
         prop_assert_eq!(decoded, eager);
@@ -761,6 +764,72 @@ proptest! {
             prop_assert_eq!(s_stats.fallback, 0, "fallbacks: {:?}", s_stats.fallback_reasons);
             prop_assert!(c_stats.columnar_batches >= 1);
             prop_assert_eq!(s_stats.columnar_batches, 0);
+        }
+    }
+
+    /// Differential test for membership guards: `ormember` and `member`
+    /// with constant and column elements, over or-sets of ints and of
+    /// pairs (some empty), answer the same through the fused columnar
+    /// membership scan, through the scalar path, and in the interpreter,
+    /// at forced worker counts {1, 2, 4}.
+    #[test]
+    fn membership_guards_agree_with_interpreter(
+        seed in any::<u64>(), rows in 1usize..=40
+    ) {
+        use or_engine::ExecConfig;
+        use or_lang::session::Session;
+
+        // (id, (<ints>, (<pairs>, {ints}))); every or-set and set may be
+        // empty, but row 0 fills every field's element type
+        let opts = Value::set((0..rows as i64).map(|i| {
+            let h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i as u64);
+            let width = |salt: u64| if i == 0 { 2 } else { ((h >> salt) % 4) as i64 };
+            let ints = |salt: u64| (0..width(salt)).map(move |k| ((h >> (salt + 8)) as i64 + k) % 6);
+            Value::pair(
+                Value::Int(i % 6),
+                Value::pair(
+                    Value::int_orset(ints(0)),
+                    Value::pair(
+                        Value::orset(ints(16).map(|k| Value::pair(Value::Int(k), Value::Int(k % 2)))),
+                        Value::int_set(ints(32)),
+                    ),
+                ),
+            )
+        }));
+        let k = (seed % 6) as i64;
+        let script = [
+            format!("{{ r | r <- opts, ormember({k}, fst(snd(r))) }}"),
+            "{ r | r <- opts, ormember(fst(r), fst(snd(r))) }".to_string(),
+            format!("{{ fst(r) | r <- opts, !ormember({k}, fst(snd(r))) }}"),
+            format!("let k = {k} in {{ fst(r) | r <- opts, ormember(k, fst(snd(r))) }}"),
+            "{ fst(r) | r <- opts, ormember((1, 1), fst(snd(snd(r)))) }".to_string(),
+            "{ fst(r) | r <- opts, ormember((fst(r), 0), fst(snd(snd(r)))) }".to_string(),
+            format!("{{ fst(r) | r <- opts, member({k}, snd(snd(snd(r)))) }}"),
+            "{ fst(r) | r <- opts, !member(fst(r), snd(snd(snd(r)))) }".to_string(),
+        ];
+        let mut interp = Session::new();
+        interp.bind("opts", opts.clone());
+        let expected: Vec<Value> = script
+            .iter()
+            .map(|stmt| interp.run(stmt).unwrap().value)
+            .collect();
+        for workers in [1usize, 2, 4] {
+            let base = ExecConfig::default().with_pinned_workers(workers).with_batch_size(8);
+            let mut columnar = Session::with_engine(base);
+            let mut scalar = Session::with_engine(base.with_columnar(false));
+            for s in [&mut columnar, &mut scalar] {
+                s.bind("opts", opts.clone());
+            }
+            for (stmt, want) in script.iter().zip(&expected) {
+                let c = columnar.run(stmt).unwrap();
+                let s = scalar.run(stmt).unwrap();
+                prop_assert_eq!(&c.value, want, "columnar: {} ({} workers)", stmt, workers);
+                prop_assert_eq!(&s.value, want, "scalar: {} ({} workers)", stmt, workers);
+            }
+            let c_stats = columnar.engine_stats();
+            prop_assert_eq!(c_stats.fallback, 0, "fallbacks: {:?}", c_stats.fallback_reasons);
+            prop_assert!(c_stats.columnar_batches >= 1);
+            prop_assert_eq!(scalar.engine_stats().columnar_batches, 0);
         }
     }
 
