@@ -462,10 +462,9 @@ fn unsupported_morphisms_report_lower_errors() {
 #[test]
 fn the_comprehension_env_scaffold_is_not_lowered() {
     // the shape compile_query emits for `{ x | x <- db }`:
-    // map(π₂) ∘ μ ∘ map(ρ₂ ∘ ⟨id, π₂⟩) ∘ η ∘ ⟨!, id⟩
-    let query = M::pair(M::Bang, M::Id)
-        .then(M::Eta)
-        .then(M::map(M::pair(M::Id, M::Proj2).then(M::Rho2)))
+    // map(π₂) ∘ μ ∘ map(ρ₂ ∘ ⟨id, id⟩) ∘ η
+    let query = M::Eta
+        .then(M::map(M::pair(M::Id, M::Id).then(M::Rho2)))
         .then(M::Mu)
         .then(M::map(M::Proj2));
     assert!(lower(&query).is_err());

@@ -293,66 +293,70 @@ impl Expr {
     /// qualifiers see the variables of earlier generators.
     pub fn free_vars(&self) -> Vec<String> {
         let mut out = std::collections::BTreeSet::new();
-        let mut bound: Vec<String> = Vec::new();
-        collect_free(self, &mut bound, &mut out);
-        return out.into_iter().collect();
+        self.walk_scoped(&mut Vec::new(), &mut |e, bound| {
+            if let Expr::Var(name) = e {
+                if !bound.contains(name) {
+                    out.insert(name.clone());
+                }
+            }
+            true
+        });
+        out.into_iter().collect()
+    }
 
-        fn collect_free(
-            e: &Expr,
-            bound: &mut Vec<String>,
-            out: &mut std::collections::BTreeSet<String>,
-        ) {
-            match e {
-                Expr::Unit | Expr::Int(_) | Expr::Bool(_) | Expr::Str(_) => {}
-                Expr::Var(name) => {
-                    if !bound.iter().any(|b| b == name) {
-                        out.insert(name.clone());
-                    }
+    /// Visit the expression and its subexpressions, outermost first, each
+    /// with the names bound around it by `let`s and comprehension
+    /// generators (innermost last), under the scoping of
+    /// [`Expr::free_vars`].  `visit` returns whether to descend into the
+    /// node's children.
+    pub(crate) fn walk_scoped(
+        &self,
+        bound: &mut Vec<String>,
+        visit: &mut impl FnMut(&Expr, &[String]) -> bool,
+    ) {
+        if !visit(self, bound) {
+            return;
+        }
+        match self {
+            Expr::Unit | Expr::Int(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => {}
+            Expr::Pair(a, b) | Expr::BinOp(_, a, b) => {
+                a.walk_scoped(bound, visit);
+                b.walk_scoped(bound, visit);
+            }
+            Expr::Not(a) => a.walk_scoped(bound, visit),
+            Expr::SetLit(items) | Expr::OrSetLit(items) | Expr::Call(_, items) => {
+                for item in items {
+                    item.walk_scoped(bound, visit);
                 }
-                Expr::Pair(a, b) | Expr::BinOp(_, a, b) => {
-                    collect_free(a, bound, out);
-                    collect_free(b, bound, out);
-                }
-                Expr::Not(a) => collect_free(a, bound, out),
-                Expr::SetLit(items) | Expr::OrSetLit(items) => {
-                    for item in items {
-                        collect_free(item, bound, out);
-                    }
-                }
-                Expr::SetComp { head, qualifiers } | Expr::OrSetComp { head, qualifiers } => {
-                    let depth = bound.len();
-                    for q in qualifiers {
-                        match q {
-                            Qualifier::Generator(name, source) => {
-                                collect_free(source, bound, out);
-                                bound.push(name.clone());
-                            }
-                            Qualifier::Guard(g) => collect_free(g, bound, out),
+            }
+            Expr::SetComp { head, qualifiers } | Expr::OrSetComp { head, qualifiers } => {
+                let depth = bound.len();
+                for q in qualifiers {
+                    match q {
+                        Qualifier::Generator(name, source) => {
+                            source.walk_scoped(bound, visit);
+                            bound.push(name.clone());
                         }
-                    }
-                    collect_free(head, bound, out);
-                    bound.truncate(depth);
-                }
-                Expr::Let { name, value, body } => {
-                    collect_free(value, bound, out);
-                    bound.push(name.clone());
-                    collect_free(body, bound, out);
-                    bound.pop();
-                }
-                Expr::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    collect_free(cond, bound, out);
-                    collect_free(then_branch, bound, out);
-                    collect_free(else_branch, bound, out);
-                }
-                Expr::Call(_, args) => {
-                    for arg in args {
-                        collect_free(arg, bound, out);
+                        Qualifier::Guard(g) => g.walk_scoped(bound, visit),
                     }
                 }
+                head.walk_scoped(bound, visit);
+                bound.truncate(depth);
+            }
+            Expr::Let { name, value, body } => {
+                value.walk_scoped(bound, visit);
+                bound.push(name.clone());
+                body.walk_scoped(bound, visit);
+                bound.pop();
+            }
+            Expr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                cond.walk_scoped(bound, visit);
+                then_branch.walk_scoped(bound, visit);
+                else_branch.walk_scoped(bound, visit);
             }
         }
     }

@@ -6,11 +6,29 @@
 //! `orμ ∘ ormap(cond(ischeap, orη, K<> ∘ !)) ∘ normalize`.
 //!
 //! Variables are compiled away by the standard categorical environment
-//! translation: an expression with free variables `v₀,…,vₙ₋₁` becomes a
-//! morphism whose input is the left-nested environment tuple
-//! `((…(unit, v₀)…), vₙ₋₁)`; variable access is a chain of projections, `let`
-//! extends the tuple, and comprehension generators extend it inside
-//! `map`/`ormap` after pairing with `ρ₂`/`orρ₂`.
+//! translation.  An expression with free variables `v₀,…,vₙ₋₁` becomes a
+//! morphism whose input is the left-nested **tuple** of their values,
+//! `((v₀, v₁), v₂)` — for one variable its value itself, and for none any
+//! input.  This is the row tuple of the physical engine, so the planner
+//! compiles guards and heads against the engine's rows as they are.  A
+//! variable is its own projection path into the tuple; `let` and the
+//! generators of a nested comprehension extend the input to
+//! `((t, b₀), b₁)` inside `⟨id, value⟩` and `map`/`ormap` after pairing
+//! with `ρ₂`/`orρ₂`.
+//!
+//! The compiled morphism comes out **factored** as `e' ∘ π`, where `π` is
+//! the longest projection path that every read of the tuple shares.  A read
+//! of the tuple is a maximal `fst`/`snd` chain over a tuple variable that no
+//! binder shadows; inside a `let` or a nested comprehension, the reads in
+//! the bound values count, not the reads of the bound names.  One syntactic
+//! pass finds `π` and nothing is inlined, so the result has the size of the
+//! expression.  The factored form is what the engine's optimizers read:
+//! `e'` pairs only at the type `π` projects to, which is what the paper's
+//! Theorem 5.1 conditions ask of an operator below an α-expansion, and the
+//! columnar kernels gather `π` as a field path.  Builtins keep their
+//! algebraic shape (`ormember(a, b)` is `or_member ∘ ⟨a, b⟩`), and an
+//! equality across two variables, whose sides share no prefix, stays
+//! `eq ∘ ⟨f ∘ π₁, g ∘ π₂⟩` — the equi-join shape.
 
 use std::fmt;
 
@@ -44,56 +62,128 @@ fn err<T>(message: impl Into<String>) -> Result<T, CompileError> {
 }
 
 /// Compile an expression whose free variables are exactly `vars` into a
-/// morphism from the left-nested environment tuple
-/// `((…(unit, vars[0])…), vars[n-1])` to the expression's value.
+/// morphism from the left-nested tuple `((vars[0], vars[1]), …, vars[n-1])`
+/// of their values (`vars[0]`'s value itself when `n = 1`) to the
+/// expression's value, factored as `e' ∘ π` (see the module docs).  A
+/// later variable of the same name shadows an earlier one.
 pub fn compile_with_env(expr: &Expr, vars: &[String]) -> Result<M, CompileError> {
-    let mut env: Vec<String> = vars.to_vec();
-    compile(expr, &mut env)
+    let mut shared: Option<Vec<M>> = None;
+    expr.walk_scoped(&mut Vec::new(), &mut |e, bound| {
+        let Some(path) = tuple_read(e, vars, bound) else {
+            return true;
+        };
+        match &mut shared {
+            None => shared = Some(path),
+            Some(prefix) => {
+                let common = prefix.iter().zip(&path).take_while(|(a, b)| a == b).count();
+                prefix.truncate(common);
+            }
+        }
+        false
+    });
+    let pi = shared.unwrap_or_default();
+    let mut scope = Scope {
+        vars,
+        cut: pi.len(),
+        bound: Vec::new(),
+    };
+    let body = compile(expr, &mut scope)?;
+    Ok(match (pi.is_empty(), body) {
+        (true, body) => body,
+        (false, M::Id) => path(pi),
+        (false, body) => M::compose(body, path(pi)),
+    })
 }
 
 /// Compile a single-parameter query `param ↦ expr` into a morphism whose
 /// input is the parameter value itself.
 pub fn compile_query(expr: &Expr, param: &str) -> Result<M, CompileError> {
-    let body = compile_with_env(expr, &[param.to_string()])?;
-    Ok(M::pair(M::Bang, M::Id).then(body))
+    compile_with_env(expr, &[param.to_string()])
 }
 
 /// Compile a closed expression into a morphism that ignores its input.
 pub fn compile_closed(expr: &Expr) -> Result<M, CompileError> {
-    let body = compile_with_env(expr, &[])?;
-    Ok(M::Bang.then(body))
+    Ok(M::Bang.then(compile_with_env(expr, &[])?))
 }
 
-/// Access the `i`-th variable (0-based, outermost first) of an `n`-variable
-/// environment tuple.
-fn access(i: usize, n: usize) -> M {
-    let mut m = M::Id;
-    for _ in 0..(n - 1 - i) {
-        m = m.then(M::Proj1);
+/// The projection path (application order) of variable `i` of an
+/// `n`-variable tuple `((v₀, v₁), v₂)`: `π₁ⁿ⁻¹` for `v₀`, `π₂ ∘ π₁ⁿ⁻¹⁻ⁱ`
+/// for the others.
+fn var_path(i: usize, n: usize) -> Vec<M> {
+    let mut path = vec![M::Proj1; n - 1 - i];
+    if i > 0 {
+        path.push(M::Proj2);
     }
-    m.then(M::Proj2)
+    path
 }
 
-fn compile(expr: &Expr, env: &mut Vec<String>) -> Result<M, CompileError> {
+/// The projection path into the tuple that `expr` reads, when `expr` is a
+/// `fst`/`snd` chain over a tuple variable that `bound` does not shadow.
+fn tuple_read(expr: &Expr, vars: &[String], bound: &[String]) -> Option<Vec<M>> {
+    match expr {
+        Expr::Var(name) if !bound.contains(name) => {
+            let i = vars.iter().rposition(|v| v == name)?;
+            Some(var_path(i, vars.len()))
+        }
+        Expr::Call(step @ (Builtin::Fst | Builtin::Snd), args) if args.len() == 1 => {
+            let mut path = tuple_read(&args[0], vars, bound)?;
+            path.push(if *step == Builtin::Fst {
+                M::Proj1
+            } else {
+                M::Proj2
+            });
+            Some(path)
+        }
+        _ => None,
+    }
+}
+
+/// A projection path as one morphism (`id` when empty).
+fn path(steps: Vec<M>) -> M {
+    steps.into_iter().reduce(M::then).unwrap_or(M::Id)
+}
+
+/// What a subexpression is compiled against: the input is `π(t)` — the
+/// tuple of `vars`' values with the shared path's first `cut` steps applied
+/// — extended by one component per name in `bound`, `((π(t), b₀), b₁)`.
+struct Scope<'a> {
+    vars: &'a [String],
+    cut: usize,
+    bound: Vec<String>,
+}
+
+fn compile(expr: &Expr, scope: &mut Scope<'_>) -> Result<M, CompileError> {
+    if let Some(read) = tuple_read(expr, scope.vars, &scope.bound) {
+        // below the binders to `π(t)`, then along the rest of the read
+        let mut steps = vec![M::Proj1; scope.bound.len()];
+        steps.extend_from_slice(&read[scope.cut..]);
+        return Ok(path(steps));
+    }
     match expr {
         Expr::Unit => Ok(M::constant(Value::Unit)),
         Expr::Int(i) => Ok(M::constant(Value::Int(*i))),
         Expr::Bool(b) => Ok(M::constant(Value::Bool(*b))),
         Expr::Str(s) => Ok(M::constant(Value::str(s.clone()))),
-        Expr::Var(name) => match env.iter().rposition(|v| v == name) {
-            Some(i) => Ok(access(i, env.len())),
+        Expr::Var(name) => match scope.bound.iter().rposition(|v| v == name) {
+            Some(j) => {
+                let mut steps = vec![M::Proj1; scope.bound.len() - 1 - j];
+                steps.push(M::Proj2);
+                Ok(path(steps))
+            }
             None => err(format!("unbound variable {name}")),
         },
-        Expr::Pair(a, b) => Ok(M::pair(compile(a, env)?, compile(b, env)?)),
-        Expr::SetLit(items) => compile_collection(items, env, true),
-        Expr::OrSetLit(items) => compile_collection(items, env, false),
-        Expr::SetComp { head, qualifiers } => compile_comprehension(head, qualifiers, env, true),
-        Expr::OrSetComp { head, qualifiers } => compile_comprehension(head, qualifiers, env, false),
+        Expr::Pair(a, b) => Ok(M::pair(compile(a, scope)?, compile(b, scope)?)),
+        Expr::SetLit(items) => compile_collection(items, scope, true),
+        Expr::OrSetLit(items) => compile_collection(items, scope, false),
+        Expr::SetComp { head, qualifiers } => compile_comprehension(head, qualifiers, scope, true),
+        Expr::OrSetComp { head, qualifiers } => {
+            compile_comprehension(head, qualifiers, scope, false)
+        }
         Expr::Let { name, value, body } => {
-            let value_m = compile(value, env)?;
-            env.push(name.clone());
-            let body_m = compile(body, env);
-            env.pop();
+            let value_m = compile(value, scope)?;
+            scope.bound.push(name.clone());
+            let body_m = compile(body, scope);
+            scope.bound.pop();
             Ok(M::pair(M::Id, value_m).then(body_m?))
         }
         Expr::If {
@@ -101,13 +191,13 @@ fn compile(expr: &Expr, env: &mut Vec<String>) -> Result<M, CompileError> {
             then_branch,
             else_branch,
         } => Ok(M::cond(
-            compile(cond, env)?,
-            compile(then_branch, env)?,
-            compile(else_branch, env)?,
+            compile(cond, scope)?,
+            compile(then_branch, scope)?,
+            compile(else_branch, scope)?,
         )),
         Expr::BinOp(op, a, b) => {
-            let ca = compile(a, env)?;
-            let cb = compile(b, env)?;
+            let ca = compile(a, scope)?;
+            let cb = compile(b, scope)?;
             Ok(match op {
                 BinOp::Add => M::pair(ca, cb).then(M::Prim(Prim::Plus)),
                 BinOp::Sub => M::pair(ca, cb).then(M::Prim(Prim::Minus)),
@@ -122,14 +212,14 @@ fn compile(expr: &Expr, env: &mut Vec<String>) -> Result<M, CompileError> {
                 BinOp::Neq => M::pair(ca, cb).then(M::Eq).then(M::Prim(Prim::Not)),
             })
         }
-        Expr::Not(a) => Ok(compile(a, env)?.then(M::Prim(Prim::Not))),
-        Expr::Call(builtin, args) => compile_call(*builtin, args, env),
+        Expr::Not(a) => Ok(compile(a, scope)?.then(M::Prim(Prim::Not))),
+        Expr::Call(builtin, args) => compile_call(*builtin, args, scope),
     }
 }
 
 fn compile_collection(
     items: &[Expr],
-    env: &mut Vec<String>,
+    scope: &mut Scope<'_>,
     is_set: bool,
 ) -> Result<M, CompileError> {
     let (empty, single, union): (M, M, M) = if is_set {
@@ -139,7 +229,7 @@ fn compile_collection(
     };
     let mut acc: Option<M> = None;
     for item in items {
-        let elem = compile(item, env)?.then(single.clone());
+        let elem = compile(item, scope)?.then(single.clone());
         acc = Some(match acc {
             None => elem,
             Some(prev) => M::pair(prev, elem).then(union.clone()),
@@ -151,11 +241,11 @@ fn compile_collection(
 fn compile_comprehension(
     head: &Expr,
     qualifiers: &[Qualifier],
-    env: &mut Vec<String>,
+    scope: &mut Scope<'_>,
     is_set: bool,
 ) -> Result<M, CompileError> {
-    // `cur` maps the outer environment tuple to the collection of extended
-    // environment tuples accumulated so far.
+    // `cur` maps the outer input to the collection of extended inputs
+    // `(input, element)` accumulated so far.
     let (single, flatten, rho): (M, M, M) = if is_set {
         (M::Eta, M::Mu, M::Rho2)
     } else {
@@ -175,23 +265,23 @@ fn compile_comprehension(
     for q in qualifiers {
         match q {
             Qualifier::Generator(name, source) => {
-                let source_m = match compile(source, env) {
+                let source_m = match compile(source, scope) {
                     Ok(m) => m,
                     Err(e) => {
                         result = Err(e);
                         break;
                     }
                 };
-                // extend every environment tuple e with each element of
-                // source(e): map(ρ ∘ ⟨id, source⟩) then flatten
+                // extend every input e with each element of source(e):
+                // map(ρ ∘ ⟨id, source⟩) then flatten
                 cur = cur
                     .then(map_op(M::pair(M::Id, source_m).then(rho.clone())))
                     .then(flatten.clone());
-                env.push(name.clone());
+                scope.bound.push(name.clone());
                 added += 1;
             }
             Qualifier::Guard(g) => {
-                let guard_m = match compile(g, env) {
+                let guard_m = match compile(g, scope) {
                     Ok(m) => m,
                     Err(e) => {
                         result = Err(e);
@@ -203,15 +293,15 @@ fn compile_comprehension(
         }
     }
     if result.is_ok() {
-        result = compile(head, env).map(|head_m| cur.then(map_op(head_m)));
+        result = compile(head, scope).map(|head_m| cur.then(map_op(head_m)));
     }
     for _ in 0..added {
-        env.pop();
+        scope.bound.pop();
     }
     result
 }
 
-fn compile_call(builtin: Builtin, args: &[Expr], env: &mut Vec<String>) -> Result<M, CompileError> {
+fn compile_call(builtin: Builtin, args: &[Expr], scope: &mut Scope<'_>) -> Result<M, CompileError> {
     if args.len() != builtin.arity() {
         return err(format!(
             "{} expects {} argument(s), got {}",
@@ -220,33 +310,33 @@ fn compile_call(builtin: Builtin, args: &[Expr], env: &mut Vec<String>) -> Resul
             args.len()
         ));
     }
-    let unary = |m: M, args: &[Expr], env: &mut Vec<String>| -> Result<M, CompileError> {
-        Ok(compile(&args[0], env)?.then(m))
+    let unary = |m: M, args: &[Expr], scope: &mut Scope<'_>| -> Result<M, CompileError> {
+        Ok(compile(&args[0], scope)?.then(m))
     };
-    let binary = |m: M, args: &[Expr], env: &mut Vec<String>| -> Result<M, CompileError> {
-        let a = compile(&args[0], env)?;
-        let b = compile(&args[1], env)?;
+    let binary = |m: M, args: &[Expr], scope: &mut Scope<'_>| -> Result<M, CompileError> {
+        let a = compile(&args[0], scope)?;
+        let b = compile(&args[1], scope)?;
         Ok(M::pair(a, b).then(m))
     };
     match builtin {
-        Builtin::Normalize => unary(M::Normalize, args, env),
-        Builtin::Alpha => unary(M::Alpha, args, env),
-        Builtin::Flatten => unary(M::Mu, args, env),
-        Builtin::OrFlatten => unary(M::OrMu, args, env),
-        Builtin::Powerset => unary(M::Powerset, args, env),
-        Builtin::ToSet => unary(M::OrToSet, args, env),
-        Builtin::ToOrSet => unary(M::SetToOr, args, env),
-        Builtin::IsEmpty => unary(derived::is_empty(), args, env),
-        Builtin::OrIsEmpty => unary(derived::or_is_empty(), args, env),
-        Builtin::Fst => unary(M::Proj1, args, env),
-        Builtin::Snd => unary(M::Proj2, args, env),
-        Builtin::Union => binary(M::Union, args, env),
-        Builtin::OrUnion => binary(M::OrUnion, args, env),
-        Builtin::Member => binary(derived::member(), args, env),
-        Builtin::OrMember => binary(derived::or_member(), args, env),
-        Builtin::Subset => binary(derived::subset(), args, env),
-        Builtin::Intersect => binary(derived::intersect(), args, env),
-        Builtin::Difference => binary(derived::difference(), args, env),
+        Builtin::Normalize => unary(M::Normalize, args, scope),
+        Builtin::Alpha => unary(M::Alpha, args, scope),
+        Builtin::Flatten => unary(M::Mu, args, scope),
+        Builtin::OrFlatten => unary(M::OrMu, args, scope),
+        Builtin::Powerset => unary(M::Powerset, args, scope),
+        Builtin::ToSet => unary(M::OrToSet, args, scope),
+        Builtin::ToOrSet => unary(M::SetToOr, args, scope),
+        Builtin::IsEmpty => unary(derived::is_empty(), args, scope),
+        Builtin::OrIsEmpty => unary(derived::or_is_empty(), args, scope),
+        Builtin::Fst => unary(M::Proj1, args, scope),
+        Builtin::Snd => unary(M::Proj2, args, scope),
+        Builtin::Union => binary(M::Union, args, scope),
+        Builtin::OrUnion => binary(M::OrUnion, args, scope),
+        Builtin::Member => binary(derived::member(), args, scope),
+        Builtin::OrMember => binary(derived::or_member(), args, scope),
+        Builtin::Subset => binary(derived::subset(), args, scope),
+        Builtin::Intersect => binary(derived::intersect(), args, scope),
+        Builtin::Difference => binary(derived::difference(), args, scope),
     }
 }
 

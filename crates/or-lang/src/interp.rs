@@ -561,6 +561,110 @@ mod tests {
         }
     }
 
+    /// `let a0 = fst(r) in let a1 = a0 + a0 in … in a{depth} + x`, built as
+    /// a syntax tree (the debug parser's nesting limit is 16): every link
+    /// reads its variable twice, so inlining it would double at each one.
+    fn doubling_let_chain(depth: usize) -> Expr {
+        let name = |k: usize| format!("a{k}");
+        let mut expr = Expr::BinOp(
+            BinOp::Add,
+            Box::new(Expr::Var(name(depth))),
+            Box::new(Expr::Var("x".to_string())),
+        );
+        for k in (1..=depth).rev() {
+            let prev = Box::new(Expr::Var(name(k - 1)));
+            expr = Expr::Let {
+                name: name(k),
+                value: Box::new(Expr::BinOp(BinOp::Add, prev.clone(), prev)),
+                body: Box::new(expr),
+            };
+        }
+        Expr::Let {
+            name: name(0),
+            value: Box::new(parse("fst(r)").unwrap()),
+            body: Box::new(expr),
+        }
+    }
+
+    /// Row compilation: a guard or head compiled against the tuple of its
+    /// generator variables' values gives, on generated rows, what the
+    /// interpreter gives with the variables bound, and never pairs the
+    /// tuple with `unit` (`⟨!, id⟩`).
+    #[test]
+    fn row_compiled_expressions_agree_with_the_interpreter() {
+        use or_nra::morphism::Morphism as M;
+        use or_object::generate::Generator;
+        use or_object::Type;
+        let vars = ["r", "x", "s"].map(String::from);
+        let types = [
+            Type::prod(Type::Int, Type::prod(Type::Int, Type::orset(Type::Int))),
+            Type::Int,
+            Type::set(Type::Int),
+        ];
+        let sources = [
+            // the element, the row, both
+            "x >= 60",
+            "x",
+            "fst(r) < 3",
+            "ormember(3, snd(snd(r)))",
+            "snd(snd(r))",
+            "fst(r) < x",
+            "(fst(snd(r)), x)",
+            "member(x, s) && fst(r) != x",
+            // reads nothing of the row
+            "1 < 2",
+            // `let`, `if`
+            "let a = fst(r) in a + a",
+            "let a = x in fst(r) + a",
+            "if fst(r) < x then snd(snd(r)) else <|x|>",
+            // arithmetic at the `i64` bounds wraps
+            "x * 4611686018427387904",
+            "9223372036854775807 + fst(r)",
+            "0 - 9223372036854775807 - x * 2",
+            // binders that rebind a generator variable
+            "let x = fst(r) in x + x",
+            "{ x + 1 | x <- s }",
+            "{ (x, y) | y <- s, x <- s, x < y }",
+            "{ fst(r) + y | y <- s, r <- {(y, (x, <|y|>))} }",
+            "(x, { x * 2 | x <- s })",
+        ];
+        let mut exprs: Vec<Expr> = sources.iter().map(|src| parse(src).unwrap()).collect();
+        exprs.push(doubling_let_chain(20));
+        let mut gen = Generator::with_seed(21);
+        for expr in &exprs {
+            let compiled = crate::compile::compile_with_env(expr, &vars).unwrap();
+            let adapter = M::pair(M::Bang, M::Id);
+            assert!(
+                !compiled.any_node(&mut |m| *m == adapter),
+                "{expr}: {compiled}"
+            );
+            assert!(compiled.size() < 40 * expr.size(), "{expr}: {compiled}");
+            for _ in 0..30 {
+                let values: Vec<Value> = types.iter().map(|t| gen.object_of(t)).collect();
+                let env: Env = vars.iter().cloned().zip(values.iter().cloned()).collect();
+                let row = values
+                    .into_iter()
+                    .reduce(Value::pair)
+                    .expect("three variables");
+                assert_eq!(
+                    eval(&compiled, &row).unwrap(),
+                    interpret(expr, &env).unwrap(),
+                    "{expr} on {row}"
+                );
+            }
+        }
+        // a read of one variable is factored through its projection path
+        // (`x` is `π₂ ∘ π₁` of `((r, x), s)`), and the or-set read stays
+        // `or_member ∘ ⟨K3 ∘ !, id⟩` after its path
+        let compiled = |src: &str| crate::compile::compile_with_env(&parse(src).unwrap(), &vars);
+        let x_guard = compiled("x >= 60").unwrap();
+        assert_eq!(x_guard.stages()[..2], [&M::Proj1, &M::Proj2]);
+        let member = compiled("ormember(3, snd(snd(r)))").unwrap();
+        let path = M::Proj1.then(M::Proj1).then(M::Proj2).then(M::Proj2);
+        let body = M::pair(M::constant(Value::Int(3)), M::Id).then(or_nra::derived::or_member());
+        assert_eq!(member, path.then(body));
+    }
+
     #[test]
     fn later_generators_shadow_and_restore_outer_bindings() {
         // `b <- g` reads the *environment* binding of `g` on every outer

@@ -41,11 +41,13 @@
 //! * `flatten(e)` — [`PhysicalPlan::Flatten`];
 //! * a bare binding reference `db` — the scan itself.
 //!
-//! Row-level expressions (guards, heads) are compiled by the ordinary
-//! categorical environment translation ([`compile_with_env`]) and
-//! pre-composed with an **adapter** morphism that reshapes the engine's
-//! left-nested row tuple `((r₀, r₁), r₂)` into the compiler's environment
-//! tuple `(((unit, r₀), r₁), r₂)`.
+//! Row-level expressions (guards, heads, dependent sources) are compiled
+//! ([`compile_with_env`]) directly against the engine's left-nested row
+//! tuple `((r₀, r₁), r₂)` of the generator values, where each generator
+//! variable is its own projection path.  They come out factored as `e' ∘ π`
+//! through the projection every read of the row shares, which is the form
+//! the expand planner's Theorem 5.1 check, the columnar kernels and the
+//! hash-join detector (`eq ∘ ⟨f ∘ π₁, g ∘ π₂⟩`) read.
 //!
 //! Everything outside these shapes returns a [`PlanError`] whose reason the
 //! session records as the statement's fallback reason.
@@ -53,10 +55,10 @@
 use std::fmt;
 
 use or_nra::morphism::Morphism as M;
-use or_nra::optimize::{factor_through_projection, simplified};
+use or_nra::optimize::simplified;
 use or_nra::physical::PhysicalPlan;
 
-use crate::ast::{BinOp, Builtin, Expr, Qualifier};
+use crate::ast::{Builtin, Expr, Qualifier};
 use crate::compile::compile_with_env;
 
 /// A physical plan over named session bindings: `Scan(i)` reads the relation
@@ -197,7 +199,7 @@ fn plan_comprehension(
                     && expands_only_row(name, source, &vars)
                     && !read_later(&vars[0], &qualifiers[i + 1..], head)
                 {
-                    plan = plan.map(|p| factored_guards(p).or_expand());
+                    plan = plan.map(PhysicalPlan::or_expand);
                     vars = vec![name.clone()];
                     continue;
                 }
@@ -259,22 +261,6 @@ fn expands_only_row(name: &str, source: &Expr, vars: &[String]) -> bool {
     )
 }
 
-/// The guards on top of `plan` in their factored form `p' ∘ π`
-/// ([`factor_through_projection`]).  A guard compiled through the
-/// environment adapter pairs at the row type; its factored form pairs only
-/// below the projection it reads through, which is what Theorem 5.1's check
-/// of the operators below an `OrExpand` (verifier rule V08) accepts when
-/// that projection is or-free.
-fn factored_guards(plan: PhysicalPlan) -> PhysicalPlan {
-    match plan {
-        PhysicalPlan::Filter { predicate, input } => PhysicalPlan::Filter {
-            predicate: factor_through_projection(&predicate).unwrap_or(predicate),
-            input: Box::new(factored_guards(*input)),
-        },
-        other => other,
-    }
-}
-
 /// Does any qualifier in `rest` or the head mention `var`?  (Conservative:
 /// a later generator that rebinds `var` still counts as a read.)
 fn read_later(var: &str, rest: &[Qualifier], head: &Expr) -> bool {
@@ -286,37 +272,15 @@ fn read_later(var: &str, rest: &[Qualifier], head: &Expr) -> bool {
 }
 
 /// Compile `expr` (free variables ⊆ the generator variables `vars`) into a
-/// morphism over the engine's left-nested row tuple.  Equality guards are
-/// compiled side-by-side so they surface as `eq ∘ ⟨f, g⟩` — the shape the
-/// engine's equi-join detector recognizes for the hash fast path.
+/// morphism over the engine's left-nested row tuple, factored through the
+/// projection every read of the row shares ([`compile_with_env`]), and
+/// simplified.
 fn row_morphism(expr: &Expr, vars: &[String]) -> Result<M, PlanError> {
-    if let Expr::BinOp(BinOp::Eq, a, b) = expr {
-        let ca = side_morphism(a, vars)?;
-        let cb = side_morphism(b, vars)?;
-        return Ok(M::pair(ca, cb).then(M::Eq));
-    }
-    side_morphism(expr, vars)
-}
-
-/// `adapter ; compile(expr)`, simplified so that pure projection chains
-/// collapse (letting the equi-join detector see through them).
-fn side_morphism(expr: &Expr, vars: &[String]) -> Result<M, PlanError> {
-    let body = compile_with_env(expr, vars).map_err(|e| PlanError {
+    let m = compile_with_env(expr, vars).map_err(|e| PlanError {
         reason: format!("row expression is not compilable over the generators: {e}"),
         noteworthy: true,
     })?;
-    Ok(simplified(&adapter(vars.len()).then(body)))
-}
-
-/// Reshape the engine's left-nested row tuple of `n` generator values into
-/// the compiler's environment tuple (same nesting with a `unit` at the
-/// bottom): `((r₀, r₁), r₂) ↦ (((unit, r₀), r₁), r₂)`.
-fn adapter(n: usize) -> M {
-    match n {
-        0 => M::Bang,
-        1 => M::pair(M::Bang, M::Id),
-        _ => M::pair(M::Proj1.then(adapter(n - 1)), M::Proj2),
-    }
+    Ok(simplified(&m))
 }
 
 /// Fuse every filter sitting directly on a cartesian product into a join —
@@ -324,35 +288,15 @@ fn adapter(n: usize) -> M {
 /// equality predicates then take the engine's hash path instead of
 /// enumerating the product.
 fn fuse_joins(plan: PhysicalPlan) -> PhysicalPlan {
-    match plan {
-        PhysicalPlan::Filter { predicate, input } => match fuse_joins(*input) {
+    match plan.map_inputs(fuse_joins) {
+        PhysicalPlan::Filter { predicate, input } => match *input {
             PhysicalPlan::Cartesian { left, right } => PhysicalPlan::Join {
                 predicate,
                 left,
                 right,
             },
-            other => PhysicalPlan::Filter {
-                predicate,
-                input: Box::new(other),
-            },
+            other => other.filter(predicate),
         },
-        PhysicalPlan::Project { f, input } => PhysicalPlan::Project {
-            f,
-            input: Box::new(fuse_joins(*input)),
-        },
-        PhysicalPlan::Cartesian { left, right } => PhysicalPlan::Cartesian {
-            left: Box::new(fuse_joins(*left)),
-            right: Box::new(fuse_joins(*right)),
-        },
-        PhysicalPlan::Union { left, right } => PhysicalPlan::Union {
-            left: Box::new(fuse_joins(*left)),
-            right: Box::new(fuse_joins(*right)),
-        },
-        PhysicalPlan::Flatten { input } => PhysicalPlan::Flatten {
-            input: Box::new(fuse_joins(*input)),
-        },
-        // the planner itself only emits the variants above; anything else
-        // (joins it already fused, scans) passes through unchanged
         other => other,
     }
 }
@@ -360,6 +304,7 @@ fn fuse_joins(plan: PhysicalPlan) -> PhysicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::BinOp;
     use crate::parser::parse;
 
     fn planned(src: &str) -> PlannedQuery {
@@ -385,6 +330,35 @@ mod tests {
         // the equality guard fuses the cartesian product into a join
         assert!(rendered.contains("Join"), "plan: {rendered}");
         assert!(!rendered.contains("Cartesian"), "plan: {rendered}");
+        // its sides share no projection, so it keeps the equi-join shape
+        let PhysicalPlan::Project { input, .. } = &pq.plan else {
+            panic!("plan: {rendered}");
+        };
+        let PhysicalPlan::Join { predicate, .. } = &**input else {
+            panic!("plan: {rendered}");
+        };
+        let side = |first: M, then: M| Box::new(first.then(then));
+        assert_eq!(
+            *predicate,
+            M::Compose(
+                Box::new(M::Eq),
+                Box::new(M::PairWith(
+                    side(M::Proj1, M::Proj2),
+                    side(M::Proj2, M::Proj1)
+                ))
+            )
+        );
+        // and the plan passes the typed verifier without a finding
+        use or_nra::verify::{verify_plan, VerifyConfig};
+        use or_object::Type;
+        let pair = Some(Type::prod(Type::Int, Type::Int));
+        let config = VerifyConfig {
+            provided_inputs: Some(2),
+            row_types: vec![pair.clone(), pair],
+            ..VerifyConfig::default()
+        };
+        let violations = verify_plan(&pq.plan, &config);
+        assert!(violations.is_empty(), "{violations:?}\n{rendered}");
     }
 
     #[test]

@@ -1400,8 +1400,16 @@ mod tests {
         let mut core = SessionCore::new();
         core.bind("fan", fan(6));
         core.bind("nested", nested(6));
+        // every plan passes the typed verifier without a finding
         let chain = |stmt: &str| {
             let planned = core.plan_statement(stmt).unwrap().expect("plannable");
+            let config = VerifyConfig {
+                provided_inputs: Some(planned.inputs.len()),
+                row_types: planned.row_types.clone(),
+                ..VerifyConfig::default()
+            };
+            let violations = verify_plan(&planned.plan, &config);
+            assert!(violations.is_empty(), "{stmt}: {violations:?}");
             driving_chain(&planned.plan)
         };
         // guard before the expansion: it filters rows, the head is `w`
@@ -1460,6 +1468,113 @@ mod tests {
         }
         assert_eq!(s.engine_stats().engine, kept.len() as u64);
         assert_eq!(s.engine_stats().fallback, 0);
+    }
+
+    /// The guards of a dependent generator are compiled factored through
+    /// the element's projection, so they run columnar: over a 2 000-row
+    /// `nested`, `x >= 60` and `x < 80` add columnar batches and no scalar
+    /// one to the plan without them (whose `ρ₂` pairing runs scalar).
+    #[test]
+    fn dependent_guards_run_columnar() {
+        let mut s = Session::with_engine_checked(ExecConfig::default().with_pinned_workers(1));
+        s.bind(
+            "nested",
+            Value::set((0..2_000).map(|i| Value::int_set([i % 97, (i * 7) % 101, i % 89 + 3]))),
+        );
+        let run = |s: &mut Session, statement: &str| {
+            let before = s.engine_stats();
+            let r = s.run(statement).unwrap();
+            let after = s.engine_stats();
+            assert_eq!(after.engine, before.engine + 1, "{statement}");
+            let batches = (
+                after.columnar_batches - before.columnar_batches,
+                after.scalar_fallback_batches - before.scalar_fallback_batches,
+            );
+            (r.value, batches)
+        };
+        let (_, (bare_columnar, bare_scalar)) = run(&mut s, "{ x | xs <- nested, x <- xs }");
+        let (value, (columnar, scalar)) =
+            run(&mut s, "{ x | xs <- nested, x <- xs, x >= 60, x < 80 }");
+        assert_eq!(value, Value::int_set(60..80));
+        assert_eq!(scalar, bare_scalar, "guards ran scalar");
+        assert!(columnar > bare_columnar, "{columnar} vs {bare_columnar}");
+    }
+
+    /// An equi-join inside the pipeline an α-expansion generator ranges
+    /// over is fused into a `Join` below the `OrExpand`.  The pipeline's
+    /// head pairs or-sets, which does not commute with the expansion (V08),
+    /// so the session serves the statement on the `Flatten` lowering — with
+    /// the join fused there too — and agrees with the interpreter.
+    #[test]
+    fn joins_below_or_expand_are_fused() {
+        let mut s = Session::with_engine_checked(ExecConfig::default());
+        s.bind(
+            "x",
+            Value::set(
+                (0..6).map(|i| Value::pair(Value::int_orset([i, i + 10]), Value::Int(i % 3))),
+            ),
+        );
+        s.bind(
+            "y",
+            Value::set((0..3).map(|k| Value::pair(Value::Int(k), Value::int_orset([k, 7])))),
+        );
+        let statement = "{ w | r <- { (fst(a), snd(b)) | a <- x, b <- y, snd(a) == fst(b) }, \
+                         w <- toset(normalize(r)) }";
+        let planned = crate::plan::plan_query(&crate::parser::parse(statement).unwrap()).unwrap();
+        assert_eq!(
+            driving_chain(&planned.plan),
+            ["Project", "OrExpand", "Project", "Join", "Scan"],
+            "{}",
+            planned.plan
+        );
+        let served = s
+            .core()
+            .plan_statement(statement)
+            .unwrap()
+            .expect("plannable");
+        assert_eq!(
+            driving_chain(&served.plan),
+            ["Project", "Flatten", "Project", "Project", "Join", "Scan"],
+            "{}",
+            served.plan
+        );
+        let r = s.run(statement).unwrap();
+        assert!(
+            matches!(&r.value, Value::Set(worlds) if worlds.len() == 24),
+            "{}",
+            r.value
+        );
+        assert_eq!(s.engine_stats().engine, 1);
+    }
+
+    /// A pipeline under an α-expansion generator whose filters or head do
+    /// not commute with the expansion — here a guard reading an or-set on
+    /// one side of a product, and a head pairing or-sets — is planned
+    /// again on the `Flatten` lowering, which V08 accepts, wherever the
+    /// operator sits below the `OrExpand`.
+    #[test]
+    fn non_commuting_pipelines_below_or_expand_are_replanned() {
+        let mut s = Session::with_engine_checked(ExecConfig::default());
+        s.bind(
+            "x",
+            Value::set((0..6).map(|i| Value::pair(Value::int_orset([i, i + 1]), Value::Int(i)))),
+        );
+        s.bind("y", Value::int_set([7, 8]));
+        let statement = "{ w | r <- { (fst(a), b) | a <- x, ormember(1, fst(a)), b <- y }, \
+                         w <- toset(normalize(r)) }";
+        let served = s
+            .core()
+            .plan_statement(statement)
+            .unwrap()
+            .expect("plannable");
+        assert!(!served.plan.contains_or_expand(), "{}", served.plan);
+        let r = s.run(statement).unwrap();
+        assert!(
+            matches!(&r.value, Value::Set(worlds) if worlds.len() == 6),
+            "{}",
+            r.value
+        );
+        assert_eq!(s.engine_stats().engine, 1);
     }
 
     /// The head's or-free projection runs below `OrExpand`, so worlds that

@@ -145,9 +145,9 @@ fn eval_on(prog: &RowProgram, input: ColumnProgram) -> Option<ColumnProgram> {
 /// constructed `Pair` is simplified to the kept branch **only when the
 /// discarded branch is total**: the scalar path evaluates both branches
 /// per row, so dropping one that could error would diverge from the
-/// scalar error behavior.  (The total case is common — query planners
-/// scaffold predicates as `compare ∘ … ∘ ⟨!, id⟩`, pairing the row with a
-/// unit environment that a projection immediately discards.)  Projections
+/// scalar error behavior.  (The total case covers a row paired with a
+/// constant that a projection immediately discards, such as the unit of
+/// `compare ∘ … ∘ ⟨!, id⟩`.)  Projections
 /// off a `Const` or an `Arith` (an integer) stay out of the fragment.
 fn project(input: ColumnProgram, field: Field) -> Option<ColumnProgram> {
     match input {
@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn env_scaffolded_predicates_are_recognized() {
-        // the session planner's guard shape:
+        // a guard over the row paired with a unit environment:
         // Leq ∘ ⟨π₂∘π₂, K20∘!⟩ ∘ ⟨!, id⟩ — the unit environment is
         // discarded by a projection off a constructed pair, which is safe
         // to simplify because the dropped branch (a constant) is total
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn arithmetic_heads_become_arith_programs() {
-        // the session head `snd(w) + 3` through the environment adapter
+        // the head `snd(w) + 3` over the row paired with a unit environment
         let plus3 = M::pair(M::Bang, M::Id).then(
             M::pair(
                 M::Proj2.then(M::Proj2),

@@ -76,17 +76,17 @@
 //! an or-set type — the paper's canonical non-preserved operation), the
 //! preconditions would flag it and the plan would be left alone.
 //!
-//! The preconditions are syntactic, so the *form* of a predicate matters.
-//! OrQL compiles `fst(w) < 30` through its environment adapter as
-//! `lt ∘ ⟨π₁ ∘ π₂, K30 ∘ !⟩ ∘ ⟨!, id⟩`, whose pair formations sit at the
-//! row type, which has or-sets.  Before giving up on a filter the planner
-//! tries the equal morphism `lt ∘ ⟨id, K30 ∘ !⟩ ∘ π₁`
-//! ([`factor_through_projection`]), which pairs at `int` and passes.  (The
-//! OrQL planner emits the guards it places below an expansion in factored
-//! form already.)  Filters below an expansion that fail the conditions —
-//! the planner never puts one there — are counted in
-//! [`ExpandPlanReport::pinned_filters`]; the verifier denies such a plan
-//! under rule V08.
+//! The preconditions are syntactic, so the *form* of a predicate matters:
+//! `lt ∘ ⟨π₁, K30 ∘ !⟩` pairs at the row type, which has or-sets, and fails
+//! them, while the equal `lt ∘ ⟨id, K30 ∘ !⟩ ∘ π₁` pairs at `int` and
+//! passes.  The planner checks predicates as they are written.  OrQL
+//! compiles every guard and head in the second, **factored** form `e' ∘ π`,
+//! through the projection path all its reads of the row share (or-lang's
+//! `compile_with_env`), so `fst(w) < 30` arrives as
+//! `lt ∘ ⟨id, K30 ∘ !⟩ ∘ π₁`.  Filters and projections below an expansion
+//! that fail the conditions — the planner never puts one there — are
+//! counted in [`ExpandPlanReport::pinned_filters`]; the verifier denies
+//! such a plan under rule V08.
 //!
 //! Projections move below `OrExpand` by the same theorem, with one extra
 //! proviso: Theorem 5.1 is stated for inputs free of empty or-sets.  A row
@@ -94,10 +94,10 @@
 //! nothing), but if a projection dropped exactly the empty component before
 //! expansion, the projected row would suddenly denote a world.  The proviso
 //! only bites when the dropped component's **type** holds an or-set: an
-//! or-free component has exactly one world.  So the planner factors a head
-//! `f = h' ∘ π` ([`factor_through_projection`]'s machinery) and moves the
-//! longest prefix of `π` that drops only or-free components below the
-//! expansion on every input
+//! or-free component has exactly one world.  So the planner reads a head
+//! `f = h' ∘ π` off its leading `π₁`/`π₂` stages — the projection path an
+//! OrQL head is compiled through — and moves the longest prefix of `π`
+//! that drops only or-free components below the expansion on every input
 //! ([`crate::preserve::or_free_projection_prefix`]):
 //!
 //! ```text
@@ -379,44 +379,7 @@ pub fn lower(m: &M) -> Result<PhysicalPlan, LowerError> {
 fn graft(plan: PhysicalPlan, base: &PhysicalPlan) -> PhysicalPlan {
     match plan {
         PhysicalPlan::Scan(0) => base.clone(),
-        leaf @ PhysicalPlan::Scan(_) => leaf,
-        PhysicalPlan::Filter { predicate, input } => PhysicalPlan::Filter {
-            predicate,
-            input: Box::new(graft(*input, base)),
-        },
-        PhysicalPlan::Project { f, input } => PhysicalPlan::Project {
-            f,
-            input: Box::new(graft(*input, base)),
-        },
-        PhysicalPlan::Flatten { input } => PhysicalPlan::Flatten {
-            input: Box::new(graft(*input, base)),
-        },
-        PhysicalPlan::OrExpand {
-            budget,
-            dedup,
-            input,
-        } => PhysicalPlan::OrExpand {
-            budget,
-            dedup,
-            input: Box::new(graft(*input, base)),
-        },
-        PhysicalPlan::Union { left, right } => PhysicalPlan::Union {
-            left: Box::new(graft(*left, base)),
-            right: Box::new(graft(*right, base)),
-        },
-        PhysicalPlan::Cartesian { left, right } => PhysicalPlan::Cartesian {
-            left: Box::new(graft(*left, base)),
-            right: Box::new(graft(*right, base)),
-        },
-        PhysicalPlan::Join {
-            predicate,
-            left,
-            right,
-        } => PhysicalPlan::Join {
-            predicate,
-            left: Box::new(graft(*left, base)),
-            right: Box::new(graft(*right, base)),
-        },
+        other => other.map_inputs(|input| graft(input, base)),
     }
 }
 
@@ -520,10 +483,12 @@ pub struct ExpandPlanReport {
     pub pushed_filters: usize,
     /// Projections moved below an `OrExpand`.
     pub pushed_projects: usize,
-    /// Filters the plan already had directly below an `OrExpand` (under
-    /// any projections the planner put there) that do not commute with it — such as a guard that reads or-set structure
-    /// before the expansion.  They stay where the query put them, but a
-    /// verifier given the row types denies the plan under rule V08.
+    /// Filters and projections the plan already had below an `OrExpand`
+    /// that do not commute with it — such as a guard that reads or-set
+    /// structure before the expansion, or the pair-forming head of a
+    /// pipeline whose rows the expansion reads.  They stay where the query
+    /// put them, but a verifier given the row types denies the plan under
+    /// rule V08.
     pub pinned_filters: usize,
     /// Cardinality estimate of the driving input (when rows were provided
     /// and the plan contains an `OrExpand`).
@@ -592,7 +557,7 @@ pub fn optimize_expansion(
         return (plan.clone(), report);
     }
     let plan = push_below_expand(plan.clone(), config, &mut report);
-    report.pinned_filters = pinned_filters(&plan, config);
+    report.pinned_filters = pinned_filters(&plan, config, false);
     if let Some(rows) = inputs.get(plan.driving_scan()) {
         // The expansion only sees rows that pass the filters *below* it
         // (including the ones this planner just pushed down), so sampled
@@ -672,79 +637,24 @@ fn push_below_expand(
     report: &mut ExpandPlanReport,
 ) -> PhysicalPlan {
     // children first, so a chain of operators above an expand cascades down
-    let plan = match plan {
-        PhysicalPlan::Filter { predicate, input } => PhysicalPlan::Filter {
-            predicate,
-            input: Box::new(push_below_expand(*input, config, report)),
-        },
-        PhysicalPlan::Project { f, input } => PhysicalPlan::Project {
-            f,
-            input: Box::new(push_below_expand(*input, config, report)),
-        },
-        PhysicalPlan::OrExpand {
-            budget,
-            dedup,
-            input,
-        } => PhysicalPlan::OrExpand {
-            budget,
-            dedup,
-            input: Box::new(push_below_expand(*input, config, report)),
-        },
-        PhysicalPlan::Cartesian { left, right } => PhysicalPlan::Cartesian {
-            left: Box::new(push_below_expand(*left, config, report)),
-            right: Box::new(push_below_expand(*right, config, report)),
-        },
-        PhysicalPlan::Union { left, right } => PhysicalPlan::Union {
-            left: Box::new(push_below_expand(*left, config, report)),
-            right: Box::new(push_below_expand(*right, config, report)),
-        },
-        PhysicalPlan::Flatten { input } => PhysicalPlan::Flatten {
-            input: Box::new(push_below_expand(*input, config, report)),
-        },
-        PhysicalPlan::Join {
-            predicate,
-            left,
-            right,
-        } => PhysicalPlan::Join {
-            predicate,
-            left: Box::new(push_below_expand(*left, config, report)),
-            right: Box::new(push_below_expand(*right, config, report)),
-        },
-        leaf @ PhysicalPlan::Scan(_) => leaf,
-    };
+    let plan = plan.map_inputs(|input| push_below_expand(input, config, report));
     match plan {
         PhysicalPlan::Filter { predicate, input } => match *input {
             PhysicalPlan::OrExpand {
                 budget,
                 dedup,
                 input: inner,
-            } => match pushable_filter(&predicate, &inner, config) {
-                Some(pushable) => {
-                    report.pushed_filters += 1;
-                    let pushed = PhysicalPlan::OrExpand {
-                        budget,
-                        dedup,
-                        input: Box::new(PhysicalPlan::Filter {
-                            predicate: pushable,
-                            input: inner,
-                        }),
-                    };
-                    // the expand's new input may expose further pushdowns
-                    push_below_expand(pushed, config, report)
-                }
-                None => PhysicalPlan::Filter {
-                    predicate,
-                    input: Box::new(PhysicalPlan::OrExpand {
-                        budget,
-                        dedup,
-                        input: inner,
-                    }),
-                },
-            },
-            other => PhysicalPlan::Filter {
-                predicate,
-                input: Box::new(other),
-            },
+            } if commutes_below(&predicate, &inner, config) => {
+                report.pushed_filters += 1;
+                let pushed = PhysicalPlan::OrExpand {
+                    budget,
+                    dedup,
+                    input: Box::new((*inner).filter(predicate)),
+                };
+                // the expand's new input may expose further pushdowns
+                push_below_expand(pushed, config, report)
+            }
+            other => other.filter(predicate),
         },
         PhysicalPlan::Project { f, input } => match *input {
             PhysicalPlan::OrExpand {
@@ -789,10 +699,7 @@ fn push_below_expand(
                     pushed.project(head)
                 }
             }
-            other => PhysicalPlan::Project {
-                f,
-                input: Box::new(other),
-            },
+            other => other.project(f),
         },
         other => other,
     }
@@ -800,207 +707,45 @@ fn push_below_expand(
 
 /// Split the head `f` of a `Project` directly above the `OrExpand` whose
 /// input is `inner` into `(π, h')` with `f = h' ∘ π`, where `π` is the
-/// longest prefix of the projection chain `f` reads through that drops only
-/// or-free components of `inner`'s rows
-/// ([`or_free_projection_prefix`]).  Such a `π` runs below the expansion
-/// on every input: what it drops has exactly one world, so it is never an
-/// empty or-set, and the worlds of the projected row are the projections
-/// of the row's worlds.  `None` when no step qualifies or the row type is
-/// unknown.
+/// longest run of `f`'s leading `π₁`/`π₂` stages that drops only or-free
+/// components of `inner`'s rows ([`or_free_projection_prefix`]).  Such a
+/// `π` runs below the expansion on every input: what it drops has exactly
+/// one world, so it is never an empty or-set, and the worlds of the
+/// projected row are the projections of the row's worlds.  `None` when no
+/// stage qualifies or the row type is unknown.
 fn or_free_projection(f: &M, inner: &PhysicalPlan, config: &ExpandPlannerConfig) -> Option<(M, M)> {
     let ty = output_row_type(inner, &config.row_types)?;
-    factor_path(f, |path| or_free_projection_prefix(path, &ty))
+    let stages = f.stages();
+    let leading: Vec<M> = stages
+        .iter()
+        .take_while(|stage| matches!(stage, M::Proj1 | M::Proj2))
+        .map(|stage| (*stage).clone())
+        .collect();
+    let k = or_free_projection_prefix(&leading, &ty);
+    (k > 0).then(|| (compose_stages(&stages[..k]), compose_stages(&stages[k..])))
 }
 
-/// How many filters in the chains of filters and projections directly
-/// below `plan`'s `OrExpand`s do not commute with the expansion
-/// ([`ExpandPlanReport::pinned_filters`]).  The chain runs through
-/// projections because the planner puts a head's or-free projection
-/// directly below the expansion, above the filters the query already had
-/// there.
-fn pinned_filters(plan: &PhysicalPlan, config: &ExpandPlannerConfig) -> usize {
-    fn chain(plan: &PhysicalPlan, config: &ExpandPlannerConfig) -> usize {
-        match plan {
-            PhysicalPlan::Filter { predicate, input } => {
-                usize::from(!commutes_below(predicate, input, config)) + chain(input, config)
-            }
-            PhysicalPlan::Project { input, .. } => chain(input, config),
-            other => pinned_filters(other, config),
-        }
-    }
+/// How many filters and projections anywhere below one of `plan`'s
+/// `OrExpand`s (`below_expand` for `plan` itself) do not commute with the
+/// expansion ([`ExpandPlanReport::pinned_filters`]) — the operators
+/// verifier rule V08 denies there.
+fn pinned_filters(plan: &PhysicalPlan, config: &ExpandPlannerConfig, below_expand: bool) -> usize {
+    let pinned = |input: &PhysicalPlan| pinned_filters(input, config, below_expand);
     match plan {
         PhysicalPlan::Scan(_) => 0,
-        PhysicalPlan::OrExpand { input, .. } => chain(input, config),
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Flatten { input } => pinned_filters(input, config),
+        PhysicalPlan::OrExpand { input, .. } => pinned_filters(input, config, true),
+        PhysicalPlan::Filter {
+            predicate: m,
+            input,
+        }
+        | PhysicalPlan::Project { f: m, input } => {
+            usize::from(below_expand && !commutes_below(m, input, config)) + pinned(input)
+        }
+        PhysicalPlan::Flatten { input } => pinned(input),
         PhysicalPlan::Cartesian { left, right }
         | PhysicalPlan::Join { left, right, .. }
-        | PhysicalPlan::Union { left, right } => {
-            pinned_filters(left, config) + pinned_filters(right, config)
-        }
+        | PhysicalPlan::Union { left, right } => pinned(left) + pinned(right),
     }
-}
-
-/// The form of filter `predicate` that may run below the `OrExpand` whose
-/// input is `inner`: the predicate itself when it commutes with α-expansion,
-/// else its factored form `p' ∘ π` ([`factor_through_projection`]) when
-/// that does.  A predicate compiled through an environment adapter, like
-/// `lt ∘ ⟨π₁ ∘ π₂, K ∘ !⟩ ∘ ⟨!, id⟩`, pairs at the row type — which
-/// Theorem 5.1 rightly rejects when the row has or-sets — yet reads only the
-/// or-free `π₁`; its factored form `lt ∘ ⟨id, K ∘ !⟩ ∘ π₁` pairs at `int`.
-fn pushable_filter(predicate: &M, inner: &PhysicalPlan, config: &ExpandPlannerConfig) -> Option<M> {
-    if commutes_below(predicate, inner, config) {
-        return Some(predicate.clone());
-    }
-    factor_through_projection(predicate).filter(|factored| commutes_below(factored, inner, config))
-}
-
-/// Rewrite `m` into the equal morphism `p' ∘ π`, where `π` is the longest
-/// projection chain that every read of the input goes through.  `None` when
-/// no projection is common to all reads, or when distributing `m` would
-/// take more than a constant amount of work per node of `m` (see
-/// `DISTRIBUTE_FUEL_PER_NODE`).
-///
-/// `m` is first distributed — compositions pushed into pair formations,
-/// projections of pairs cancelled — so that the reads of the result are
-/// its leading projection chains; `π` is their common prefix, and `p'` is
-/// the distributed form with `π` cut off each chain.
-pub fn factor_through_projection(m: &M) -> Option<M> {
-    let (projection, rest) = factor_path(m, <[M]>::len)?;
-    Some(projection.then(rest))
-}
-
-/// Split `m` into `(π, m')` with `m = m' ∘ π`, where `π` is the prefix of
-/// the projection chain every read of the input goes through that
-/// `prefix_len` keeps (it returns the prefix length for the whole chain).
-/// `None` when the kept prefix is empty, or under the conditions of
-/// [`factor_through_projection`].
-fn factor_path(m: &M, prefix_len: impl FnOnce(&[M]) -> usize) -> Option<(M, M)> {
-    let mut fuel = DISTRIBUTE_FUEL_PER_NODE * m.size();
-    let m = distribute(m, &mut fuel)?;
-    let path = read_path(&m)?;
-    let path = &path[..prefix_len(&path)];
-    if path.is_empty() {
-        return None;
-    }
-    let chain: Vec<&M> = path.iter().collect();
-    Some((compose_stages(&chain), strip_path(&m, path)))
-}
-
-/// Work budget of [`factor_through_projection`], per node of its input.
-/// Distributing copies `h` into both arms of `⟨f, g⟩ ∘ h`, so shared
-/// subterms are inlined: an OrQL `let` compiles to `body ∘ ⟨id, v⟩`, and a
-/// chain of `let b = a + a in …` doubles at every link.  Every node the
-/// distribution builds or copies costs one unit, so the work — and the
-/// factored form — stays within a constant multiple of the input.
-const DISTRIBUTE_FUEL_PER_NODE: usize = 8;
-
-/// Spend `cost` units of the distribution budget; `None` once it runs out.
-fn spend(fuel: &mut usize, cost: usize) -> Option<()> {
-    *fuel = fuel.checked_sub(cost)?;
-    Some(())
-}
-
-/// `m` with every composition pushed into pair formations and projections
-/// of pairs cancelled: `⟨f, g⟩ ∘ h = ⟨f ∘ h, g ∘ h⟩`, `πᵢ ∘ ⟨a₁, a₂⟩ = aᵢ`,
-/// `! ∘ h = !`, `id ∘ h = h ∘ id = h`.  Every other composition stays, so a
-/// pair formation never heads a composition in the result.  `None` once
-/// the work exceeds `fuel`.
-fn distribute(m: &M, fuel: &mut usize) -> Option<M> {
-    match m {
-        M::Compose(g, h) => {
-            let g = distribute(g, fuel)?;
-            let h = distribute(h, fuel)?;
-            after(&g, h, fuel)
-        }
-        M::PairWith(a, b) => {
-            spend(fuel, 1)?;
-            Some(M::pair(distribute(a, fuel)?, distribute(b, fuel)?))
-        }
-        other => copy(other, fuel),
-    }
-}
-
-/// `g ∘ h` for distributed `g` and `h`, distributed.
-fn after(g: &M, h: M, fuel: &mut usize) -> Option<M> {
-    spend(fuel, 1)?;
-    match (g, h) {
-        (M::Id, h) => Some(h),
-        (g, M::Id) => copy(g, fuel),
-        (M::Bang, _) => Some(M::Bang),
-        (M::Compose(g1, g2), h) => {
-            let h = after(g2, h, fuel)?;
-            after(g1, h, fuel)
-        }
-        (M::PairWith(a, b), h) => {
-            let h_copy = copy(&h, fuel)?;
-            Some(M::pair(after(a, h_copy, fuel)?, after(b, h, fuel)?))
-        }
-        (M::Proj1, M::PairWith(a, _)) => Some(*a),
-        (M::Proj2, M::PairWith(_, b)) => Some(*b),
-        (g, h) => Some(M::compose(copy(g, fuel)?, h)),
-    }
-}
-
-/// A copy of `m`, paid for node by node.
-fn copy(m: &M, fuel: &mut usize) -> Option<M> {
-    spend(fuel, m.size())?;
-    Some(m.clone())
-}
-
-/// The projection chain (application order) every read of the input goes
-/// through in the distributed morphism `m`; `None` when `m` reads nothing
-/// of its input (`!`, or pairs of such).
-fn read_path(m: &M) -> Option<Vec<M>> {
-    let stages = m.stages();
-    let mut path: Vec<M> = Vec::new();
-    for stage in stages {
-        match stage {
-            M::Proj1 | M::Proj2 => path.push(stage.clone()),
-            M::Bang => return None,
-            M::PairWith(a, b) => {
-                let common = match (read_path(a), read_path(b)) {
-                    (Some(p), Some(q)) => p
-                        .into_iter()
-                        .zip(q)
-                        .take_while(|(x, y)| x == y)
-                        .map(|(x, _)| x)
-                        .collect(),
-                    (p, q) => p.or(q)?,
-                };
-                path.extend(common);
-                break;
-            }
-            _ => break,
-        }
-    }
-    Some(path)
-}
-
-/// `m'` with `m = m' ∘ π` for the projection chain `path`, which must be a
-/// prefix of every read path of the distributed morphism `m`
-/// ([`read_path`]).
-fn strip_path(m: &M, path: &[M]) -> M {
-    let stages = m.stages();
-    let mut rest = path;
-    let mut kept: Vec<M> = Vec::new();
-    for stage in stages {
-        match (rest.split_first(), stage) {
-            (Some((first, tail)), _) if first == stage => rest = tail,
-            (Some(_), M::PairWith(a, b)) => {
-                kept.push(M::pair(strip_path(a, rest), strip_path(b, rest)));
-                rest = &[];
-            }
-            // a stage that reads nothing (`!`) is its own stripped form
-            _ => {
-                kept.push(stage.clone());
-                rest = &[];
-            }
-        }
-    }
-    let kept: Vec<&M> = kept.iter().collect();
-    compose_stages(&kept)
 }
 
 /// Can `m` run below the `OrExpand` whose input is `inner`?  Requires the
@@ -1209,81 +954,10 @@ mod tests {
         );
     }
 
-    /// `fst(w) < limit` as the OrQL planner compiles it for rows bound to
-    /// `w`: through the environment adapter `⟨!, id⟩`, pairing at the row
-    /// type.
-    fn adapted_id_predicate(limit: i64) -> M {
-        M::pair(M::Bang, M::Id).then(
-            M::pair(M::Proj2.then(M::Proj1), M::constant(Value::Int(limit)))
-                .then(M::Prim(Prim::Lt)),
-        )
-    }
-
-    /// `let a0 = fst(w) in let a1 = a0 + a0 in … in a{depth} < 1` as OrQL
-    /// compiles it: each `let` is `body ∘ ⟨id, value⟩` over the environment
-    /// tuple, whose last component is the newest variable.
-    fn let_chain_predicate(depth: usize) -> M {
-        let mut m = M::pair(M::Proj2, M::constant(Value::Int(1))).then(M::Prim(Prim::Lt));
-        for _ in 0..depth {
-            let double = M::pair(M::Proj2, M::Proj2).then(M::Prim(Prim::Plus));
-            m = M::pair(M::Id, double).then(m);
-        }
-        let a0 = M::Proj2.then(M::Proj1);
-        M::pair(M::Bang, M::Id).then(M::pair(M::Id, a0)).then(m)
-    }
-
-    #[test]
-    fn factoring_stops_before_inlining_grows_the_predicate() {
-        // a short chain factors through `π₁`, to an equal morphism
-        let short = let_chain_predicate(2);
-        let factored = factor_through_projection(&short).expect("reads go through π₁");
-        assert!(matches!(&factored, M::Compose(_, first) if **first == M::Proj1));
-        assert!(factored.size() <= DISTRIBUTE_FUEL_PER_NODE * short.size());
-        let mut gen = Generator::with_seed(5);
-        for _ in 0..50 {
-            let row = gen.object_of(&fanout_row_type());
-            assert_eq!(eval(&short, &row).unwrap(), eval(&factored, &row).unwrap());
-        }
-        // inlining a long chain doubles it per link: give up, quickly
-        let long = let_chain_predicate(40);
-        assert_eq!(factor_through_projection(&long), None);
-        let plan = PhysicalPlan::scan(0).or_expand().filter(long.clone());
-        let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
-        let (optimized, report) = optimize_expansion(&plan, &[], &config);
-        assert_eq!(report.pushed_filters, 0);
-        assert_eq!(optimized, plan);
-    }
-
-    #[test]
-    fn adapted_predicates_factor_through_their_projection() {
-        let p = adapted_id_predicate(3);
-        // as compiled, the predicate pairs at a type with or-sets
-        assert!(!commutes_with_or_alpha(&p, &fanout_row_type()));
-        let factored = factor_through_projection(&p).expect("reads go through π₁");
-        let expected =
-            M::Proj1.then(M::pair(M::Id, M::constant(Value::Int(3))).then(M::Prim(Prim::Lt)));
-        assert_eq!(factored, expected);
-        assert!(commutes_with_or_alpha(&factored, &fanout_row_type()));
-        // equal morphisms: same answer on generated rows and their worlds
-        let row_types = [fanout_row_type(), fanout_row_type().strip_orsets()];
-        let mut gen = Generator::with_seed(11);
-        for ty in &row_types {
-            for _ in 0..50 {
-                let row = gen.object_of(ty);
-                assert_eq!(
-                    eval(&p, &row).unwrap(),
-                    eval(&factored, &row).unwrap(),
-                    "{row}"
-                );
-            }
-        }
-        // no projection common to every read: nothing to factor
-        let both = M::pair(M::Proj1, M::Proj2.then(M::Proj1)).then(M::Eq);
-        assert_eq!(factor_through_projection(&both), None);
-        assert_eq!(
-            factor_through_projection(&M::constant(Value::Bool(true))),
-            None
-        );
+    /// `fst(w) < limit` as OrQL compiles it for rows bound to `w`:
+    /// factored through the `π₁` its one read of the row goes through.
+    fn factored_id_predicate(limit: i64) -> M {
+        M::Proj1.then(M::pair(M::Id, M::constant(Value::Int(limit))).then(M::Prim(Prim::Lt)))
     }
 
     #[test]
@@ -1291,8 +965,8 @@ mod tests {
         use crate::verify::{verify_plan, VerifyConfig};
         let plan = PhysicalPlan::scan(0)
             .or_expand()
-            .filter(adapted_id_predicate(3))
-            .filter(adapted_id_predicate(2));
+            .filter(factored_id_predicate(3))
+            .filter(factored_id_predicate(2));
         let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
         let (optimized, report) = optimize_expansion(&plan, &[], &config);
         assert_eq!(report.pushed_filters, 2);
@@ -1308,19 +982,42 @@ mod tests {
             },
         );
         assert!(violations.is_empty(), "{violations:?}");
+        // the same worlds pass the filters above and below the expansion
+        let mut gen = Generator::with_seed(11);
+        let rows: Vec<Value> = (0..40).map(|_| gen.object_of(&fanout_row_type())).collect();
+        let keep = |p: &M, v: &Value| eval(p, v).unwrap() == Value::Bool(true);
+        let (p3, p2) = (factored_id_predicate(3), factored_id_predicate(2));
+        let mut above: Vec<Value> = rows
+            .iter()
+            .flat_map(worlds)
+            .filter(|w| keep(&p3, w) && keep(&p2, w))
+            .collect();
+        let mut below: Vec<Value> = rows
+            .iter()
+            .filter(|r| keep(&p3, r) && keep(&p2, r))
+            .flat_map(worlds)
+            .collect();
+        for worlds in [&mut above, &mut below] {
+            worlds.sort();
+            worlds.dedup();
+        }
+        assert_eq!(above, below);
+        // the planner checks predicates as written: the equal, unfactored
+        // form pairs at the row type, which has or-sets, and stays above
+        let unfactored = M::pair(M::Proj1, M::constant(Value::Int(3))).then(M::Prim(Prim::Lt));
+        let plan = PhysicalPlan::scan(0).or_expand().filter(unfactored);
+        let (kept, report) = optimize_expansion(&plan, &[], &config);
+        assert_eq!(report.pushed_filters, 0);
+        assert_eq!(kept, plan);
     }
 
     #[test]
     fn planner_keeps_factored_orset_predicates_above_expand() {
-        // `fst(fst(snd(w))) < 3`-style reads of an or-set field through the
-        // adapter: the factored form reads an or-set, so it stays
-        let orset_field = M::pair(M::Bang, M::Id).then(
-            M::pair(
-                M::Proj2.then(M::Proj2).then(M::Proj1),
-                M::constant(Value::Int(3)),
-            )
-            .then(M::Prim(Prim::Lt)),
-        );
+        // `ormember(3, fst(snd(w)))` as OrQL compiles it: factored through
+        // `π₁ ∘ π₂`, which reads an or-set, so it stays
+        let orset_field = M::Proj2
+            .then(M::Proj1)
+            .then(M::pair(M::constant(Value::Int(3)), M::Id).then(crate::derived::or_member()));
         let plan = PhysicalPlan::scan(0).or_expand().filter(orset_field);
         let config = ExpandPlannerConfig::for_row_types(vec![fanout_row_type()]);
         let (optimized, report) = optimize_expansion(&plan, &[], &config);
@@ -1385,16 +1082,12 @@ mod tests {
         out
     }
 
-    /// `snd(snd(w)) + 3` as the OrQL planner compiles it for rows bound to
-    /// `w`, through the environment adapter.
-    fn adapted_plus_head() -> M {
-        M::pair(M::Bang, M::Id).then(
-            M::pair(
-                M::Proj2.then(M::Proj2).then(M::Proj2),
-                M::constant(Value::Int(3)),
-            )
-            .then(M::Prim(Prim::Plus)),
-        )
+    /// `snd(snd(w)) + 3` as OrQL compiles it for rows bound to `w`:
+    /// factored through `π₂ ∘ π₂`.
+    fn factored_plus_head() -> M {
+        M::Proj2
+            .then(M::Proj2)
+            .then(M::pair(M::Id, M::constant(Value::Int(3))).then(M::Prim(Prim::Plus)))
     }
 
     #[test]
@@ -1414,11 +1107,13 @@ mod tests {
         assert!(verify_plan(&pushed, &verify_config).is_empty());
         // `snd(snd(w)) + 3`: the first `π₂` moves, the second would drop
         // `⟨int⟩` and stays in the head
-        let head = adapted_plus_head();
+        let head = factored_plus_head();
         let plan = PhysicalPlan::scan(0).or_expand().project(head.clone());
         let (pushed, report) = optimize_expansion(&plan, &[], &config);
         assert_eq!(report.pushed_projects, 1);
-        let rest = M::pair(M::Proj2, M::constant(Value::Int(3))).then(M::Prim(Prim::Plus));
+        let rest = M::Proj2
+            .then(M::pair(M::Id, M::constant(Value::Int(3))))
+            .then(M::Prim(Prim::Plus));
         assert_eq!(
             pushed,
             PhysicalPlan::scan(0)

@@ -182,6 +182,29 @@ impl PhysicalPlan {
         }
     }
 
+    /// This node with `f` applied to each of its inputs (left before
+    /// right); a scan has none and is returned as it is.
+    pub fn map_inputs(mut self, mut f: impl FnMut(PhysicalPlan) -> PhysicalPlan) -> PhysicalPlan {
+        let mut apply = |input: &mut Box<PhysicalPlan>| {
+            let plan = std::mem::replace(&mut **input, PhysicalPlan::Scan(0));
+            **input = f(plan);
+        };
+        match &mut self {
+            PhysicalPlan::Scan(_) => {}
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Flatten { input }
+            | PhysicalPlan::OrExpand { input, .. } => apply(input),
+            PhysicalPlan::Cartesian { left, right }
+            | PhysicalPlan::Join { left, right, .. }
+            | PhysicalPlan::Union { left, right } => {
+                apply(left);
+                apply(right);
+            }
+        }
+        self
+    }
+
     /// The highest input slot referenced, plus one (0 for a plan with no
     /// scans, which cannot happen through the public constructors).
     pub fn input_arity(&self) -> usize {
@@ -382,5 +405,28 @@ mod tests {
         let rendered = plan.to_string();
         assert!(rendered.contains("Union"), "plan: {rendered}");
         assert!(rendered.contains("Flatten"), "plan: {rendered}");
+    }
+
+    #[test]
+    fn map_inputs_rebuilds_each_input_in_order() {
+        let plan = PhysicalPlan::scan(0)
+            .or_expand()
+            .join(PhysicalPlan::scan(1).flatten(), M::Eq);
+        let mut seen = Vec::new();
+        let mapped = plan.clone().map_inputs(|input| {
+            seen.push(input.driving_scan());
+            input.filter(M::Eq)
+        });
+        assert_eq!(seen, [0, 1]);
+        let want = PhysicalPlan::scan(0)
+            .or_expand()
+            .filter(M::Eq)
+            .join(PhysicalPlan::scan(1).flatten().filter(M::Eq), M::Eq);
+        assert_eq!(mapped, want);
+        // a scan has no inputs
+        assert_eq!(
+            PhysicalPlan::scan(3).map_inputs(|_| unreachable!()),
+            PhysicalPlan::scan(3)
+        );
     }
 }

@@ -85,6 +85,16 @@ echo "$out" | grep -q '"route":"engine"' || { echo "ormember not engine-served: 
 curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ c | c <- colour_one }"}' \
     | grep -qF '"value":"{1}"'
 
+# the `far_bins` binding: a dependent generator whose guards read the
+# element and the row, engine-served
+DEPENDENT='{ (fst(r), b) | r <- bins, b <- snd(r), b > 2, b > fst(r) + 1 }'
+WANT='{(1, 3), (1, 7), (2, 7), (2, 9), (4, 8)}'
+out="$(curl -sf -X POST "$BASE/query" -d "{\"db\":\"example\",\"statement\":\"$DEPENDENT\"}")"
+echo "$out" | grep -qF "\"value\":\"$WANT\"" || { echo "bad dependent result: $out"; exit 1; }
+echo "$out" | grep -q '"route":"engine"' || { echo "dependent not engine-served: $out"; exit 1; }
+curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ c | c <- far_bins }"}' \
+    | grep -qF "\"value\":\"$WANT\""
+
 # hostile nesting: a 100 000-deep JSON body is a 400 and a 100 000-deep
 # statement a 422 (parse errors, not a stack overflow), and the server
 # keeps serving

@@ -767,6 +767,67 @@ proptest! {
         }
     }
 
+    /// Differential test for dependent generators: guards that read the
+    /// element, the row, and both — compiled factored through what they
+    /// read — answer the same (or fail with the same error class) in Engine
+    /// sessions with the columnar kernels on and off, at forced worker
+    /// counts {1, 2, 4}, as in the interpreter.
+    #[test]
+    fn dependent_generator_guards_agree_with_interpreter(
+        seed in any::<u64>(), rows in 1usize..=40
+    ) {
+        use or_engine::ExecConfig;
+        use or_lang::session::Session;
+
+        // `deps` rows are `(id, {members})`, `sets` rows bare sets; row 0
+        // is non-empty, so the element type is known
+        let members = |i: i64| {
+            let h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i as u64);
+            let width = if i == 0 { 3 } else { (h % 4) as i64 };
+            (0..width).map(move |k| ((h >> 8) as i64 + 5 * k) % 23)
+        };
+        let deps = Value::set((0..rows as i64).map(|i| Value::pair(Value::Int(i), Value::int_set(members(i)))));
+        let sets = Value::set((0..rows as i64).map(|i| Value::int_set(members(i))));
+        let k = (seed % 23) as i64;
+        let script = [
+            // the element
+            format!("{{ x | xs <- sets, x <- xs, x >= {k}, x < {} }}", k + 6),
+            format!("{{ x | r <- deps, x <- snd(r), !(x == {k}) }}"),
+            // the row
+            format!("{{ x | r <- deps, x <- snd(r), fst(r) < {k} }}"),
+            format!("{{ (fst(r), x) | r <- deps, fst(r) <= {k}, x <- snd(r) }}"),
+            // both
+            format!("{{ (fst(r), x) | r <- deps, x <- snd(r), x < fst(r) + {k} }}"),
+            "{ x | r <- deps, x <- snd(r), member(x + 1, snd(r)) }".to_string(),
+            "{ x * 4611686018427387904 | r <- deps, x <- snd(r), fst(r) <= x }".to_string(),
+            format!("{{ x | r <- deps, x <- snd(r), let a = x + fst(r) in a + a > {k} }}"),
+        ];
+        let class = |r: &Result<or_lang::session::SessionResult, or_lang::session::SessionError>| {
+            r.as_ref().map(|ok| ok.value.clone()).map_err(std::mem::discriminant)
+        };
+        let mut interp = Session::new();
+        interp.bind("deps", deps.clone());
+        interp.bind("sets", sets.clone());
+        let expected: Vec<_> = script.iter().map(|stmt| class(&interp.run(stmt))).collect();
+        for workers in [1usize, 2, 4] {
+            let base = ExecConfig::default().with_pinned_workers(workers).with_batch_size(8);
+            let mut columnar = Session::with_engine(base);
+            let mut scalar = Session::with_engine(base.with_columnar(false));
+            for s in [&mut columnar, &mut scalar] {
+                s.bind("deps", deps.clone());
+                s.bind("sets", sets.clone());
+            }
+            for (stmt, want) in script.iter().zip(&expected) {
+                prop_assert_eq!(&class(&columnar.run(stmt)), want, "columnar: {} ({} workers)", stmt, workers);
+                prop_assert_eq!(&class(&scalar.run(stmt)), want, "scalar: {} ({} workers)", stmt, workers);
+            }
+            let c_stats = columnar.engine_stats();
+            prop_assert_eq!(c_stats.fallback, 0, "fallbacks: {:?}", c_stats.fallback_reasons);
+            prop_assert!(c_stats.columnar_batches >= 1);
+            prop_assert_eq!(scalar.engine_stats().columnar_batches, 0);
+        }
+    }
+
     /// Differential test for membership guards: `ormember` and `member`
     /// with constant and column elements, over or-sets of ints and of
     /// pairs (some empty), answer the same through the fused columnar
