@@ -1246,44 +1246,106 @@ pub fn e14_replay(session: &mut or_lang::Session) -> Vec<Value> {
 
 /// E14: replay [`E14_SCRIPT`] under `Interp`, engine-first `Engine`
 /// (sequential and parallel) and `EngineChecked`, and report the comparison
-/// in the `BENCH_engine.json` row format.  `engine_seq_ms`/`engine_par_ms`
-/// are the engine-first replays with 1 and all hardware workers; the
-/// `EngineChecked` replay contributes to the `equal` flag (it re-runs every
-/// engine statement on the interpreter internally and errors on mismatch).
+/// in the `BENCH_engine.json` row format: `engine_seq_ms`/`engine_par_ms`
+/// are the engine-first replays with 1 and all hardware workers, and the
+/// `EngineChecked` replay contributes to the `equal` flag.
 pub fn e14_session_rows(scale: usize) -> Vec<EngineBenchRow> {
+    // every statement but the or-monad one is engine-served
+    let plannable = (E14_SCRIPT.len() - 1) as u64;
+    vec![session_replay_row(
+        "session_engine_first",
+        scale,
+        plannable,
+        |mode, config| e14_session(mode, config, scale),
+        e14_replay,
+    )]
+}
+
+/// E14c: the `http_mixed` perfbench workload's `dependent` statement
+/// `{ x | xs <- nested, x <- xs, x >= e, x < e + 20 }`, a dependent
+/// generator whose row nothing after it reads, at the workload's 30
+/// windows `e = 0, 6, …, 174` over a `nested` relation of `scale / 10`
+/// sets of three ints below 200, measured like [`e14_session_rows`].
+pub fn e14_dependent_rows(scale: usize) -> Vec<EngineBenchRow> {
+    let rows = scale / 10;
+    let nested = Value::set(
+        (0..rows as i64)
+            .map(|i| Value::int_set([i * 7 % 200, (i * 11 + 1) % 200, (i * 13 + 2) % 200])),
+    );
+    let script: Vec<String> = (0..30)
+        .map(|k| {
+            format!(
+                "{{ x | xs <- nested, x <- xs, x >= {}, x < {} }}",
+                6 * k,
+                6 * k + 20
+            )
+        })
+        .collect();
+    vec![session_replay_row(
+        "dependent_flatten",
+        rows,
+        script.len() as u64,
+        |mode, config| {
+            let mut session = or_lang::Session::with_engine(config);
+            session.set_exec_mode(mode);
+            session.bind("nested", nested.clone());
+            session
+        },
+        |session| {
+            script
+                .iter()
+                .map(|stmt| session.run(stmt).expect("dependent statement").value)
+                .collect()
+        },
+    )]
+}
+
+/// Replay a script under `Interp`, engine-first `Engine` (sequential and
+/// parallel) and `EngineChecked`, each in a session `session` builds, and
+/// report the comparison in the `BENCH_engine.json` row format.
+/// `engine_seq_ms`/`engine_par_ms` are the engine-first replays with 1 and
+/// all hardware workers; the `EngineChecked` replay contributes to the
+/// `equal` flag (it re-runs every engine statement on the interpreter
+/// internally and errors on mismatch), and so does the parallel session
+/// serving at least `plannable` statements from the engine.
+fn session_replay_row(
+    workload: &str,
+    rows: usize,
+    plannable: u64,
+    session: impl Fn(or_lang::ExecMode, or_engine::ExecConfig) -> or_lang::Session,
+    replay: impl Fn(&mut or_lang::Session) -> Vec<Value>,
+) -> EngineBenchRow {
     use or_engine::ExecConfig;
     use or_lang::ExecMode;
 
     let available = hardware_workers();
     let par_workers = configured_workers();
     let par = ExecConfig::default().with_workers(par_workers);
-    let mut interp = e14_session(ExecMode::Interp, ExecConfig::default(), scale);
-    let mut engine_seq = e14_session(ExecMode::Engine, ExecConfig::default(), scale);
-    let mut engine_par = e14_session(ExecMode::Engine, par, scale);
-    let mut checked = e14_session(ExecMode::EngineChecked, par, scale);
-    let (interp_values, interp_ms) = timed(|| e14_replay(&mut interp));
-    let ((seq_values, engine_seq_ms), (par_values, engine_par_ms)) = timed_pair(
-        || e14_replay(&mut engine_seq),
-        || e14_replay(&mut engine_par),
-    );
+    let mut interp = session(ExecMode::Interp, ExecConfig::default());
+    let mut engine_seq = session(ExecMode::Engine, ExecConfig::default());
+    let mut engine_par = session(ExecMode::Engine, par);
+    let mut checked = session(ExecMode::EngineChecked, par);
+    let (interp_values, interp_ms) = timed(|| replay(&mut interp));
+    let ((seq_values, engine_seq_ms), (par_values, engine_par_ms)) =
+        timed_pair(|| replay(&mut engine_seq), || replay(&mut engine_par));
     // the checked replay is the differential leg: engine + interpreter with
     // a per-statement comparison (a mismatch errors out of the replay)
-    let checked_values = e14_replay(&mut checked);
+    let checked_values = replay(&mut checked);
     // If a plannable statement silently fell back, the "engine" legs are no
     // longer measuring the engine — fail the row (the regression checker
     // reports it as a failed cross-check) instead of panicking the binary.
     let stats = engine_par.engine_stats();
-    let engine_served = stats.engine >= 5;
+    let engine_served = stats.engine >= plannable;
     if !engine_served {
-        eprintln!("e14: plannable statements fell back to the interpreter: {stats:?}");
+        eprintln!("{workload}: plannable statements fell back to the interpreter: {stats:?}");
     }
     let equal = engine_served
         && interp_values == seq_values
         && seq_values == par_values
         && par_values == checked_values;
-    vec![EngineBenchRow {
-        workload: "session_engine_first".to_string(),
-        rows: scale,
+    EngineBenchRow {
+        workload: workload.to_string(),
+        rows,
         interp_ms,
         engine_seq_ms,
         engine_par_ms,
@@ -1294,7 +1356,7 @@ pub fn e14_session_rows(scale: usize) -> Vec<EngineBenchRow> {
         available_parallelism: available,
         runs: TIMED_RUNS,
         equal,
-    }]
+    }
 }
 
 /// E14b: the statement-shape plan cache, measured cold vs warm.  The
@@ -1374,6 +1436,7 @@ pub fn engine_bench_rows(scale: usize) -> Vec<EngineBenchRow> {
     let mut rows = e13_engine_rows(scale);
     rows.extend(e14_session_rows(scale));
     rows.extend(e14_plan_cache_rows(scale));
+    rows.extend(e14_dependent_rows(scale));
     rows
 }
 
@@ -2377,6 +2440,16 @@ mod tests {
         assert_eq!(r.workload, "session_engine_first");
         assert!(r.equal, "session modes disagreed");
         assert!(r.available_parallelism >= 1);
+    }
+
+    #[test]
+    fn e14_dependent_row_agrees_across_modes() {
+        // tiny scale: correctness of the harness, not perf
+        let rows = e14_dependent_rows(640);
+        assert_eq!(rows.len(), 1);
+        let r = &rows[0];
+        assert_eq!((r.workload.as_str(), r.rows), ("dependent_flatten", 64));
+        assert!(r.equal, "session modes disagreed");
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! OrQL is explicitly first-order and monomorphic: every expression has an
 //! object type of or-NRA (`bool`, `int`, `string`, `unit`, products, sets,
 //! or-sets), and the checker computes it in a single syntax-directed pass.
-//! Empty collection literals are given element type `unit`; contexts that
-//! need a different element type must mention at least one element (the same
-//! convention as the monomorphic checker of `or-nra`).
+//! A collection literal's element type is unified from all its elements,
+//! position by position, so an empty literal nested in one takes its
+//! element type from its siblings (`{ (1, {2}), (2, {}) }`).  A position
+//! that nothing fills gets `unit` (`{}` alone is `{unit}`); other contexts
+//! that need a different element type must mention at least one element.
 
 use std::fmt;
 
+use or_object::value::{CollKind, Partial};
 use or_object::Type;
 
 use crate::ast::{BinOp, Builtin, Expr, Qualifier};
@@ -179,21 +182,50 @@ fn check_qualifiers(
     Ok(inner)
 }
 
+/// The element type of a collection literal.  When every element has the
+/// same type, that is it; otherwise the elements are unified position by
+/// position ([`elements_type`]).  Equal types fill equal holes alike, so
+/// the shortcut gives the same answer.
 fn collection_element_type(items: &[Expr], env: &TypeEnv) -> Result<Type, CheckError> {
-    match items.first() {
-        None => Ok(Type::Unit),
-        Some(first) => {
-            let t = infer_type(first, env)?;
-            for item in &items[1..] {
-                let other = infer_type(item, env)?;
-                if other != t {
-                    return Err(CheckError::new(format!(
-                        "heterogeneous collection literal: {t} vs {other}"
-                    )));
-                }
-            }
-            Ok(t)
+    let Some((first, rest)) = items.split_first() else {
+        return Ok(Type::Unit);
+    };
+    let t = infer_type(first, env)?;
+    for item in rest {
+        if infer_type(item, env)? != t {
+            let unified = elements_type(items, env)?;
+            return Ok(unified.fill().expect("OrQL has no null literal"));
         }
+    }
+    Ok(t)
+}
+
+/// The elements' types unified, with a hole where only empty collection
+/// literals say anything, so a sibling fills it in.
+fn elements_type(items: &[Expr], env: &TypeEnv) -> Result<Partial, CheckError> {
+    let mut elem = Partial::Hole;
+    for item in items {
+        elem = elem.unify(literal_type(item, env)?).ok_or_else(|| {
+            CheckError::new(format!(
+                "heterogeneous collection literal: {item} does not match the elements before it"
+            ))
+        })?;
+    }
+    Ok(elem)
+}
+
+/// The type of `expr`, with holes where only empty collection literals
+/// inside it say anything.
+fn literal_type(expr: &Expr, env: &TypeEnv) -> Result<Partial, CheckError> {
+    let coll = |kind, items| Ok(Partial::Coll(kind, Box::new(elements_type(items, env)?)));
+    match expr {
+        Expr::Pair(a, b) => Ok(Partial::Prod(
+            Box::new(literal_type(a, env)?),
+            Box::new(literal_type(b, env)?),
+        )),
+        Expr::SetLit(items) => coll(CollKind::Set, items),
+        Expr::OrSetLit(items) => coll(CollKind::OrSet, items),
+        other => Ok(Partial::known(infer_type(other, env)?)),
     }
 }
 
@@ -417,5 +449,38 @@ mod tests {
         let env = TypeEnv::new();
         assert_eq!(ty("{}", &env).unwrap(), Type::set(Type::Unit));
         assert_eq!(ty("<| |>", &env).unwrap(), Type::orset(Type::Unit));
+    }
+
+    #[test]
+    fn empty_collections_take_their_type_from_siblings() {
+        let env = vec![("s".to_string(), Type::set(Type::Int))];
+        let ints = || Type::set(Type::Int);
+        assert_eq!(ty("{ {1, 2}, {} }", &env).unwrap(), Type::set(ints()));
+        assert_eq!(ty("{ {}, {1, 2} }", &env).unwrap(), Type::set(ints()));
+        assert_eq!(ty("{ {}, s }", &env).unwrap(), Type::set(ints()));
+        assert_eq!(
+            ty("{ (1, { <|1,2|> }), (2, {}) }", &env).unwrap(),
+            Type::set(Type::prod(Type::Int, Type::set(Type::orset(Type::Int))))
+        );
+        let or_ints = || Type::orset(Type::Int);
+        assert_eq!(
+            ty("{ (<|2|>, <|3, 4|>), (<||>, <|1|>) }", &env).unwrap(),
+            Type::set(Type::prod(or_ints(), or_ints()))
+        );
+        // holes filled from different siblings, and one nothing fills
+        assert_eq!(
+            ty("{ ({}, <||>), ({1}, <||>), ({}, <|{}|>) }", &env).unwrap(),
+            Type::set(Type::prod(ints(), Type::orset(Type::set(Type::Unit))))
+        );
+        // a real clash is still an error, in either order
+        for src in [
+            "{ {unit}, {1} }",
+            "{ {1}, {}, {unit} }",
+            "{ {}, s, {true} }",
+        ] {
+            let e = ty(src, &env).unwrap_err();
+            assert!(e.message.contains("heterogeneous"), "{src}: {e}");
+        }
+        assert!(ty("{ {}, 1 }", &env).is_err());
     }
 }

@@ -11,13 +11,17 @@
 //!   on a cartesian product is fused into a [`PhysicalPlan::Join`], where
 //!   equality predicates additionally take the engine's hash fast path.
 //!   A **dependent** generator (`{ x | xs <- db, x <- xs }`) projects each
-//!   row to its set of `(row, element)` pairs (`ρ₂`) and streams them with
-//!   [`PhysicalPlan::Flatten`] — carrying only the small accumulated row
-//!   tuple, where the environment translation of the whole comprehension
-//!   (`compile_query`) would pair every row with the entire input relation
-//!   (quadratic);
+//!   row to its set of `(k(row), element)` pairs (`ρ₂`) and streams them
+//!   with [`PhysicalPlan::Flatten`], carrying only the variables later
+//!   qualifiers read: `k` is `id` when all are read, the tuple of the read
+//!   ones when some are, and when none is the row is the element alone
+//!   (`Flatten(Project[src])`, no pairing).  A name rebound by a later
+//!   generator is dead from there on.  The environment translation of the
+//!   whole comprehension (`compile_query`) would instead pair every row
+//!   with the entire input relation (quadratic);
 //! * per-row α-expansion `w <- toset(normalize(r))`, where `r` is the only
-//!   generator variable so far and nothing after the generator reads it —
+//!   generator variable so far (also after a dependent generator that
+//!   carried nothing else) and nothing after the generator reads it —
 //!   [`PhysicalPlan::OrExpand`]: each row is replaced by its complete
 //!   worlds, which the engine expands lazily under the denotation budget,
 //!   and the session's expand planner
@@ -195,9 +199,10 @@ fn plan_comprehension(
                 // after this generator reads: the row is replaced by each of
                 // its worlds, so the interned lazy `OrExpand` streams them
                 // (and the expand planner can place filters below it)
+                let rest = &qualifiers[i + 1..];
                 if or_expand
                     && expands_only_row(name, source, &vars)
-                    && !read_later(&vars[0], &qualifiers[i + 1..], head)
+                    && !read_later(&vars[0], name, rest, head)
                 {
                     plan = plan.map(PhysicalPlan::or_expand);
                     vars = vec![name.clone()];
@@ -220,12 +225,33 @@ fn plan_comprehension(
                         ))
                     }
                     // dependent generator (or a constant source): each row
-                    // projects to the set of `(row, element)` pairs (`ρ₂`)
-                    // and `Flatten` streams them, carrying only the small
-                    // accumulated row tuple
+                    // projects to the set of `(k(row), element)` pairs
+                    // (`ρ₂`), where `k` keeps only the variables a later
+                    // qualifier or the head reads, and `Flatten` streams
+                    // them; when none is read, the row is the element alone
                     (Some(p), Err(_)) => {
                         let src = row_morphism(source, &vars)?;
-                        p.project(M::pair(M::Id, src).then(M::Rho2)).flatten()
+                        let live: Vec<String> = vars
+                            .iter()
+                            .enumerate()
+                            .filter(|&(j, v)| {
+                                !vars[j + 1..].contains(v) && read_later(v, name, rest, head)
+                            })
+                            .map(|(_, v)| v.clone())
+                            .collect();
+                        let tuple = live
+                            .iter()
+                            .map(|v| Expr::Var(v.clone()))
+                            .reduce(|a, b| Expr::Pair(Box::new(a), Box::new(b)));
+                        let pairs = match tuple {
+                            None => src,
+                            Some(_) if live.len() == vars.len() => {
+                                M::pair(M::Id, src).then(M::Rho2)
+                            }
+                            Some(k) => M::pair(row_morphism(&k, &vars)?, src).then(M::Rho2),
+                        };
+                        vars = live;
+                        p.project(pairs).flatten()
                     }
                 });
                 vars.push(name.clone());
@@ -261,14 +287,27 @@ fn expands_only_row(name: &str, source: &Expr, vars: &[String]) -> bool {
     )
 }
 
-/// Does any qualifier in `rest` or the head mention `var`?  (Conservative:
-/// a later generator that rebinds `var` still counts as a read.)
-fn read_later(var: &str, rest: &[Qualifier], head: &Expr) -> bool {
+/// Is the binding of `var` live after the generator `name <- …`: does a
+/// qualifier in `rest` or the head read it before a generator rebinds
+/// `var` (`name` itself included)?
+fn read_later(var: &str, name: &str, rest: &[Qualifier], head: &Expr) -> bool {
     let mentions = |e: &Expr| e.free_vars().iter().any(|f| f == var);
+    if var == name {
+        return false;
+    }
+    for q in rest {
+        let (bound, e) = match q {
+            Qualifier::Generator(bound, e) => (Some(bound), e),
+            Qualifier::Guard(e) => (None, e),
+        };
+        if mentions(e) {
+            return true;
+        }
+        if bound.is_some_and(|b| b == var) {
+            return false;
+        }
+    }
     mentions(head)
-        || rest.iter().any(|q| match q {
-            Qualifier::Generator(_, e) | Qualifier::Guard(e) => mentions(e),
-        })
 }
 
 /// Compile `expr` (free variables ⊆ the generator variables `vars`) into a
@@ -388,6 +427,58 @@ mod tests {
         let pq = planned("{ (fst(r), x) | r <- db, x <- snd(r), x != fst(r) }");
         assert_eq!(pq.inputs, vec!["db".to_string()]);
         assert!(pq.plan.to_string().contains("Flatten"));
+    }
+
+    /// The projection below the first `Flatten` down the driving chain
+    /// (the last dependent generator's).
+    fn flatten_projection(plan: &PhysicalPlan) -> &M {
+        match plan {
+            PhysicalPlan::Flatten { input } => match &**input {
+                PhysicalPlan::Project { f, .. } => f,
+                other => panic!("{other}"),
+            },
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::OrExpand { input, .. } => flatten_projection(input),
+            other => panic!("no Flatten: {other}"),
+        }
+    }
+
+    /// A dependent generator pairs each element with the variables a later
+    /// qualifier or the head reads, and only those: the whole row when all
+    /// are (`⟨id, src⟩ ; ρ₂`), a projection of it when some are,
+    /// nothing when none is.
+    #[test]
+    fn dependent_generators_carry_only_live_variables() {
+        let rho = |k: M, src: M| M::pair(k, src).then(M::Rho2);
+        let projection = |src: &str| flatten_projection(&planned(src).plan).clone();
+        // all live
+        assert_eq!(
+            projection("{ (fst(r), x) | r <- db, x <- snd(r) }"),
+            rho(M::Id, M::Proj2)
+        );
+        assert_eq!(
+            projection("{ x | r <- db, x <- snd(r), x < fst(r) }"),
+            rho(M::Id, M::Proj2)
+        );
+        // none live: the element alone, also when the name is rebound
+        assert_eq!(projection("{ x | xs <- db, x <- xs, x > 1 }"), M::Id);
+        assert_eq!(projection("{ x | x <- db, x <- x }"), M::Id);
+        assert_eq!(projection("{ y | r <- db, x <- snd(r), y <- {x} }"), M::Eta);
+        // some live: `r` is carried past the dead `x`, and a guard keeps
+        // `r` live up to the guard only
+        assert_eq!(
+            projection("{ (fst(r), y) | r <- db, x <- snd(r), y <- {x} }"),
+            rho(M::Proj1, M::Proj2.then(M::Eta))
+        );
+        assert_eq!(
+            projection("{ (x, y) | r <- db, x <- snd(r), fst(r) < 3, y <- {x} }"),
+            rho(M::Proj2, M::Proj2.then(M::Eta))
+        );
+        assert_eq!(
+            projection("{ y | r <- db, x <- snd(r), x > fst(r), y <- {x} }"),
+            M::Proj2.then(M::Eta)
+        );
     }
 
     #[test]

@@ -1393,6 +1393,17 @@ mod tests {
         }
     }
 
+    /// The input of the first `Flatten` below the plan's unary operators.
+    fn flatten_input(plan: &PhysicalPlan) -> Option<&PhysicalPlan> {
+        match plan {
+            PhysicalPlan::Flatten { input } => Some(input),
+            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
+                flatten_input(input)
+            }
+            _ => None,
+        }
+    }
+
     /// Per-row α-expansion is served by `OrExpand`, and the expand planner
     /// moves an or-free guard written after the expansion below it.
     #[test]
@@ -1472,8 +1483,10 @@ mod tests {
 
     /// The guards of a dependent generator are compiled factored through
     /// the element's projection, so they run columnar: over a 2 000-row
-    /// `nested`, `x >= 60` and `x < 80` add columnar batches and no scalar
-    /// one to the plan without them (whose `ρ₂` pairing runs scalar).
+    /// `nested`, `x >= 60` and `x < 80` add columnar batches to the plan
+    /// without them.  Nothing after `x <- xs` reads `xs`, so the `Flatten`
+    /// streams the elements alone, with no `ρ₂` pairing, and no batch of
+    /// either statement runs scalar.
     #[test]
     fn dependent_guards_run_columnar() {
         let mut s = Session::with_engine_checked(ExecConfig::default().with_pinned_workers(1));
@@ -1492,12 +1505,117 @@ mod tests {
             );
             (r.value, batches)
         };
-        let (_, (bare_columnar, bare_scalar)) = run(&mut s, "{ x | xs <- nested, x <- xs }");
-        let (value, (columnar, scalar)) =
-            run(&mut s, "{ x | xs <- nested, x <- xs, x >= 60, x < 80 }");
+        let bare = "{ x | xs <- nested, x <- xs }";
+        let guarded = "{ x | xs <- nested, x <- xs, x >= 60, x < 80 }";
+        let (_, (bare_columnar, bare_scalar)) = run(&mut s, bare);
+        let (value, (columnar, scalar)) = run(&mut s, guarded);
         assert_eq!(value, Value::int_set(60..80));
-        assert_eq!(scalar, bare_scalar, "guards ran scalar");
+        assert_eq!((bare_scalar, scalar), (0, 0), "batches ran scalar");
         assert!(columnar > bare_columnar, "{columnar} vs {bare_columnar}");
+        for statement in [bare, guarded] {
+            let served = s.core().plan_statement(statement).unwrap().unwrap();
+            let Some(PhysicalPlan::Project { f, .. }) = flatten_input(&served.plan) else {
+                panic!("{}", served.plan);
+            };
+            assert!(
+                !f.any_node(&mut |m| matches!(m, or_nra::morphism::Morphism::Rho2)),
+                "{}",
+                served.plan
+            );
+        }
+    }
+
+    /// An α-expansion behind a dependent generator whose row nothing reads
+    /// afterwards: the generator carries the element alone, so the
+    /// expansion is of the only row variable and is served by `OrExpand`,
+    /// which holds it to the denotation budget.  Each row of `g`'s inner
+    /// sets denotes 32 worlds.
+    #[test]
+    fn expansions_behind_dead_dependent_generators_plan_to_or_expand() {
+        let g = Value::set([fan(2), fan(3)]);
+        let statement = "{ w | xs <- g, r <- xs, w <- toset(normalize(r)) }";
+        let planned = crate::plan::plan_query(&crate::parser::parse(statement).unwrap()).unwrap();
+        assert_eq!(
+            driving_chain(&planned.plan),
+            ["Project", "OrExpand", "Flatten", "Project", "Scan"],
+            "{}",
+            planned.plan
+        );
+        let mut interp = Session::new();
+        interp.bind("g", g.clone());
+        let want = interp.run(statement).unwrap().value;
+        assert!(matches!(&want, Value::Set(worlds) if worlds.len() == 3 * 32));
+        let mut checked = Session::with_engine_checked(ExecConfig::default());
+        checked.bind("g", g.clone());
+        assert_eq!(checked.run(statement).unwrap().value, want);
+        assert_eq!(checked.engine_stats().engine, 1);
+
+        // budgeted: served by the engine, rejecting and admitting at the
+        // same world count as the interpreter
+        let mut s = Session::with_engine(ExecConfig::default());
+        s.bind("g", g);
+        let over = QueryBudget::unlimited().with_denotations(31);
+        match s.run_budgeted(statement, over) {
+            Err(SessionError::Engine(e)) => assert!(
+                e.contains("or-expansion budget exceeded") && e.contains("denotes 32"),
+                "{e}"
+            ),
+            other => panic!("expected the engine's budget error, got {other:?}"),
+        }
+        match interp.run_budgeted(statement, over) {
+            Err(SessionError::Runtime(e)) => assert!(e.to_string().contains("denotes 32"), "{e}"),
+            other => panic!("expected the interpreter's budget error, got {other:?}"),
+        }
+        let within = QueryBudget::unlimited().with_denotations(32);
+        assert_eq!(s.run_budgeted(statement, within).unwrap().value, want);
+        assert_eq!(interp.run_budgeted(statement, within).unwrap().value, want);
+        let stats = s.engine_stats();
+        assert_eq!(
+            (stats.engine, stats.fallback),
+            (1, 0),
+            "{:?}",
+            stats.fallback_reasons
+        );
+    }
+
+    /// Relations whose rows hold empty sets or or-sets are written in
+    /// OrQL: the checker types each empty literal from its siblings, and
+    /// the statements over them agree with the interpreter.
+    #[test]
+    fn empty_literals_next_to_full_ones_bind_and_query() {
+        let mut s = Session::with_engine_checked(ExecConfig::default());
+        let ints = || Type::set(Type::Int);
+        let or_ints = || Type::orset(Type::Int);
+        let pair = |a: i64, b: i64| Value::pair(Value::Int(a), Value::Int(b));
+        let cases = [
+            (
+                "let sets = { {1, 2}, {} }",
+                Type::set(ints()),
+                "{ x | xs <- sets, x <- xs }",
+                Value::int_set([1, 2]),
+            ),
+            (
+                "let t = { (1, { <|1,2|> }), (2, {}) }",
+                Type::set(Type::prod(Type::Int, Type::set(or_ints()))),
+                "{ fst(r) | r <- t, o <- snd(r) }",
+                Value::int_set([1]),
+            ),
+            (
+                "let pairs = { (<|2|>, <|3, 4|>), (<||>, <|1|>) }",
+                Type::set(Type::prod(or_ints(), or_ints())),
+                "{ w | r <- pairs, w <- toset(normalize(r)) }",
+                Value::set([pair(2, 3), pair(2, 4)]),
+            ),
+        ];
+        for (binding, ty, query, want) in &cases {
+            assert_eq!(&s.run(binding).unwrap().ty, ty, "{binding}");
+            assert_eq!(&s.run(query).unwrap().value, want, "{query}");
+        }
+        assert_eq!(s.engine_stats().engine, cases.len() as u64);
+        assert!(matches!(
+            s.run("let bad = { {unit}, {1} }"),
+            Err(SessionError::Check(_))
+        ));
     }
 
     /// An equi-join inside the pipeline an α-expansion generator ranges

@@ -375,27 +375,49 @@ impl Value {
     }
 }
 
-/// A type inferred from part of a value: `Hole` where only empty
-/// collections have been seen so far and `Null` where only nulls (some base
-/// type), so a sibling can still fill them in.
-enum Partial {
+/// A type inferred from part of a value (or of a collection literal):
+/// `Hole` where only empty collections have been seen so far and `Null`
+/// where only nulls (some base type), so a sibling can still fill them in.
+#[derive(Debug)]
+pub enum Partial {
+    /// Any type: only empty collections reach this position.
     Hole,
+    /// Some base type: only nulls reach this position.
     Null,
+    /// A base type.
     Base(Type),
+    /// A product.
     Prod(Box<Partial>, Box<Partial>),
+    /// A set, or-set or bag.
     Coll(CollKind, Box<Partial>),
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CollKind {
+/// The collection type constructor of a [`Partial::Coll`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CollKind {
+    /// `{t}`.
     Set,
+    /// `<t>`.
     OrSet,
+    /// `[|t|]`.
     Bag,
 }
 
 impl Partial {
+    /// `t` itself, with no holes.
+    pub fn known(t: Type) -> Partial {
+        let inner = |t: Box<Type>| Box::new(Partial::known(*t));
+        match t {
+            Type::Prod(a, b) => Partial::Prod(inner(a), inner(b)),
+            Type::Set(t) => Partial::Coll(CollKind::Set, inner(t)),
+            Type::OrSet(t) => Partial::Coll(CollKind::OrSet, inner(t)),
+            Type::Bag(t) => Partial::Coll(CollKind::Bag, inner(t)),
+            base => Partial::Base(base),
+        }
+    }
+
     /// The most specific type both agree with, if any.
-    fn unify(self, other: Partial) -> Option<Partial> {
+    pub fn unify(self, other: Partial) -> Option<Partial> {
         Some(match (self, other) {
             (Partial::Hole, p) | (p, Partial::Hole) => p,
             (Partial::Null, Partial::Null) => Partial::Null,
@@ -415,7 +437,7 @@ impl Partial {
 
     /// The type, with every remaining hole read as `unit`; `None` if a
     /// null was never given a base type.
-    fn fill(self) -> Option<Type> {
+    pub fn fill(self) -> Option<Type> {
         Some(match self {
             Partial::Hole => Type::Unit,
             Partial::Null => return None,

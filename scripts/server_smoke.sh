@@ -95,6 +95,15 @@ echo "$out" | grep -q '"route":"engine"' || { echo "dependent not engine-served:
 curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ c | c <- far_bins }"}' \
     | grep -qF "\"value\":\"$WANT\""
 
+# the `high_bins` binding: a dependent generator whose row nothing reads
+# afterwards, engine-served
+DEAD_ROW='{ b | r <- bins, b <- snd(r), b > 2 }'
+out="$(curl -sf -X POST "$BASE/query" -d "{\"db\":\"example\",\"statement\":\"$DEAD_ROW\"}")"
+echo "$out" | grep -qF '"value":"{3, 7, 8, 9}"' || { echo "bad dead-row result: $out"; exit 1; }
+echo "$out" | grep -q '"route":"engine"' || { echo "dead-row not engine-served: $out"; exit 1; }
+curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ c | c <- high_bins }"}' \
+    | grep -qF '"value":"{3, 7, 8, 9}"'
+
 # hostile nesting: a 100 000-deep JSON body is a 400 and a 100 000-deep
 # statement a 422 (parse errors, not a stack overflow), and the server
 # keeps serving
