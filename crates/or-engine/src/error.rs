@@ -60,8 +60,9 @@ pub enum EngineError {
     /// A morphism could not be lowered to a plan.
     Lower(LowerError),
     /// The static plan verifier ([`or_nra::verify`]) rejected the plan
-    /// before execution.  Raised by the [`crate::exec::ExecConfig::verify`]
-    /// gate; the query publishes nothing.
+    /// before execution.  Raised by [`crate::query::verify_gate`], which
+    /// every schema-aware entry point and the OrQL session run on each
+    /// plan they are about to execute; the query publishes nothing.
     InvariantViolation {
         /// The stable rule identifier (e.g. `V01`); the catalog lives in
         /// `docs/ANALYZE.md`.
@@ -107,18 +108,6 @@ impl fmt::Display for EngineError {
             EngineError::InvariantViolation { rule, path, detail } => {
                 write!(f, "plan invariant violation [{rule}] at {path}: {detail}")
             }
-        }
-    }
-}
-
-impl EngineError {
-    /// Build an [`EngineError::InvariantViolation`] from a static-verifier
-    /// finding.
-    pub fn from_violation(v: &or_nra::verify::Violation) -> Self {
-        EngineError::InvariantViolation {
-            rule: v.rule.id().to_string(),
-            path: v.path.clone(),
-            detail: v.message.clone(),
         }
     }
 }

@@ -112,13 +112,6 @@ pub struct ExecConfig {
     /// default; the differential suite turns it off to pin the scalar
     /// path against the same plans.
     pub columnar: bool,
-    /// Run the static plan verifier ([`or_nra::verify`]) before executing
-    /// and reject plans with `Deny`-severity violations as
-    /// [`EngineError::InvariantViolation`].  At this level only structural
-    /// rules can fire (the executor has no schemas); the typed rules engage
-    /// in the schema-aware entry points (`crate::query`) and the session
-    /// layer.  Defaults to on in debug builds, off in release.
-    pub verify: bool,
 }
 
 impl Default for ExecConfig {
@@ -131,7 +124,6 @@ impl Default for ExecConfig {
             pin_workers: false,
             time_budget: None,
             columnar: true,
-            verify: cfg!(debug_assertions),
         }
     }
 }
@@ -412,22 +404,6 @@ impl Executor {
                 slot: arity - 1,
                 provided,
             });
-        }
-
-        // Static verification gate: reject plans the rule catalog denies
-        // before doing any row work.  The executor has no schemas, so only
-        // the structural/budget rules can fire here; schema-aware callers
-        // (`crate::query`, the session layer) run the typed rules too.
-        if self.config.verify {
-            let vconfig = or_nra::verify::VerifyConfig {
-                provided_inputs: Some(provided),
-                or_budget: self.config.or_budget,
-                ..or_nra::verify::VerifyConfig::default()
-            };
-            let violations = or_nra::verify::verify_plan(plan, &vconfig);
-            if let Some(v) = or_nra::verify::first_deny(&violations) {
-                return Err(EngineError::from_violation(v));
-            }
         }
 
         // The query arena: fresh, or an overlay over the caller's base.

@@ -158,4 +158,4 @@ pub mod prelude {
 
 pub use error::EngineError;
 pub use exec::{EngineInputs, ExecConfig, ExecStats, Executor};
-pub use query::{run_morphism_on_value, run_plan, run_plan_optimized};
+pub use query::{run_morphism_on_value, run_plan, run_plan_optimized, verify_gate};

@@ -14,39 +14,43 @@ use or_nra::morphism::Morphism;
 use or_nra::optimize::{lower, optimize_expansion, ExpandPlanReport, ExpandPlannerConfig};
 use or_nra::physical::PhysicalPlan;
 use or_nra::verify::{first_deny, verify_plan, VerifyConfig};
-use or_object::Value;
+use or_object::{Type, Value};
 
 use crate::error::EngineError;
 use crate::exec::{EngineInputs, ExecConfig, ExecStats, Executor};
 
-/// Schema-aware verification gate: these entry points know the relations'
-/// record types, so the full typed rule catalog engages (the executor-level
-/// gate in [`Executor::run`] sees only arity).  `assume_consistent`
-/// mirrors the expand planner's setting for the same plan.
-fn verify_against_relations(
+/// The static verification gate: run the whole typed rule catalog
+/// ([`or_nra::verify`]) over `plan`, with `row_types[i]` typing `Scan(i)`,
+/// and reject the first `Deny`-severity violation as
+/// [`EngineError::InvariantViolation`] before any row work.
+/// `assume_consistent` mirrors the expand planner's setting for the same
+/// plan.  [`run_plan`], [`run_plan_optimized`] and the OrQL session gate
+/// every plan they execute through this one function, in every build.
+pub fn verify_gate(
     plan: &PhysicalPlan,
-    relations: &[&Relation],
-    config: &ExecConfig,
+    row_types: &[Option<Type>],
     assume_consistent: bool,
 ) -> Result<(), EngineError> {
-    if !config.verify {
-        return Ok(());
-    }
-    let vconfig = VerifyConfig {
-        provided_inputs: Some(relations.len()),
-        row_types: relations
-            .iter()
-            .map(|r| Some(r.schema().record_type()))
-            .collect(),
-        or_budget: config.or_budget,
-        require_budgets: false,
+    let config = VerifyConfig {
         assume_consistent,
+        ..VerifyConfig::with_inputs(row_types.len()).with_row_types(row_types.to_vec())
     };
-    let violations = verify_plan(plan, &vconfig);
-    match first_deny(&violations) {
-        Some(v) => Err(EngineError::from_violation(v)),
+    match first_deny(&verify_plan(plan, &config)) {
+        Some(v) => Err(EngineError::InvariantViolation {
+            rule: v.rule.id().to_string(),
+            path: v.path.clone(),
+            detail: v.message.clone(),
+        }),
         None => Ok(()),
     }
+}
+
+/// Each relation's record type, one per scan slot.
+fn row_types(relations: &[&Relation]) -> Vec<Option<Type>> {
+    relations
+        .iter()
+        .map(|r| Some(r.schema().record_type()))
+        .collect()
 }
 
 /// Build engine inputs for a slice of relations, using the first
@@ -77,7 +81,7 @@ pub fn run_plan(
     relations: &[&Relation],
     config: ExecConfig,
 ) -> Result<(Value, ExecStats), EngineError> {
-    verify_against_relations(plan, relations, &config, false)?;
+    verify_gate(plan, &row_types(relations), false)?;
     Executor::new(config).run(plan, &relation_inputs(relations))
 }
 
@@ -133,20 +137,15 @@ pub fn run_plan_optimized(
     config: ExecConfig,
 ) -> Result<(Value, ExecStats, ExpandPlanReport), EngineError> {
     let inputs: Vec<&[Value]> = relations.iter().map(|r| r.records()).collect();
-    let planner_config = ExpandPlannerConfig::for_row_types(
-        relations.iter().map(|r| r.schema().record_type()).collect(),
-    )
-    .with_available_workers(config.workers);
+    let types = row_types(relations);
+    let planner_config =
+        ExpandPlannerConfig::for_row_types(types.iter().flatten().cloned().collect())
+            .with_available_workers(config.workers);
     let (optimized, report) = optimize_expansion(plan, &inputs, &planner_config);
     // Verify the *optimized* plan — this is where a planner bug pushing a
     // non-preserving operator below the expansion (rule V08) would
     // actually be caught.  The consistency promise matches the planner's.
-    verify_against_relations(
-        &optimized,
-        relations,
-        &config,
-        planner_config.assume_consistent,
-    )?;
+    verify_gate(&optimized, &types, planner_config.assume_consistent)?;
     let exec_config = ExecConfig {
         workers: report.recommended_workers,
         // The planner's cost model owns the parallelize-or-not decision;

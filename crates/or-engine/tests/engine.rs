@@ -477,6 +477,9 @@ fn the_comprehension_env_scaffold_is_not_lowered() {
     assert_eq!(eval(&query, &db).unwrap(), db);
 }
 
+/// A scan of slot 1 over one input: the executor, which runs no verifier
+/// of its own, reports `MissingInput`, and the gate in `run_plan` denies
+/// the plan first (rule V01) — in debug and release builds alike.
 #[test]
 fn missing_inputs_are_reported() {
     let plan = PhysicalPlan::scan(1).filter(cheap(5));
@@ -489,6 +492,43 @@ fn missing_inputs_are_reported() {
             provided: 1
         })
     ));
+    let schema = Schema::new([Field::new("id", Type::Int), Field::new("cost", Type::Int)]).unwrap();
+    let rel = Relation::from_records("priced", schema, rows).unwrap();
+    match run_plan(&plan, &[&rel], ExecConfig::default()) {
+        Err(EngineError::InvariantViolation { rule, .. }) => assert_eq!(rule, "V01"),
+        other => panic!("expected a V01 invariant violation, got {other:?}"),
+    }
+}
+
+/// The verification gate takes no configuration: `run_plan` under the
+/// default config rejects a plan that filters on structural equality of
+/// two or-set fields below an α-expansion (rule V08), in every build.
+#[test]
+fn run_plan_rejects_a_non_preserving_filter_below_expand() {
+    let schema = Schema::new([
+        Field::new("id", Type::Int),
+        Field::new("cpu", Type::orset(Type::Int)),
+        Field::new("ram", Type::orset(Type::Int)),
+    ])
+    .unwrap();
+    let rel = Relation::from_records(
+        "machines",
+        schema,
+        (0..4).map(|i| {
+            Value::pair(
+                Value::Int(i),
+                Value::pair(Value::int_orset([i, i + 1]), Value::int_orset([i])),
+            )
+        }),
+    )
+    .unwrap();
+    let plan = PhysicalPlan::scan(0)
+        .filter(M::Proj2.then(M::Eq))
+        .or_expand();
+    match run_plan(&plan, &[&rel], ExecConfig::default()) {
+        Err(EngineError::InvariantViolation { rule, .. }) => assert_eq!(rule, "V08"),
+        other => panic!("expected a V08 invariant violation, got {other:?}"),
+    }
 }
 
 #[test]

@@ -5,9 +5,12 @@
 //! or-sets), and the checker computes it in a single syntax-directed pass.
 //! A collection literal's element type is unified from all its elements,
 //! position by position, so an empty literal nested in one takes its
-//! element type from its siblings (`{ (1, {2}), (2, {}) }`).  A position
-//! that nothing fills gets `unit` (`{}` alone is `{unit}`); other contexts
-//! that need a different element type must mention at least one element.
+//! element type from its siblings (`{ (1, {2}), (2, {}) }`).  Operands that
+//! must share a type — the two sides of `union`, `==` or an `if`, and a
+//! `member` test's element and collection — are unified the same way
+//! (`union({}, {1})`, `member(1, {})`).  A position that nothing fills gets
+//! `unit` (`{}` alone is `{unit}`); other contexts that need a different
+//! element type, such as a binding, must mention at least one element.
 
 use std::fmt;
 
@@ -83,43 +86,29 @@ pub fn infer_type(expr: &Expr, env: &TypeEnv) -> Result<Type, CheckError> {
             else_branch,
         } => {
             expect(cond, env, &Type::Bool, "the condition of if")?;
-            let t = infer_type(then_branch, env)?;
-            let e = infer_type(else_branch, env)?;
-            if t != e {
-                return Err(CheckError::new(format!(
-                    "branches of if have different types: {t} vs {e}"
-                )));
-            }
-            Ok(t)
+            same_type(then_branch, else_branch, env, |t, e| {
+                format!("branches of if have different types: {t} vs {e}")
+            })
         }
         Expr::BinOp(op, a, b) => {
-            let ta = infer_type(a, env)?;
-            let tb = infer_type(b, env)?;
-            match op {
+            let (operand, result, what) = match op {
                 BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                    require(&ta, &Type::Int, "arithmetic operand")?;
-                    require(&tb, &Type::Int, "arithmetic operand")?;
-                    Ok(Type::Int)
+                    (Type::Int, Type::Int, "arithmetic operand")
                 }
                 BinOp::Leq | BinOp::Lt | BinOp::Geq | BinOp::Gt => {
-                    require(&ta, &Type::Int, "comparison operand")?;
-                    require(&tb, &Type::Int, "comparison operand")?;
-                    Ok(Type::Bool)
+                    (Type::Int, Type::Bool, "comparison operand")
                 }
-                BinOp::And | BinOp::Or => {
-                    require(&ta, &Type::Bool, "boolean operand")?;
-                    require(&tb, &Type::Bool, "boolean operand")?;
-                    Ok(Type::Bool)
-                }
+                BinOp::And | BinOp::Or => (Type::Bool, Type::Bool, "boolean operand"),
                 BinOp::Eq | BinOp::Neq => {
-                    if ta != tb {
-                        return Err(CheckError::new(format!(
-                            "cannot compare values of different types {ta} and {tb}"
-                        )));
-                    }
-                    Ok(Type::Bool)
+                    same_type(a, b, env, |ta, tb| {
+                        format!("cannot compare values of different types {ta} and {tb}")
+                    })?;
+                    return Ok(Type::Bool);
                 }
-            }
+            };
+            expect(a, env, &operand, what)?;
+            expect(b, env, &operand, what)?;
+            Ok(result)
         }
         Expr::Not(a) => {
             expect(a, env, &Type::Bool, "the operand of !")?;
@@ -229,6 +218,30 @@ fn literal_type(expr: &Expr, env: &TypeEnv) -> Result<Partial, CheckError> {
     }
 }
 
+/// The type two operands' [`literal_type`]s agree on, if any: an empty
+/// collection literal on either side takes its element type from the
+/// other (`union({}, {1})`, `if c then {} else {1}`, `member(1, {})`).
+fn agree(a: Partial, b: Partial) -> Option<Type> {
+    Some(a.unify(b)?.fill().expect("OrQL has no null literal"))
+}
+
+/// The type operands `a` and `b` must share ([`agree`]); `clash` words
+/// the error from their own types when they do not.
+fn same_type(
+    a: &Expr,
+    b: &Expr,
+    env: &TypeEnv,
+    clash: impl FnOnce(Type, Type) -> String,
+) -> Result<Type, CheckError> {
+    match agree(literal_type(a, env)?, literal_type(b, env)?) {
+        Some(t) => Ok(t),
+        None => Err(CheckError::new(clash(
+            infer_type(a, env)?,
+            infer_type(b, env)?,
+        ))),
+    }
+}
+
 fn require(actual: &Type, expected: &Type, what: &str) -> Result<(), CheckError> {
     if actual == expected {
         Ok(())
@@ -279,58 +292,41 @@ fn infer_call(builtin: Builtin, args: &[Expr], env: &TypeEnv) -> Result<Type, Ch
             let inner = orset_elem(&elem, "orflatten")?;
             Ok(Type::orset(inner))
         }
-        Builtin::Union | Builtin::Intersect | Builtin::Difference => {
-            let a = arg(0)?;
-            let b = arg(1)?;
-            set_elem(&a, builtin.name())?;
-            if a != b {
-                return Err(CheckError::new(format!(
-                    "{} expects two sets of the same type, found {a} and {b}",
-                    builtin.name()
-                )));
-            }
-            Ok(a)
+        Builtin::Union | Builtin::Intersect | Builtin::Difference | Builtin::Subset => {
+            let name = builtin.name();
+            let t = same_type(&args[0], &args[1], env, |a, b| {
+                format!("{name} expects two sets of the same type, found {a} and {b}")
+            })?;
+            set_elem(&t, name)?;
+            Ok(if builtin == Builtin::Subset {
+                Type::Bool
+            } else {
+                t
+            })
         }
         Builtin::OrUnion => {
-            let a = arg(0)?;
-            let b = arg(1)?;
-            orset_elem(&a, "orunion")?;
-            if a != b {
-                return Err(CheckError::new(format!(
-                    "orunion expects two or-sets of the same type, found {a} and {b}"
-                )));
-            }
-            Ok(a)
+            let t = same_type(&args[0], &args[1], env, |a, b| {
+                format!("orunion expects two or-sets of the same type, found {a} and {b}")
+            })?;
+            orset_elem(&t, "orunion")?;
+            Ok(t)
         }
-        Builtin::Member => {
-            let x = arg(0)?;
-            let s = arg(1)?;
-            let elem = set_elem(&s, "member")?;
-            if x != elem {
+        Builtin::Member | Builtin::OrMember => {
+            let (kind, coll) = match builtin {
+                Builtin::Member => (CollKind::Set, "set"),
+                _ => (CollKind::OrSet, "or-set"),
+            };
+            let singleton = Partial::Coll(kind, Box::new(literal_type(&args[0], env)?));
+            if agree(singleton, literal_type(&args[1], env)?).is_none() {
+                let s = arg(1)?;
+                let elem = match kind {
+                    CollKind::Set => set_elem(&s, "member")?,
+                    _ => orset_elem(&s, "ormember")?,
+                };
                 return Err(CheckError::new(format!(
-                    "member: element type {x} does not match set element type {elem}"
-                )));
-            }
-            Ok(Type::Bool)
-        }
-        Builtin::OrMember => {
-            let x = arg(0)?;
-            let s = arg(1)?;
-            let elem = orset_elem(&s, "ormember")?;
-            if x != elem {
-                return Err(CheckError::new(format!(
-                    "ormember: element type {x} does not match or-set element type {elem}"
-                )));
-            }
-            Ok(Type::Bool)
-        }
-        Builtin::Subset => {
-            let a = arg(0)?;
-            let b = arg(1)?;
-            set_elem(&a, "subset")?;
-            if a != b {
-                return Err(CheckError::new(format!(
-                    "subset expects two sets of the same type, found {a} and {b}"
+                    "{}: element type {} does not match {coll} element type {elem}",
+                    builtin.name(),
+                    arg(0)?
                 )));
             }
             Ok(Type::Bool)
@@ -482,5 +478,38 @@ mod tests {
             assert!(e.message.contains("heterogeneous"), "{src}: {e}");
         }
         assert!(ty("{ {}, 1 }", &env).is_err());
+    }
+
+    #[test]
+    fn empty_operands_take_their_type_from_the_other_operand() {
+        let env = vec![("s".to_string(), Type::set(Type::Int))];
+        let ints = || Type::set(Type::Int);
+        assert_eq!(ty("union({}, {1})", &env).unwrap(), ints());
+        assert_eq!(ty("difference(s, {})", &env).unwrap(), ints());
+        assert_eq!(ty("subset({}, s)", &env).unwrap(), Type::Bool);
+        assert_eq!(
+            ty("orunion(<| |>, <|1|>)", &env).unwrap(),
+            Type::orset(Type::Int)
+        );
+        assert_eq!(ty("if true then {} else {1}", &env).unwrap(), ints());
+        assert_eq!(
+            ty("if true then ({1}, <| |>) else ({}, <|2|>)", &env).unwrap(),
+            Type::prod(ints(), Type::orset(Type::Int))
+        );
+        assert_eq!(ty("member(1, {})", &env).unwrap(), Type::Bool);
+        assert_eq!(ty("ormember({}, <|{1}|>)", &env).unwrap(), Type::Bool);
+        assert_eq!(ty("{} == s", &env).unwrap(), Type::Bool);
+        // a real clash is still an error
+        let e = ty("union({unit}, {1})", &env).unwrap_err();
+        assert!(e.message.contains("same type"), "{e}");
+        assert_eq!(ty("member(true, {})", &env).unwrap(), Type::Bool);
+        let e = ty("member(1, {true})", &env).unwrap_err();
+        assert!(e.message.contains("element type int"), "{e}");
+        assert!(ty("if true then {true} else s", &env).is_err());
+        assert!(ty("{unit} != {1}", &env).is_err());
+        assert!(ty("member(1, 2)", &env)
+            .unwrap_err()
+            .message
+            .contains("expects a set"));
     }
 }

@@ -8,8 +8,8 @@
 //! The interpreter honors the same admission-control budgets as the engine
 //! ([`InterpLimits`]): a wall-clock deadline checked on a stride through
 //! the evaluation loop, and a denotation budget checked — via the
-//! closed-form [`LazyNormalizer::total`] count, so the check costs O(value
-//! size), not O(budget) — before the two builtins whose output is
+//! closed-form [`denotation_count`], so the check costs O(value size), not
+//! O(budget) — before the two builtins whose output is
 //! exponential in their input (`normalize`, `alpha`).  This closes the PR 8
 //! gap where a statement falling back from the engine escaped the server's
 //! per-query budgets.
@@ -19,8 +19,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use or_nra::lazy::LazyNormalizer;
-use or_nra::normalize::normalize_value;
+use or_nra::normalize::{denotation_count, normalize_value};
 use or_object::alpha::alpha_set;
 use or_object::Value;
 
@@ -148,7 +147,7 @@ impl Ctx<'_> {
         let Some(budget) = self.limits.denotations else {
             return Ok(());
         };
-        let total = LazyNormalizer::new(v).total();
+        let total = denotation_count(v);
         if total > u128::from(budget) {
             return Err(InterpError::new(format!(
                 "or-expansion budget exceeded: the argument of {what} denotes {total} \
@@ -725,6 +724,21 @@ mod tests {
         for src in ["normalize(db)", "alpha(db)"] {
             assert!(interpret_limited(&parse(src).unwrap(), &env, &limits).is_ok());
         }
+    }
+
+    #[test]
+    fn denotation_budget_counts_past_u128_without_overflow() {
+        // <| {<|0,1|>, …, <|258,259|>}, 1 |> has more than 2^128
+        // denotations: the count saturates and the budget rejects it.
+        let wide = Value::set((0..130).map(|i| Value::int_orset([2 * i, 2 * i + 1])));
+        let mut env = Env::new();
+        env.insert("db".to_string(), Value::orset([wide, Value::Int(1)]));
+        let limits = InterpLimits::new(Some(u64::MAX), None);
+        let err = interpret_limited(&parse("normalize(db)").unwrap(), &env, &limits).unwrap_err();
+        assert!(
+            err.message.contains(&u128::MAX.to_string()),
+            "unexpected: {err}"
+        );
     }
 
     #[test]

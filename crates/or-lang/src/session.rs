@@ -77,10 +77,11 @@
 //! Engine-served statements are compiled once per *shape*: the core keeps a
 //! cache keyed by the normalized statement expression (the binding name of a
 //! `let` is stripped, so `let out = q` and `q` share an entry) mapping to
-//! the compiled — and, when verification is on, verified — physical plan
-//! plus the input bindings it scans and their row types.  A repeated
-//! statement skips planning and re-verification entirely and goes
-//! straight to execution.  Hits are validated per lookup:
+//! the planned and verified statement ([`PlannedStatement`]: the physical
+//! plan plus the input bindings it scans and their row types), shared
+//! immutably behind an `Arc`.  A repeated statement skips planning and
+//! verification entirely and goes straight to execution, without copying
+//! the plan.  Hits are validated per lookup:
 //! every input must still be a published relation with the row type the plan
 //! was compiled against, so a rebind that changes a relation's record type
 //! can never be served a stale plan (type-changing rebinds also eagerly
@@ -90,6 +91,16 @@
 //! core (an `Arc`), so a server's copy-on-write binding swaps keep it warm.
 //! Hit/miss counts ride on each statement's [`Route`] and are tallied into
 //! [`EngineStats`] only when the statement succeeds.
+//!
+//! ## One verification per plan
+//!
+//! Every freshly planned statement is checked by the static plan verifier
+//! ([`or_engine::verify_gate`], the whole typed rule catalog against the
+//! bindings' row types) once, right after planning and before it is
+//! cached or executed — in every build and every engine mode.  A
+//! `Deny`-severity violation fails the statement with
+//! [`SessionError::Engine`] naming the rule; nothing is cached, and by
+//! eval-then-commit atomicity nothing is published.
 //!
 //! ## Per-query budgets
 //!
@@ -109,10 +120,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use or_engine::{EngineError, EngineInputs, ExecConfig, Executor};
+use or_engine::{verify_gate, EngineInputs, ExecConfig, Executor};
 use or_nra::optimize::{optimize_expansion, ExpandPlannerConfig};
 use or_nra::physical::PhysicalPlan;
-use or_nra::verify::{first_deny, verify_plan, VerifyConfig};
 use or_object::snapshot::Snapshot;
 use or_object::{Type, Value};
 
@@ -273,8 +283,7 @@ pub enum Route {
     /// Served by the physical engine.
     Engine {
         /// Whether the physical plan came from the statement-shape cache
-        /// (skipping planning, and verification when the entry was already
-        /// verified under the same budget).
+        /// (skipping planning and verification).
         cache_hit: bool,
         /// Batches the engine's columnar kernels served for this statement.
         columnar_batches: u64,
@@ -379,26 +388,14 @@ impl EngineStats {
     }
 }
 
-/// One statement shape's compiled plan, with the context needed to decide
-/// whether it is still current: which bindings feed its scan slots and the
-/// row types it was compiled (and possibly verified) against.
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    plan: PhysicalPlan,
-    inputs: Vec<String>,
-    row_types: Vec<Option<Type>>,
-    /// The `or_budget` the plan was statically verified under, when it was
-    /// — a hit under the same budget skips re-verification.
-    verified_under: Option<Option<u64>>,
-}
-
-/// The statement-shape plan cache: normalized statement expression →
-/// [`CachedPlan`].  Purely a memo — entries are validated against the
-/// live bindings on every lookup, so dropping the whole cache is always
-/// safe (and is the capacity-eviction strategy).
+/// The statement-shape plan cache: normalized statement expression → its
+/// verified [`PlannedStatement`], shared so a hit copies no plan.  Purely
+/// a memo — entries are validated against the live bindings on every
+/// lookup, so dropping the whole cache is always safe (and is the
+/// capacity-eviction strategy).
 #[derive(Debug, Default)]
 struct PlanCache {
-    plans: Mutex<HashMap<String, CachedPlan>>,
+    plans: Mutex<HashMap<String, Arc<PlannedStatement>>>,
 }
 
 impl PlanCache {
@@ -406,26 +403,20 @@ impl PlanCache {
     /// wholesale and rebuilt from use.
     const CAPACITY: usize = 128;
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, CachedPlan>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<PlannedStatement>>> {
         self.plans.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get(&self, shape: &str) -> Option<CachedPlan> {
+    fn get(&self, shape: &str) -> Option<Arc<PlannedStatement>> {
         self.lock().get(shape).cloned()
     }
 
-    fn insert(&self, shape: String, plan: CachedPlan) {
+    fn insert(&self, shape: String, plan: Arc<PlannedStatement>) {
         let mut plans = self.lock();
         if plans.len() >= PlanCache::CAPACITY && !plans.contains_key(&shape) {
             plans.clear();
         }
         plans.insert(shape, plan);
-    }
-
-    fn mark_verified(&self, shape: &str, or_budget: Option<u64>) {
-        if let Some(entry) = self.lock().get_mut(shape) {
-            entry.verified_under = Some(or_budget);
-        }
     }
 
     /// Drop every entry that scans `name` — the eager half of rebind
@@ -546,13 +537,7 @@ impl SessionCore {
             Statement::Bind(name, expr) => (expr, Some(name)),
         };
         let ty = infer_type(&expr, &self.type_env())?;
-        let mut config = budget.apply_to(config);
-        // Differential mode is the session's checked mode: the static plan
-        // verifier gates every engine-served statement regardless of build
-        // profile.
-        if matches!(mode, ExecMode::EngineChecked) {
-            config.verify = true;
-        }
+        let config = budget.apply_to(config);
         // The interpreter honors the same admission budgets as the engine,
         // on every route it can serve: Interp mode, the Engine-mode
         // fallback, and the EngineChecked cross-check.  The deadline clock
@@ -657,28 +642,6 @@ impl SessionCore {
         }
     }
 
-    /// Schema-aware static verification of an engine plan against the
-    /// row types it was planned for (`ExecConfig::verify` gate).  The
-    /// session is the one caller that knows both the plan *and* the
-    /// bindings' row types, so the whole typed rule catalog engages here.
-    /// A `Deny`-severity violation is an outer error: the statement fails
-    /// and — by eval-then-commit atomicity — publishes nothing.
-    fn verify_typed(cached: &CachedPlan, or_budget: Option<u64>) -> Result<(), SessionError> {
-        let vconfig = VerifyConfig {
-            provided_inputs: Some(cached.inputs.len()),
-            row_types: cached.row_types.clone(),
-            or_budget,
-            require_budgets: false,
-            assume_consistent: false,
-        };
-        match first_deny(&verify_plan(&cached.plan, &vconfig)) {
-            Some(v) => Err(SessionError::Engine(
-                EngineError::from_violation(v).to_string(),
-            )),
-            None => Ok(()),
-        }
-    }
-
     /// The plan [`SessionCore::eval_statement`] would hand the engine for
     /// `source`, without executing anything — `None` when the statement is
     /// outside the plannable fragment (the interpreter would serve it).
@@ -688,11 +651,7 @@ impl SessionCore {
     pub fn plan_statement(&self, source: &str) -> Result<Option<PlannedStatement>, SessionError> {
         let (Statement::Expr(expr) | Statement::Bind(_, expr)) = parse_statement(source)?;
         infer_type(&expr, &self.type_env())?;
-        Ok(self.plan(&expr).ok().map(|planned| PlannedStatement {
-            plan: planned.plan,
-            inputs: planned.inputs,
-            row_types: planned.row_types,
-        }))
+        Ok(self.plan(&expr).ok())
     }
 
     /// Plan `expr` for the engine with the direct planner ([`crate::plan`])
@@ -704,7 +663,7 @@ impl SessionCore {
     /// what [`SessionCore::cached_plan_current`] re-checks on a cache hit.
     /// Its worker recommendation is ignored: the executor's own row-count
     /// threshold decides.
-    fn plan(&self, expr: &crate::ast::Expr) -> Result<CachedPlan, PlanError> {
+    fn plan(&self, expr: &crate::ast::Expr) -> Result<PlannedStatement, PlanError> {
         // A bare binding reference is an O(1) environment lookup: running
         // the engine would clone the whole relation through a scan, re-sort
         // an already-canonical set, and count the echo as "engine-served".
@@ -747,11 +706,10 @@ impl SessionCore {
             }
         }
         let row_types = inputs.iter().map(|n| self.row_type_of(n)).collect();
-        Ok(CachedPlan {
+        Ok(PlannedStatement {
             plan,
             inputs,
             row_types,
-            verified_under: None,
         })
     }
 
@@ -760,7 +718,7 @@ impl SessionCore {
     /// type the plan was compiled against.  (Row *contents* are free to
     /// differ — plans reference bindings by name and read the snapshot at
     /// execution time.)
-    fn cached_plan_current(&self, cached: &CachedPlan) -> bool {
+    fn cached_plan_current(&self, cached: &PlannedStatement) -> bool {
         cached
             .inputs
             .iter()
@@ -768,37 +726,22 @@ impl SessionCore {
             .all(|(name, ty)| self.snapshot.get(name).is_some() && self.row_type_of(name) == *ty)
     }
 
-    /// Verify (unless the entry is already verified under this budget),
-    /// execute, and memoize one statement-shape plan.  On a miss the entry
-    /// is inserted after verification passes, so a statement that later
-    /// fails at admission (a budget, say) still leaves a valid memo for the
-    /// retry.
+    /// Execute one verified statement-shape plan against the snapshot.
     fn run_plan(
         &self,
-        shape: &str,
-        mut cached: CachedPlan,
+        planned: &PlannedStatement,
         config: ExecConfig,
         cache_hit: bool,
     ) -> Result<(Value, Route), SessionError> {
-        if config.verify && cached.verified_under != Some(config.or_budget) {
-            SessionCore::verify_typed(&cached, config.or_budget)?;
-            cached.verified_under = Some(config.or_budget);
-            if cache_hit {
-                self.plans.mark_verified(shape, config.or_budget);
-            }
-        }
         let mut inputs = EngineInputs::with_base(self.snapshot.arena().clone());
-        for name in &cached.inputs {
+        for name in &planned.inputs {
             let published = self
                 .snapshot
                 .get(name)
                 .expect("plan inputs were checked against the snapshot");
             inputs.push_interned(published.rows(), published.ids());
         }
-        if !cache_hit {
-            self.plans.insert(shape.to_string(), cached.clone());
-        }
-        match Executor::new(config).run(&cached.plan, &inputs) {
+        match Executor::new(config).run(&planned.plan, &inputs) {
             Ok((value, stats)) => Ok((
                 value,
                 Route::Engine {
@@ -815,7 +758,7 @@ impl SessionCore {
     /// means the statement is outside the engine's fragment (caller falls
     /// back to the interpreter and, for `noteworthy` errors, records the
     /// reason); the outer error is a genuine engine failure on a statement
-    /// the planner accepted.
+    /// the planner accepted, a verifier rejection among them.
     fn try_engine(
         &self,
         expr: &crate::ast::Expr,
@@ -823,31 +766,35 @@ impl SessionCore {
     ) -> Result<Result<(Value, Route), PlanError>, SessionError> {
         // The statement-shape cache: a statement whose normalized
         // expression was planned before — against inputs that still carry
-        // the same row types — skips planning and (same-budget)
-        // verification entirely.
+        // the same row types — skips planning and verification entirely.
         let shape = format!("{expr:?}");
         let (planned, cache_hit) = match self.plans.get(&shape) {
             Some(cached) if self.cached_plan_current(&cached) => (cached, true),
-            stale => match self.plan(expr) {
-                Ok(planned) => (planned, false),
-                Err(fallback) => {
-                    // a fresh plan overwrites a stale entry; a fallback
-                    // drops it
-                    if stale.is_some() {
-                        self.plans.lock().remove(&shape);
-                    }
-                    return Ok(Err(fallback));
+            stale => {
+                // a fresh plan replaces a stale entry; a fallback or a
+                // denied plan leaves none
+                if stale.is_some() {
+                    self.plans.lock().remove(&shape);
                 }
-            },
+                let planned = match self.plan(expr) {
+                    Ok(planned) => planned,
+                    Err(fallback) => return Ok(Err(fallback)),
+                };
+                // Verify once per plan, before it is cached or executed, so
+                // a statement that later fails at admission (a budget, say)
+                // still leaves a valid memo for the retry.
+                verify_gate(&planned.plan, &planned.row_types, false)
+                    .map_err(|e| SessionError::Engine(e.to_string()))?;
+                let planned = Arc::new(planned);
+                self.plans.insert(shape, Arc::clone(&planned));
+                (planned, false)
+            }
         };
         // Only `OrExpand` checks the denotation budget.  Under a budget, a
         // plan that α-expands inside an operator's morphism (a dependent
         // generator's `Flatten` lowering) goes to the interpreter, which
         // checks it at every `normalize` and `alpha`.
         if config.or_budget.is_some() && planned.plan.expands_in_morphisms() {
-            if !cache_hit {
-                self.plans.insert(shape, planned);
-            }
             return Ok(Err(PlanError {
                 reason: "α-expansion outside OrExpand cannot be held to the denotation \
                          budget"
@@ -855,13 +802,14 @@ impl SessionCore {
                 noteworthy: true,
             }));
         }
-        self.run_plan(&shape, planned, config, cache_hit).map(Ok)
+        self.run_plan(&planned, config, cache_hit).map(Ok)
     }
 }
 
 /// The engine plan a statement would execute, with the session context a
 /// static verifier needs: which binding feeds each scan slot and its row
-/// type.  Produced by [`SessionCore::plan_statement`].
+/// type.  Produced by [`SessionCore::plan_statement`], and the unit of the
+/// session's statement-shape plan cache.
 #[derive(Debug, Clone)]
 pub struct PlannedStatement {
     /// The physical plan the engine would run.
@@ -1051,7 +999,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use or_nra::verify::{verify_plan, VerifyConfig};
     use std::time::Duration;
 
     #[test]
@@ -1618,6 +1566,35 @@ mod tests {
         ));
     }
 
+    /// An empty literal operand takes its type from the other operand, in
+    /// `union`, `if` and `member`, and the statements agree with the
+    /// interpreter; a real clash is still a type error.
+    #[test]
+    fn empty_operands_type_from_the_other_operand() {
+        let mut s = Session::with_engine_checked(ExecConfig::default());
+        s.run("let db = { 1, 2 }").unwrap();
+        let ints = || Type::set(Type::Int);
+        let cases = [
+            ("union({}, {1})", ints(), Value::int_set([1])),
+            ("if true then {} else {1}", ints(), Value::int_set([])),
+            ("member(1, {})", Type::Bool, Value::Bool(false)),
+            ("union(db, {})", ints(), Value::int_set([1, 2])),
+            (
+                "{ x | x <- union({}, db), x > 1 }",
+                ints(),
+                Value::int_set([2]),
+            ),
+        ];
+        for (query, ty, want) in &cases {
+            let r = s.run(query).unwrap();
+            assert_eq!((&r.ty, &r.value), (ty, want), "{query}");
+        }
+        assert!(matches!(
+            s.run("union({unit}, {1})"),
+            Err(SessionError::Check(_))
+        ));
+    }
+
     /// An equi-join inside the pipeline an α-expansion generator ranges
     /// over is fused into a `Join` below the `OrExpand`.  The pipeline's
     /// head pairs or-sets, which does not commute with the expansion (V08),
@@ -2062,6 +2039,21 @@ mod tests {
         // the benchmark-shaped filter+project runs fully columnar
         assert!(stats.columnar_batches >= 1, "{stats:?}");
         assert_eq!(stats.scalar_fallback_batches, 0, "{stats:?}");
+    }
+
+    /// The cache holds each verified plan once, behind an `Arc`: a hit
+    /// neither re-plans nor copies it.
+    #[test]
+    fn cache_hits_share_the_verified_plan() {
+        let mut s = Session::with_engine(ExecConfig::default());
+        s.run("let db = { (1, 10), (2, 20), (3, 30) }").unwrap();
+        let q = "{ fst(p) | p <- db, snd(p) <= 20 }";
+        let entry = |s: &Session| s.core().plans.lock().values().next().cloned().unwrap();
+        s.run(q).unwrap();
+        let planned = entry(&s);
+        s.run(q).unwrap();
+        assert!(Arc::ptr_eq(&planned, &entry(&s)));
+        assert_eq!(s.engine_stats().plan_cache_hits, 1);
     }
 
     /// Rebinding an input with the *same* record type keeps the cache warm

@@ -120,15 +120,6 @@ pub fn respects_size_bound(s: u64, n: u64) -> bool {
 // expansion-cardinality estimation (the expand planner's cost model)
 // ---------------------------------------------------------------------------
 
-/// The number of possible worlds a single relation row α-expands into
-/// (counted with multiplicity, saturating at `u128::MAX`).  This is the
-/// closed-form count of [`crate::lazy::LazyNormalizer::total`] — O(row size),
-/// no materialization — and is the per-row quantity the expand planner's
-/// cost model is built from.
-pub fn row_expansion_count(row: &Value) -> u128 {
-    denotation_count(row)
-}
-
 /// Aggregate expansion statistics over (a sample of) a relation's rows.
 ///
 /// Produced by [`estimate_expansion`]; consumed by the expand planner in
@@ -206,7 +197,7 @@ pub fn estimate_expansion_where<F: FnMut(&Value) -> bool>(
     while i < rows.len() {
         sampled += 1;
         if keep(&rows[i]) {
-            let n = row_expansion_count(&rows[i]);
+            let n = denotation_count(&rows[i]);
             sum = sum.saturating_add(n);
             max_per_row = max_per_row.max(n);
             if !rows[i].contains_orset() {
@@ -410,7 +401,7 @@ mod tests {
         assert_eq!(est.total_denotations, 6 + 1 + 1);
         assert_eq!(est.max_per_row, 6);
         assert_eq!(est.or_free_rows, 1);
-        assert_eq!(row_expansion_count(&rows[0]), 6);
+        assert_eq!(denotation_count(&rows[0]), 6);
     }
 
     #[test]

@@ -65,7 +65,9 @@ pub fn denotations(v: &Value) -> Vec<Value> {
 }
 
 /// The number of conceptual denotations of `v` without materializing them
-/// (counted with multiplicity, i.e. before the final duplicate removal).
+/// (counted with multiplicity, i.e. before the final duplicate removal),
+/// saturating at `u128::MAX` — the closed form of
+/// [`crate::lazy::LazyNormalizer::total`], in O(size of `v`).
 pub fn denotation_count(v: &Value) -> u128 {
     match v {
         x if x.is_base() => 1,
@@ -74,7 +76,10 @@ pub fn denotation_count(v: &Value) -> u128 {
             .iter()
             .map(denotation_count)
             .fold(1u128, |acc, n| acc.saturating_mul(n)),
-        Value::OrSet(items) => items.iter().map(denotation_count).sum(),
+        Value::OrSet(items) => items
+            .iter()
+            .map(denotation_count)
+            .fold(0u128, u128::saturating_add),
         _ => unreachable!("all shapes covered"),
     }
 }
@@ -424,6 +429,19 @@ mod tests {
         assert_eq!(denotation_count(&v), denotations(&v).len() as u128);
         let w = Value::orset([Value::int_orset([1, 2]), Value::int_orset([2, 3])]);
         assert_eq!(denotation_count(&w), 4);
+    }
+
+    #[test]
+    fn denotation_count_saturates() {
+        // <| {<|0,1|>, …, <|258,259|>}, 1 |>: the set alone has 2^130
+        // denotations, so the or-set's sum must saturate, not overflow.
+        let wide = Value::set((0..130).map(|i| Value::int_orset([2 * i, 2 * i + 1])));
+        let v = Value::orset([wide, Value::Int(1)]);
+        assert_eq!(denotation_count(&v), u128::MAX);
+        assert_eq!(
+            denotation_count(&v),
+            crate::lazy::LazyNormalizer::new(&v).total()
+        );
     }
 
     #[test]

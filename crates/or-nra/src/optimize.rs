@@ -122,7 +122,7 @@
 //! Placement is paired with a cardinality estimate: the planner samples the
 //! driving input's rows and computes their closed-form world counts
 //! ([`crate::cost::estimate_expansion`] /
-//! [`crate::cost::row_expansion_count`] — O(row size), no materialization).
+//! [`crate::normalize::denotation_count`] — O(row size), no materialization).
 //! From the estimated total it recommends a worker count for the engine's
 //! partitioned executor ([`crate::cost::ExpandEstimate::recommended_workers`]):
 //! one big expand becomes `w` partition-local expands, each worker expanding

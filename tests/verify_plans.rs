@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use or_db::{Field, Relation, Schema};
-use or_engine::{run_plan, run_plan_optimized, EngineError, ExecConfig};
+use or_engine::{run_plan, run_plan_optimized, EngineError, EngineInputs, ExecConfig, Executor};
 use or_lang::{ExecMode, QueryBudget, Route, SessionCore};
 use or_nra::morphism::{Morphism as M, Prim};
 use or_nra::optimize::lower;
@@ -180,11 +180,7 @@ fn engine_gate_rejects_non_preserving_filter_below_expand() {
     let plan = PhysicalPlan::scan(0)
         .filter(M::Proj2.then(M::Eq))
         .or_expand();
-    let config = ExecConfig {
-        verify: true, // explicit: the test must hold in release builds too
-        ..ExecConfig::default()
-    };
-    match run_plan(&plan, &[&relation], config) {
+    match run_plan(&plan, &[&relation], ExecConfig::default()) {
         Err(EngineError::InvariantViolation { rule, path, .. }) => {
             assert_eq!(rule, "V08");
             assert!(path.contains("Filter"), "path locates the filter: {path}");
@@ -193,21 +189,20 @@ fn engine_gate_rejects_non_preserving_filter_below_expand() {
     }
 }
 
-/// With verification off, the same malformed plan reaches the executor —
-/// the gate, not the executor, is what rejects it.
+/// Handed straight to the executor, the same malformed plan runs — the
+/// gate, not the executor, is what rejects it.
 #[test]
 fn the_gate_is_what_rejects_malformed_plans() {
     let relation = orset_relation(4, 0);
     let plan = PhysicalPlan::scan(0)
         .filter(M::Proj2.then(M::Eq))
         .or_expand();
-    let config = ExecConfig {
-        verify: false,
-        ..ExecConfig::default()
-    };
+    let inputs: EngineInputs = [relation.records()].into_iter().collect();
     // The unsound plan *executes* (producing whatever it produces) — only
     // the verifier knows it disagrees with expand-then-filter semantics.
-    assert!(run_plan(&plan, &[&relation], config).is_ok());
+    assert!(Executor::new(ExecConfig::default())
+        .run(&plan, &inputs)
+        .is_ok());
 }
 
 /// `plan_statement` is the serving route itself: for every statement of
