@@ -25,8 +25,8 @@ use or_nra::verify::{verify_plan, Severity, VerifyConfig, Violation};
 use or_object::Type;
 
 /// The default per-query denotation budget the pass verifies under — the
-/// stand-in for a serving layer's admission control.  Every `OrExpand`
-/// must be covered by this or by a plan-level budget (rule V10).
+/// stand-in for a serving layer's admission control, and so the budget
+/// every `OrExpand` is covered by (rule V10).
 pub const SERVING_OR_BUDGET: u64 = 1 << 20;
 
 /// The bench workloads run at this small scale; plan shape does not depend

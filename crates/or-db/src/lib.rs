@@ -46,6 +46,6 @@ pub mod workload;
 pub use codd::{Cell, CoddTable};
 pub use design::{Component, DesignTemplate, ModuleOption};
 pub use planning::{PlanningProblem, Schedule, Task};
-pub use relation::{partition_rows, InternedColumns, InternedRows, Relation, RelationError};
+pub use relation::{InternedRows, Relation, RelationError};
 pub use schema::{Field, Schema, SchemaError};
 pub use workload::Workload;

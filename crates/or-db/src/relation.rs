@@ -29,23 +29,6 @@ pub struct InternedRows {
     pub ids: Vec<InternId>,
 }
 
-/// The relation sliced into columns over its interned records: one id
-/// column per schema field, in schema order (SoA).  `columns[f][r]` names
-/// field `f` of record `r` in the same frozen arena as
-/// [`Relation::interned`] — the typed column view the engine's columnar
-/// kernels gather per block, precomputed once per relation for consumers
-/// that want whole columns (statistics, column scans) without walking
-/// record spines per row.
-#[derive(Debug, Clone)]
-pub struct InternedColumns {
-    /// The frozen arena the column ids live in (shared with
-    /// [`InternedRows`]).
-    pub arena: Arc<Interner>,
-    /// One id column per schema field: `columns[f][r]` is field `f` of
-    /// record `r`.
-    pub columns: Vec<Vec<InternId>>,
-}
-
 /// A named in-memory relation.
 #[derive(Debug, Clone)]
 pub struct Relation {
@@ -55,8 +38,6 @@ pub struct Relation {
     rows: Vec<Value>,
     /// Lazily built interned-rows cache; reset by every mutation.
     interned: OnceLock<InternedRows>,
-    /// Lazily built columnar view over the interned rows; reset with it.
-    columns: OnceLock<InternedColumns>,
 }
 
 impl PartialEq for Relation {
@@ -106,7 +87,6 @@ impl Relation {
             schema,
             rows: Vec::new(),
             interned: OnceLock::new(),
-            columns: OnceLock::new(),
         }
     }
 
@@ -147,51 +127,6 @@ impl Relation {
         })
     }
 
-    /// The relation's columnar (SoA) view: one id column per schema field
-    /// over the interned records, sharing the frozen per-relation arena of
-    /// [`Relation::interned`].
-    ///
-    /// Built lazily on first use and cached until the relation is mutated.
-    /// Schema checking guarantees every record carries the full pair
-    /// spine, so the per-field gather cannot fail.
-    pub fn interned_columns(&self) -> &InternedColumns {
-        self.columns.get_or_init(|| {
-            let interned = self.interned();
-            let columns = (0..self.schema.arity())
-                .map(|f| {
-                    let path = self.schema.field_path(f).expect("field index in range");
-                    let mut column = Vec::new();
-                    interned
-                        .arena
-                        .gather_path(&interned.ids, &path, &mut column)
-                        .expect("schema-checked records carry every field");
-                    column
-                })
-                .collect();
-            InternedColumns {
-                arena: interned.arena.clone(),
-                columns,
-            }
-        })
-    }
-
-    /// The records in contiguous batches of at most `batch_size` rows — a
-    /// convenience mirror of the batch-at-a-time granularity the physical
-    /// engine's scans use internally (`ExecConfig::batch_size`), for
-    /// external consumers that want to stream a relation the same way.
-    pub fn batches(&self, batch_size: usize) -> impl Iterator<Item = &[Value]> {
-        self.rows.chunks(batch_size.max(1))
-    }
-
-    /// Split the records into `n` contiguous, near-equal partitions (fewer
-    /// when the relation has fewer than `n` rows; a single empty partition
-    /// for an empty relation).  Delegates to [`partition_rows`] — the same
-    /// split the engine's parallel executor applies to its driving input —
-    /// so external schedulers shard a relation identically.
-    pub fn partitions(&self, n: usize) -> Vec<&[Value]> {
-        partition_rows(&self.rows, n)
-    }
-
     /// Bulk-load a relation from pre-encoded records (each must match the
     /// schema's record type).  Rows are deduplicated; this is the fast path
     /// the workload generators and benchmarks use.
@@ -222,8 +157,7 @@ impl Relation {
         let record = self.schema.record(values)?;
         if !self.rows.contains(&record) {
             self.rows.push(record);
-            self.interned = OnceLock::new(); // caches follow the rows
-            self.columns = OnceLock::new();
+            self.interned = OnceLock::new(); // the cache follows the rows
         }
         Ok(())
     }
@@ -238,8 +172,7 @@ impl Relation {
         }
         if !self.rows.contains(&record) {
             self.rows.push(record);
-            self.interned = OnceLock::new(); // caches follow the rows
-            self.columns = OnceLock::new();
+            self.interned = OnceLock::new(); // the cache follows the rows
         }
         Ok(())
     }
@@ -297,26 +230,6 @@ impl Relation {
     pub fn possibility_count(&self) -> u64 {
         or_nra::normalize::possibility_count(&self.to_value())
     }
-}
-
-/// Split `rows` into `n` contiguous, near-equal partitions (fewer when
-/// there are fewer rows than `n`; a single empty partition for an empty
-/// slice).  This is the split [`Relation::partitions`] exposes and the
-/// physical engine's parallel executor applies to the driving input —
-/// generic so the engine can shard interned id rows with the same
-/// geometry as value rows.
-pub fn partition_rows<T>(rows: &[T], n: usize) -> Vec<&[T]> {
-    let n = n.max(1).min(rows.len().max(1));
-    let base = rows.len() / n;
-    let extra = rows.len() % n;
-    let mut out = Vec::with_capacity(n);
-    let mut start = 0;
-    for i in 0..n {
-        let len = base + usize::from(i < extra);
-        out.push(&rows[start..start + len]);
-        start += len;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -381,50 +294,6 @@ mod tests {
         assert_eq!(r.possibility_count(), 2);
         let nf = r.normalize();
         assert_eq!(nf.elements().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn batches_and_partitions_cover_all_rows() {
-        let schema = Schema::new([Field::new("n", Type::Int)]).unwrap();
-        let mut r = Relation::new("numbers", schema);
-        for i in 0..10 {
-            r.insert(vec![Value::Int(i)]).unwrap();
-        }
-        let batched: usize = r.batches(3).map(<[Value]>::len).sum();
-        assert_eq!(batched, 10);
-        assert!(r.batches(3).all(|b| b.len() <= 3));
-        for n in [1, 3, 4, 10, 50] {
-            let parts = r.partitions(n);
-            assert!(parts.len() <= n);
-            let total: usize = parts.iter().map(|p| p.len()).sum();
-            assert_eq!(total, 10, "partitions({n}) lost rows");
-            let rebuilt: Vec<Value> = parts.concat();
-            assert_eq!(rebuilt, r.records());
-        }
-        // empty relation: a single empty partition, no batches
-        let empty = Relation::new("empty", Schema::new([Field::new("n", Type::Int)]).unwrap());
-        assert_eq!(empty.partitions(4).len(), 1);
-        assert_eq!(empty.batches(8).count(), 0);
-    }
-
-    #[test]
-    fn interned_columns_agree_with_field_projection_and_follow_mutations() {
-        let mut r = offices();
-        let cols = r.interned_columns();
-        assert_eq!(cols.columns.len(), 2);
-        for (f, field) in r.schema().fields().iter().enumerate() {
-            let decoded: Vec<Value> = cols.columns[f]
-                .iter()
-                .map(|&id| cols.arena.value(id))
-                .collect();
-            assert_eq!(decoded, r.project(&field.name).unwrap(), "{}", field.name);
-        }
-        // the column arena is the row arena: column ids are row-field ids
-        assert!(Arc::ptr_eq(&cols.arena, &r.interned().arena));
-        // mutation invalidates the columnar cache along with the rows
-        r.insert(vec![Value::str("Ann"), Value::int_orset([7])])
-            .unwrap();
-        assert_eq!(r.interned_columns().columns[0].len(), 3);
     }
 
     #[test]

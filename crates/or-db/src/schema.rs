@@ -169,21 +169,6 @@ impl Schema {
         }
         Ok(m)
     }
-
-    /// The pair-spine path of the field at `index` in the record encoding
-    /// — the interned mirror of [`Schema::field_morphism`], consumable by
-    /// [`or_object::intern::Interner::gather_path`] to slice a whole
-    /// column out of interned records in one pass.
-    pub fn field_path(&self, index: usize) -> Result<Vec<or_object::intern::Field>, SchemaError> {
-        if index >= self.fields.len() {
-            return Err(SchemaError::UnknownField(format!("#{index}")));
-        }
-        let mut path = vec![or_object::intern::Field::Snd; index];
-        if index + 1 < self.fields.len() {
-            path.push(or_object::intern::Field::Fst);
-        }
-        Ok(path)
-    }
 }
 
 impl fmt::Display for Schema {

@@ -352,7 +352,7 @@ mod tests {
         let m = M::Proj2
             .then(M::pair(M::Id, M::constant(Value::Int(4))))
             .then(M::Prim(Prim::Leq));
-        let prog = RowProgram::compile(&m, &mut arena);
+        let prog = RowProgram::compile(&m, &mut arena, None);
         let pred = ColumnPredicate::of(&prog).expect("columnar");
         let mut block = IdBlock::default();
         let mut out = Vec::new();
@@ -377,7 +377,7 @@ mod tests {
         let m = M::Proj2
             .then(M::pair(M::Id, M::constant(Value::Int(4))))
             .then(M::Prim(Prim::Leq));
-        let prog = RowProgram::compile(&m, &mut arena);
+        let prog = RowProgram::compile(&m, &mut arena, None);
         let pred = ColumnPredicate::of(&prog).expect("columnar");
         let mut block = IdBlock::default();
         let mut out = Vec::new();
@@ -385,7 +385,7 @@ mod tests {
         // non-int under an integer compare falls back the same way
         let mut arena2 = Interner::new();
         let bad = vec![arena2.intern(&Value::pair(Value::Int(0), Value::str("x")))];
-        let prog2 = RowProgram::compile(&m, &mut arena2);
+        let prog2 = RowProgram::compile(&m, &mut arena2, None);
         let pred2 = ColumnPredicate::of(&prog2).expect("columnar");
         assert!(!filter_block(&pred2, &bad, &arena2, &mut block, &mut out));
     }
@@ -394,7 +394,7 @@ mod tests {
     fn project_block_gathers_and_pairs() {
         let mut arena = Interner::new();
         let batch = rows(&mut arena, 10);
-        let proj = ColumnProgram::of(&RowProgram::compile(&M::Proj1, &mut arena)).unwrap();
+        let proj = ColumnProgram::of(&RowProgram::compile(&M::Proj1, &mut arena, None)).unwrap();
         let mut out = Vec::new();
         assert!(project_block(&proj, &batch, &mut arena, &mut out));
         let scalar: Vec<InternId> = (0..10).map(|i| arena.intern(&Value::Int(i))).collect();
@@ -403,10 +403,11 @@ mod tests {
         let swap = ColumnProgram::of(&RowProgram::compile(
             &M::pair(M::Proj2, M::Proj1),
             &mut arena,
+            None,
         ))
         .unwrap();
         assert!(project_block(&swap, &batch, &mut arena, &mut out));
-        let prog = RowProgram::compile(&M::pair(M::Proj2, M::Proj1), &mut arena);
+        let prog = RowProgram::compile(&M::pair(M::Proj2, M::Proj1), &mut arena, None);
         let scalar: Vec<InternId> = batch
             .iter()
             .map(|&row| prog.run(row, &mut arena).unwrap())
@@ -440,7 +441,7 @@ mod tests {
             .then(M::Prim(Prim::Plus)),
         ];
         for head in &heads {
-            let prog = RowProgram::compile(head, &mut arena);
+            let prog = RowProgram::compile(head, &mut arena, None);
             let col = ColumnProgram::of(&prog).expect("columnar");
             let mut out = Vec::new();
             assert!(project_block(&col, &batch, &mut arena, &mut out), "{head}");
@@ -454,7 +455,7 @@ mod tests {
         // path, which reports the error
         let mut mixed = batch.clone();
         mixed.push(arena.intern(&Value::pair(Value::Int(1), Value::Bool(true))));
-        let prog = RowProgram::compile(&heads[0], &mut arena);
+        let prog = RowProgram::compile(&heads[0], &mut arena, None);
         let col = ColumnProgram::of(&prog).unwrap();
         let mut out = Vec::new();
         assert!(!project_block(&col, &mixed, &mut arena, &mut out));

@@ -22,7 +22,8 @@ pub enum EngineError {
         /// A rendering of the offending value.
         value: String,
     },
-    /// A row's α-expansion exceeded the configured denotation budget.
+    /// A row's α-expansion — by `OrExpand` or by a `normalize`/`alpha`
+    /// step of a row program — exceeded the configured denotation budget.
     BudgetExceeded {
         /// The configured per-row budget.
         budget: u64,
@@ -115,8 +116,14 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 impl From<EvalError> for EngineError {
+    /// A row program's budget rejection reads as `OrExpand`'s.
     fn from(e: EvalError) -> Self {
-        EngineError::Eval(e)
+        match e {
+            EvalError::BudgetExceeded { budget, needed } => {
+                EngineError::BudgetExceeded { budget, needed }
+            }
+            e => EngineError::Eval(e),
+        }
     }
 }
 

@@ -89,8 +89,8 @@ pub struct ExecConfig {
     pub workers: usize,
     /// Rows per operator batch.
     pub batch_size: usize,
-    /// Default per-row denotation budget applied to `OrExpand` operators
-    /// that do not carry their own (`None` = unbounded).
+    /// Denotation budget of every α-expansion: each `OrExpand` row and
+    /// each row-program `normalize`/`alpha` input (`None` = unbounded).
     pub or_budget: Option<u64>,
     /// Rows per morsel — the granularity of the work-stealing queue.
     pub morsel_rows: usize,
@@ -924,7 +924,7 @@ mod tests {
     #[test]
     fn panicking_worker_yields_error_not_abort() {
         let rows: Vec<Value> = (0..8).map(Value::Int).collect();
-        let partitions = or_db::partition_rows(&rows, 4);
+        let partitions: Vec<&[Value]> = rows.chunks(2).collect();
         // a deliberately panicking per-row function standing in for a
         // panicking morphism evaluation inside the worker pipeline
         let results = run_workers(partitions, |_, partition| {

@@ -97,13 +97,18 @@
 //!    distinct complete rows is maintained instead of a duplicate-laden
 //!    multiset;
 //! 3. enforces a **per-row denotation budget**
-//!    ([`exec::ExecConfig::or_budget`] or the plan's own
-//!    `OrExpand { budget, .. }`): a row whose denotation count exceeds the
-//!    budget aborts the query with
+//!    ([`exec::ExecConfig::or_budget`], the only source): a row whose
+//!    denotation count exceeds the budget aborts the query with
 //!    [`error::EngineError::BudgetExceeded`] — a reported resource limit
 //!    rather than an accidental out-of-memory.  Because
 //!    `ExpandProgram::total()` is a closed-form count, the check costs
 //!    O(row size), not O(budget).
+//!
+//! A `normalize` or `alpha` inside an operator's morphism (the `Flatten`
+//! lowering of a dependent generator) runs under the same budget: its row
+//! program counts the step's input with
+//! [`or_nra::normalize::denotation_count`], as the interpreter does,
+//! before it evaluates, and fails with the same error.
 //!
 //! ## Cross-checking
 //!

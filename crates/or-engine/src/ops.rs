@@ -42,6 +42,12 @@
 //!   ids (zero re-interning), streaming dedup is a `HashSet<InternId>`, and
 //!   the per-row denotation budget is enforced before any world is
 //!   interned.
+//!
+//! The denotation budget is [`BuildCtx::or_budget`] (the executor's
+//! `ExecConfig::or_budget`), the only one: `OrExpand` checks it per row,
+//! and [`compile`] hands it to every row program, whose `normalize` and
+//! `alpha` steps check it on their input.  Both report
+//! [`EngineError::BudgetExceeded`].
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -107,7 +113,7 @@ pub struct BuildCtx<'a> {
     pub inputs: &'a [Cow<'a, [InternId]>],
     /// Rows per operator batch.
     pub batch_size: usize,
-    /// Default per-row or-expansion budget for budget-less `OrExpand` nodes.
+    /// Per-row denotation budget of every `OrExpand` (`None` = unbounded).
     pub or_budget: Option<u64>,
     /// Is this the lead pipeline of its run?  `Union` right sides are
     /// independent of the driving rows, so only the first pipeline the
@@ -322,12 +328,8 @@ pub enum CompiledPlan {
         /// Upstream plan.
         input: Box<CompiledPlan>,
     },
-    /// Per-row lazy α-expansion.
+    /// Per-row lazy α-expansion, deduplicated while streaming.
     OrExpand {
-        /// Per-row denotation cap (`None` = executor default).
-        budget: Option<u64>,
-        /// Deduplicate expanded rows incrementally while streaming.
-        dedup: bool,
         /// Upstream plan.
         input: Box<CompiledPlan>,
     },
@@ -343,7 +345,7 @@ impl CompiledPlan {
             CompiledPlan::Filter { input, .. }
             | CompiledPlan::Project { input, .. }
             | CompiledPlan::Flatten { input }
-            | CompiledPlan::OrExpand { input, .. } => input.driving_scan(),
+            | CompiledPlan::OrExpand { input } => input.driving_scan(),
             CompiledPlan::Cartesian { left, .. }
             | CompiledPlan::Join { left, .. }
             | CompiledPlan::Union { left, .. } => left.driving_scan(),
@@ -352,9 +354,10 @@ impl CompiledPlan {
 }
 
 /// Compile a physical plan against the query arena: intern every plan
-/// constant, compile per-row morphisms to [`RowProgram`]s, materialize
-/// non-scan broadcast sides (each subplan runs exactly once, here), and
-/// build the id-keyed probe table of every equi-join.
+/// constant, compile per-row morphisms to [`RowProgram`]s under the
+/// denotation budget `or_budget`, materialize non-scan broadcast sides
+/// (each subplan runs exactly once, here), and build the id-keyed probe
+/// table of every equi-join.
 pub fn compile(
     plan: &PhysicalPlan,
     arena: &mut Interner,
@@ -365,7 +368,7 @@ pub fn compile(
     Ok(match plan {
         PhysicalPlan::Scan(slot) => CompiledPlan::Scan(*slot),
         PhysicalPlan::Filter { predicate, input } => {
-            let predicate = RowProgram::compile(predicate, arena);
+            let predicate = RowProgram::compile(predicate, arena, or_budget);
             let columnar = ColumnPredicate::of(&predicate);
             CompiledPlan::Filter {
                 predicate,
@@ -374,7 +377,7 @@ pub fn compile(
             }
         }
         PhysicalPlan::Project { f, input } => {
-            let f = RowProgram::compile(f, arena);
+            let f = RowProgram::compile(f, arena, or_budget);
             let columnar = ColumnProgram::of(&f);
             CompiledPlan::Project {
                 f,
@@ -389,13 +392,7 @@ pub fn compile(
         PhysicalPlan::Flatten { input } => CompiledPlan::Flatten {
             input: Box::new(compile(input, arena, inputs, batch_size, or_budget)?),
         },
-        PhysicalPlan::OrExpand {
-            budget,
-            dedup,
-            input,
-        } => CompiledPlan::OrExpand {
-            budget: *budget,
-            dedup: *dedup,
+        PhysicalPlan::OrExpand { input } => CompiledPlan::OrExpand {
             input: Box::new(compile(input, arena, inputs, batch_size, or_budget)?),
         },
         PhysicalPlan::Cartesian { left, right } => {
@@ -415,8 +412,8 @@ pub fn compile(
             let right = materialize_right(right, arena, inputs, batch_size, or_budget)?;
             let kind = match equi_join_keys(predicate) {
                 Some((left_key, right_key)) => {
-                    let left_key = RowProgram::compile(&left_key, arena);
-                    let right_key = RowProgram::compile(&right_key, arena);
+                    let left_key = RowProgram::compile(&left_key, arena, or_budget);
+                    let right_key = RowProgram::compile(&right_key, arena, or_budget);
                     let rows: &[InternId] =
                         match &right {
                             Broadcast::Slot(slot) => inputs.get(*slot).map(Cow::as_ref).ok_or(
@@ -441,7 +438,7 @@ pub fn compile(
                     }
                 }
                 None => JoinKind::Loop {
-                    predicate: RowProgram::compile(predicate, arena),
+                    predicate: RowProgram::compile(predicate, arena, or_budget),
                 },
             };
             CompiledPlan::Join {
@@ -556,30 +553,23 @@ pub fn build<'a>(
         })),
         CompiledPlan::Flatten { input } => Ok(Box::new(FlattenOp {
             input: build(input, ctx, driver_override)?,
-            pending: Vec::new(),
-            batch_size: ctx.batch_size,
+            pending: Pending::new(ctx.batch_size),
         })),
         CompiledPlan::Cartesian { left, right } => Ok(Box::new(CartesianOp {
             left: build(left, ctx, driver_override)?,
             right_rows: right.rows(&ctx)?,
-            pending: Vec::new(),
-            batch_size: ctx.batch_size,
+            pending: Pending::new(ctx.batch_size),
         })),
         CompiledPlan::Join { left, right, kind } => Ok(Box::new(JoinOp {
             left: build(left, ctx, driver_override)?,
             right_rows: right.rows(&ctx)?,
             kind,
-            pending: Vec::new(),
-            batch_size: ctx.batch_size,
+            pending: Pending::new(ctx.batch_size),
             columnar: ctx.columnar,
             block: IdBlock::default(),
             counters: ctx.counters,
         })),
-        CompiledPlan::OrExpand {
-            budget,
-            dedup,
-            input,
-        } => {
+        CompiledPlan::OrExpand { input } => {
             // Scan fusion: expanding directly over a scan reads the id rows
             // in place instead of copying them through intermediate batches.
             let source = if let CompiledPlan::Scan(slot) = &**input {
@@ -602,8 +592,8 @@ pub fn build<'a>(
             };
             Ok(Box::new(OrExpandOp {
                 source,
-                budget: budget.or(ctx.or_budget),
-                seen: if *dedup { Some(IdSet::default()) } else { None },
+                budget: ctx.or_budget,
+                seen: IdSet::default(),
                 program: ExpandProgram::new(),
                 batch_size: ctx.batch_size,
             }))
@@ -745,48 +735,87 @@ impl Operator for UnionOp<'_> {
     }
 }
 
+/// The rows an operator expands one input batch into — a flatten's
+/// elements, a product's or a join's pairs — handed out in order at most
+/// `batch_size` at a time, so downstream operators keep seeing bounded
+/// batches however large one expansion is.  A cursor marks the next row:
+/// each row is copied once, however many batches its expansion spans.
+struct Pending {
+    rows: Vec<InternId>,
+    next: usize,
+    batch_size: usize,
+}
+
+impl Pending {
+    fn new(batch_size: usize) -> Pending {
+        Pending {
+            rows: Vec::new(),
+            next: 0,
+            batch_size: batch_size.max(1),
+        }
+    }
+
+    /// The next batch: buffered rows first; once they run out, `expand`
+    /// turns input batches into rows until one yields some (a batch that
+    /// expands to nothing does not end the stream).
+    fn next_batch(
+        &mut self,
+        input: &mut dyn Operator,
+        arena: &mut Interner,
+        mut expand: impl FnMut(
+            Vec<InternId>,
+            &mut Interner,
+            &mut Vec<InternId>,
+        ) -> Result<(), EngineError>,
+    ) -> Result<Option<Vec<InternId>>, EngineError> {
+        while self.next == self.rows.len() {
+            self.rows.clear();
+            self.next = 0;
+            match input.next_batch(arena)? {
+                None => return Ok(None),
+                Some(batch) => expand(batch, arena, &mut self.rows)?,
+            }
+        }
+        let end = (self.next + self.batch_size).min(self.rows.len());
+        if self.next == 0 && end == self.rows.len() {
+            return Ok(Some(std::mem::take(&mut self.rows)));
+        }
+        let batch = self.rows[self.next..end].to_vec();
+        self.next = end;
+        Ok(Some(batch))
+    }
+}
+
 /// Streams the elements of each input row (`μ` applied row-wise); every row
-/// must be an interned set node.  Like [`CartesianOp`], the (potentially
-/// much larger) expansion of an input batch is buffered in `pending` and
-/// emitted in `batch_size` chunks, so downstream operators keep seeing
-/// bounded batches even when individual rows are huge sets.
+/// must be an interned set node.
 pub struct FlattenOp<'a> {
     input: Box<dyn Operator + 'a>,
-    pending: Vec<InternId>,
-    batch_size: usize,
+    pending: Pending,
 }
 
 impl Operator for FlattenOp<'_> {
     fn next_batch(&mut self, arena: &mut Interner) -> Result<Option<Vec<InternId>>, EngineError> {
-        // Loop so that a batch of empty sets does not end the stream.
-        while self.pending.is_empty() {
-            match self.input.next_batch(arena)? {
-                None => return Ok(None),
-                Some(batch) => {
-                    if let Some(&first) = batch.first() {
-                        // reserve from the first row's width as a cheap
-                        // batch-size estimate
-                        if let Node::Set(items) = arena.node(first) {
-                            self.pending.reserve(items.len() * batch.len());
-                        }
+        self.pending
+            .next_batch(self.input.as_mut(), arena, |batch, arena, out| {
+                if let Some(&first) = batch.first() {
+                    // reserve from the first row's width as a cheap
+                    // batch-size estimate
+                    if let Node::Set(items) = arena.node(first) {
+                        out.reserve(items.len() * batch.len());
                     }
-                    for row in batch {
-                        match arena.node(row) {
-                            Node::Set(items) => self.pending.extend(items.iter().copied()),
-                            _ => {
-                                return Err(EngineError::FlattenNonSet {
-                                    value: arena.value(row).to_string(),
-                                })
-                            }
+                }
+                for row in batch {
+                    match arena.node(row) {
+                        Node::Set(items) => out.extend(items.iter().copied()),
+                        _ => {
+                            return Err(EngineError::FlattenNonSet {
+                                value: arena.value(row).to_string(),
+                            })
                         }
                     }
                 }
-            }
-        }
-        let take = self.pending.len().min(self.batch_size.max(1));
-        let rest = self.pending.split_off(take);
-        let batch = std::mem::replace(&mut self.pending, rest);
-        Ok(Some(batch))
+                Ok(())
+            })
     }
 }
 
@@ -794,29 +823,22 @@ impl Operator for FlattenOp<'_> {
 pub struct CartesianOp<'a> {
     left: Box<dyn Operator + 'a>,
     right_rows: &'a [InternId],
-    pending: Vec<InternId>,
-    batch_size: usize,
+    pending: Pending,
 }
 
 impl Operator for CartesianOp<'_> {
     fn next_batch(&mut self, arena: &mut Interner) -> Result<Option<Vec<InternId>>, EngineError> {
-        while self.pending.is_empty() {
-            match self.left.next_batch(arena)? {
-                None => return Ok(None),
-                Some(batch) => {
-                    self.pending.reserve(batch.len() * self.right_rows.len());
-                    for &l in &batch {
-                        for &r in self.right_rows {
-                            self.pending.push(arena.pair(l, r));
-                        }
+        let right_rows = self.right_rows;
+        self.pending
+            .next_batch(self.left.as_mut(), arena, |batch, arena, out| {
+                out.reserve(batch.len() * right_rows.len());
+                for &l in &batch {
+                    for &r in right_rows {
+                        out.push(arena.pair(l, r));
                     }
                 }
-            }
-        }
-        let take = self.pending.len().min(self.batch_size.max(1));
-        let rest = self.pending.split_off(take);
-        let batch = std::mem::replace(&mut self.pending, rest);
-        Ok(Some(batch))
+                Ok(())
+            })
     }
 }
 
@@ -829,8 +851,7 @@ pub struct JoinOp<'a> {
     left: Box<dyn Operator + 'a>,
     right_rows: &'a [InternId],
     kind: &'a JoinKind,
-    pending: Vec<InternId>,
-    batch_size: usize,
+    pending: Pending,
     columnar: bool,
     block: IdBlock,
     counters: &'a ColumnarCounters,
@@ -838,10 +859,10 @@ pub struct JoinOp<'a> {
 
 impl Operator for JoinOp<'_> {
     fn next_batch(&mut self, arena: &mut Interner) -> Result<Option<Vec<InternId>>, EngineError> {
-        while self.pending.is_empty() {
-            match self.left.next_batch(arena)? {
-                None => return Ok(None),
-                Some(batch) => match self.kind {
+        let right_rows = self.right_rows;
+        self.pending
+            .next_batch(self.left.as_mut(), arena, |batch, arena, out| {
+                match self.kind {
                     JoinKind::Hash {
                         left_key,
                         key_path,
@@ -851,11 +872,11 @@ impl Operator for JoinOp<'_> {
                             Some(path) if self.columnar => column::probe_block(
                                 path,
                                 &batch,
-                                self.right_rows,
+                                right_rows,
                                 table,
                                 arena,
                                 &mut self.block,
-                                &mut self.pending,
+                                out,
                             ),
                             _ => false,
                         };
@@ -863,10 +884,9 @@ impl Operator for JoinOp<'_> {
                             for &l in &batch {
                                 let key = left_key.run(l, arena)?;
                                 if let Some(matches) = table.get(key) {
-                                    self.pending.reserve(matches.len());
+                                    out.reserve(matches.len());
                                     for &i in matches {
-                                        self.pending
-                                            .push(arena.pair(l, self.right_rows[i as usize]));
+                                        out.push(arena.pair(l, right_rows[i as usize]));
                                     }
                                 }
                             }
@@ -875,11 +895,11 @@ impl Operator for JoinOp<'_> {
                     }
                     JoinKind::Loop { predicate } => {
                         for &l in &batch {
-                            for &r in self.right_rows {
+                            for &r in right_rows {
                                 let pair = arena.pair(l, r);
                                 let verdict = predicate.run(pair, arena)?;
                                 match arena.node(verdict) {
-                                    Node::Bool(true) => self.pending.push(pair),
+                                    Node::Bool(true) => out.push(pair),
                                     Node::Bool(false) => {}
                                     _ => {
                                         return Err(EngineError::NonBooleanPredicate {
@@ -890,13 +910,9 @@ impl Operator for JoinOp<'_> {
                             }
                         }
                     }
-                },
-            }
-        }
-        let take = self.pending.len().min(self.batch_size.max(1));
-        let rest = self.pending.split_off(take);
-        let batch = std::mem::replace(&mut self.pending, rest);
-        Ok(Some(batch))
+                }
+                Ok(())
+            })
     }
 }
 
@@ -952,7 +968,7 @@ fn strip_side(m: &Morphism, proj: &Morphism) -> Option<Morphism> {
 pub struct OrExpandOp<'a> {
     source: ExpandSource<'a>,
     budget: Option<u64>,
-    seen: Option<IdSet>,
+    seen: IdSet,
     program: ExpandProgram,
     batch_size: usize,
 }
@@ -1001,11 +1017,7 @@ impl Operator for OrExpandOp<'_> {
         loop {
             // 1. stream from the current row's expansion
             while let Some(world) = self.program.next_world(arena) {
-                let fresh = match &mut self.seen {
-                    Some(seen) => seen.insert(world),
-                    None => true,
-                };
-                if fresh {
+                if self.seen.insert(world) {
                     out.push(world);
                     if out.len() >= self.batch_size {
                         return Ok(Some(out));
@@ -1034,7 +1046,7 @@ mod tests {
 
     /// Build a key program `Proj1` (key = first field of each pair row).
     fn key_program(arena: &mut Interner) -> RowProgram {
-        RowProgram::compile(&Morphism::Proj1, arena)
+        RowProgram::compile(&Morphism::Proj1, arena, None)
     }
 
     /// Intern `n` pair rows `(i % groups, i)`.

@@ -109,6 +109,53 @@ fn cartesian_and_join_match_the_derived_operators() {
     };
     let got_join = run(&exec, &join_plan, &[&left, &right]).unwrap().0;
     assert_eq!(got_join, expected_join);
+
+    // a product spanning many batches: every batch holds at most
+    // `batch_size` rows, and the batches hand the pairs out in order
+    let wide_left: Vec<Value> = (0..40).map(Value::Int).collect();
+    let wide_right: Vec<Value> = (0..30).map(|i| Value::Int(100 + i)).collect();
+    let pulled = batches(&plan, &[&wide_left, &wide_right], 16);
+    assert!(pulled.len() >= 1200 / 16, "{} batches", pulled.len());
+    assert!(pulled.iter().all(|b| !b.is_empty() && b.len() <= 16));
+    let in_order: Vec<Value> = wide_left
+        .iter()
+        .flat_map(|l| wide_right.iter().map(|r| Value::pair(l.clone(), r.clone())))
+        .collect();
+    assert_eq!(pulled.concat(), in_order);
+    let exec = Executor::new(ExecConfig::default().with_batch_size(16));
+    let got = run(&exec, &plan, &[&wide_left, &wide_right]).unwrap().0;
+    assert_eq!(got, Value::set(in_order));
+}
+
+/// Pull `plan`'s batches straight from its operator tree, as a pipeline
+/// of `batch_size`-row batches sees them.
+fn batches(plan: &PhysicalPlan, slots: &[&[Value]], batch_size: usize) -> Vec<Vec<Value>> {
+    use or_engine::column::ColumnarCounters;
+    use or_engine::ops::{self, BuildCtx};
+    use or_object::intern::{InternId, Interner};
+    use std::borrow::Cow;
+
+    let mut arena = Interner::new();
+    let inputs: Vec<Cow<'_, [InternId]>> = slots
+        .iter()
+        .map(|rows| Cow::Owned(rows.iter().map(|v| arena.intern(v)).collect()))
+        .collect();
+    let compiled = ops::compile(plan, &mut arena, &inputs, batch_size, None).unwrap();
+    let counters = ColumnarCounters::new();
+    let ctx = BuildCtx {
+        inputs: &inputs,
+        batch_size,
+        or_budget: None,
+        lead_worker: true,
+        columnar: true,
+        counters: &counters,
+    };
+    let mut op = ops::build(&compiled, ctx, None).unwrap();
+    let mut out = Vec::new();
+    while let Some(batch) = op.next_batch(&mut arena).unwrap() {
+        out.push(batch.iter().map(|&id| arena.value(id)).collect());
+    }
+    out
 }
 
 #[test]
@@ -408,8 +455,8 @@ fn or_expand_budget_is_enforced_and_reported() {
         Value::pair(Value::int_orset([4, 5, 6]), Value::int_orset([7, 8, 9])),
     );
     let rows = vec![wide];
-    let plan = PhysicalPlan::scan(0).or_expand_budgeted(8);
-    let exec = Executor::new(ExecConfig::default());
+    let plan = PhysicalPlan::scan(0).or_expand();
+    let exec = Executor::new(ExecConfig::default().with_or_budget(8));
     match run(&exec, &plan, &[rows.as_slice()]) {
         Err(EngineError::BudgetExceeded { budget: 8, needed }) => {
             assert_eq!(needed, 27);
@@ -417,15 +464,24 @@ fn or_expand_budget_is_enforced_and_reported() {
         other => panic!("expected BudgetExceeded, got {other:?}"),
     }
     // a budget of 27 admits the row
-    let plan = PhysicalPlan::scan(0).or_expand_budgeted(27);
-    assert_eq!(run(&exec, &plan, &[rows.as_slice()]).unwrap().1.rows, 27);
-    // config-level default budget applies to budget-less plans
-    let plan = PhysicalPlan::scan(0).or_expand();
-    let strict = Executor::new(ExecConfig::default().with_or_budget(4));
-    assert!(matches!(
-        run(&strict, &plan, &[rows.as_slice()]),
-        Err(EngineError::BudgetExceeded { budget: 4, .. })
-    ));
+    let exact = Executor::new(ExecConfig::default().with_or_budget(27));
+    assert_eq!(run(&exact, &plan, &[rows.as_slice()]).unwrap().1.rows, 27);
+    // the same budget holds where a row program α-expands (the `Flatten`
+    // lowering), with the same error at the same count
+    let in_morphism = PhysicalPlan::scan(0)
+        .project(M::Normalize.then(M::OrToSet))
+        .flatten();
+    match run(&exec, &in_morphism, &[rows.as_slice()]) {
+        Err(EngineError::BudgetExceeded {
+            budget: 8,
+            needed: 27,
+        }) => {}
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
+    assert_eq!(
+        run(&exact, &in_morphism, &[rows.as_slice()]).unwrap().0,
+        run(&exact, &plan, &[rows.as_slice()]).unwrap().0
+    );
 }
 
 #[test]
@@ -529,27 +585,6 @@ fn run_plan_rejects_a_non_preserving_filter_below_expand() {
         Err(EngineError::InvariantViolation { rule, .. }) => assert_eq!(rule, "V08"),
         other => panic!("expected a V08 invariant violation, got {other:?}"),
     }
-}
-
-#[test]
-fn partition_accessors_feed_the_engine() {
-    // Relation::partitions is what the executor's contract is built on:
-    // running the plan per partition and set-unioning equals running whole.
-    let schema = Schema::new([Field::new("n", Type::Int)]).unwrap();
-    let rel = Relation::from_records("nums", schema, (0..57).map(Value::Int)).unwrap();
-    let plan = PhysicalPlan::scan(0)
-        .filter(M::pair(M::Id, M::constant(Value::Int(30))).then(M::Prim(Prim::Lt)));
-    let exec = Executor::new(ExecConfig::default());
-    let (whole, _) = run(&exec, &plan, &[rel.records()]).unwrap();
-    let mut pieced: Vec<Value> = Vec::new();
-    for part in rel.partitions(4) {
-        let (piece, _) = run(&exec, &plan, &[part]).unwrap();
-        pieced.extend(piece.elements().unwrap().iter().cloned());
-    }
-    assert_eq!(Value::set(pieced), whole);
-    // batches cover the same rows
-    let batched: usize = rel.batches(10).map(<[Value]>::len).sum();
-    assert_eq!(batched, rel.len());
 }
 
 #[test]

@@ -90,11 +90,6 @@ impl InterpLimits {
         }
     }
 
-    /// Are both budgets absent?
-    pub fn is_unbounded(&self) -> bool {
-        self.deadline.is_none() && self.denotations.is_none()
-    }
-
     fn time_error(&self) -> InterpError {
         InterpError::new(format!(
             "time budget exceeded: the statement ran past its {} ms wall-clock budget",

@@ -109,12 +109,13 @@
 //! engine configuration for one statement ([`Session::run_budgeted`],
 //! or the `budget` parameter of [`SessionCore::eval_statement`]).  On the
 //! engine path a zero time budget rejects a statement at admission, before
-//! any row work, and an `OrExpand` checks each row's denotation count
-//! before expanding it.  `OrExpand` is the only operator that checks it: a
-//! plan that α-expands inside an operator's morphism (the `Flatten`
-//! lowering above) is left to the interpreter whenever a denotation budget
-//! is set.  The interpreter enforces the same limits ([`InterpLimits`]) on
-//! every statement it serves.
+//! any row work, and every α-expansion checks its input's denotation count
+//! before expanding it: each row of an `OrExpand`, and the input of each
+//! `normalize` or `alpha` inside an operator's morphism (the `Flatten`
+//! lowering above).  The interpreter enforces the same limits
+//! ([`InterpLimits`]) on every statement it serves, counting denotations
+//! the same way, so both paths admit and reject a statement at the same
+//! budget.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -790,18 +791,6 @@ impl SessionCore {
                 (planned, false)
             }
         };
-        // Only `OrExpand` checks the denotation budget.  Under a budget, a
-        // plan that α-expands inside an operator's morphism (a dependent
-        // generator's `Flatten` lowering) goes to the interpreter, which
-        // checks it at every `normalize` and `alpha`.
-        if config.or_budget.is_some() && planned.plan.expands_in_morphisms() {
-            return Ok(Err(PlanError {
-                reason: "α-expansion outside OrExpand cannot be held to the denotation \
-                         budget"
-                    .to_string(),
-                noteworthy: true,
-            }));
-        }
         self.run_plan(&planned, config, cache_hit).map(Ok)
     }
 }
@@ -1906,9 +1895,8 @@ mod tests {
         assert_eq!(s.engine_stats().engine, 2);
     }
 
-    /// Regression: the denotation budget applies to session expansions.  It
-    /// used to be bypassed because the `Flatten` lowering never reached the
-    /// budgeted `OrExpand` operator.
+    /// Regression: the denotation budget applies to session expansions,
+    /// through `OrExpand` and through the `Flatten` lowering alike.
     #[test]
     fn denotation_budget_rejects_oversized_session_expansions() {
         let mut s = Session::with_engine(ExecConfig::default());
@@ -1932,21 +1920,18 @@ mod tests {
         assert!(matches!(&r.value, Value::Set(worlds) if worlds.len() == 4 * 32));
         assert_eq!(s.engine_stats().engine, stats_before.engine + 1);
 
-        // A head that reads the row keeps the `Flatten` lowering, where no
-        // operator checks the budget: under a budget the interpreter serves
-        // it and rejects the oversized rows.
+        // A head that reads the row keeps the `Flatten` lowering, which
+        // α-expands inside a `Project`: the engine serves it under the same
+        // budget and rejects the oversized rows with the same error.
         let reads_row = "let out = { (fst(r), w) | r <- fan, w <- toset(normalize(r)) }";
         let stats_before = s.engine_stats();
         let bindings_before = s.bindings();
         match s.run_budgeted(reads_row, QueryBudget::unlimited().with_denotations(4)) {
-            Err(SessionError::Runtime(e)) => {
-                let e = e.to_string();
-                assert!(
-                    e.contains("or-expansion budget exceeded") && e.contains("denotes 32"),
-                    "{e}"
-                );
-            }
-            other => panic!("expected the interpreter's budget error, got {other:?}"),
+            Err(SessionError::Engine(e)) => assert!(
+                e.contains("or-expansion budget exceeded") && e.contains("denotes 32"),
+                "{e}"
+            ),
+            other => panic!("expected the engine's budget error, got {other:?}"),
         }
         assert_eq!(s.bindings(), bindings_before);
         assert_eq!(s.engine_stats(), stats_before);
@@ -1954,10 +1939,11 @@ mod tests {
             .run_budgeted(reads_row, QueryBudget::unlimited().with_denotations(32))
             .unwrap();
         assert!(matches!(&r.value, Value::Set(worlds) if worlds.len() == 4 * 32));
-        assert_eq!(s.engine_stats().fallback, stats_before.fallback + 1);
-        // without a budget the engine serves it
-        s.run(reads_row).unwrap();
         assert_eq!(s.engine_stats().engine, stats_before.engine + 1);
+        // without a budget the engine serves it too
+        s.run(reads_row).unwrap();
+        assert_eq!(s.engine_stats().engine, stats_before.engine + 2);
+        assert_eq!(s.engine_stats().fallback, stats_before.fallback);
     }
 
     /// Budgets tighten, never loosen: a session config that already carries

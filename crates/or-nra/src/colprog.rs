@@ -253,7 +253,7 @@ mod tests {
     use or_object::Value;
 
     fn compile(m: &M) -> RowProgram {
-        RowProgram::compile(m, &mut Interner::new())
+        RowProgram::compile(m, &mut Interner::new(), None)
     }
 
     #[test]

@@ -85,6 +85,14 @@ pub enum EvalError {
         /// Which limit was exceeded.
         limit: String,
     },
+    /// An α-expansion's input denotes more complete instances than the
+    /// denotation budget admits (checked before evaluation).
+    BudgetExceeded {
+        /// The denotation budget.
+        budget: u64,
+        /// The number of complete instances the input denotes.
+        needed: u128,
+    },
     /// A type error detected at run time (the value does not fit the
     /// declared input type).
     Type(TypeError),
@@ -106,6 +114,11 @@ impl fmt::Display for EvalError {
                 write!(f, "condition did not evaluate to a boolean: {value}")
             }
             EvalError::ResourceLimit { limit } => write!(f, "resource limit exceeded: {limit}"),
+            EvalError::BudgetExceeded { budget, needed } => write!(
+                f,
+                "or-expansion budget exceeded: a row denotes {needed} complete \
+                 instances but the budget is {budget}"
+            ),
             EvalError::Type(e) => write!(f, "{e}"),
         }
     }

@@ -58,7 +58,7 @@
 //!
 //! ```text
 //! Filter[leq ∘ ⟨id, K30⟩ ∘ π₁]          -- world-level filter: runs 6×/row
-//!   OrExpand[dedup=true]                 -- 6 worlds per row
+//!   OrExpand                             -- 6 worlds per row
 //!     Scan(#0)
 //! ```
 //!
@@ -66,7 +66,7 @@
 //! `commutes_with_or_alpha` accepts it at the row type and the planner emits
 //!
 //! ```text
-//! OrExpand[dedup=true]                   -- expands *surviving* rows only
+//! OrExpand                               -- expands *surviving* rows only
 //!   Filter[leq ∘ ⟨id, K30⟩ ∘ π₁]        -- row-level filter: runs 1×/row
 //!     Scan(#0)
 //! ```
@@ -102,7 +102,7 @@
 //!
 //! ```text
 //! Project[⟨π₁, plus ∘ ⟨π₂, K3 ∘ !⟩⟩]      -- runs once per distinct world
-//!   OrExpand[dedup=true]                 -- dedups the projected worlds
+//!   OrExpand                             -- dedups the projected worlds
 //!     Project[π₂]                        -- drops the or-free id
 //!       Scan(#0)
 //! ```
@@ -348,11 +348,7 @@ pub fn lower(m: &M) -> Result<PhysicalPlan, LowerError> {
                         continue;
                     }
                     if is_or_expand_body(body) {
-                        plan = PhysicalPlan::OrExpand {
-                            budget: None,
-                            dedup: true,
-                            input: Box::new(plan),
-                        };
+                        plan = plan.or_expand();
                         i += 2;
                         continue;
                     }
@@ -640,28 +636,18 @@ fn push_below_expand(
     let plan = plan.map_inputs(|input| push_below_expand(input, config, report));
     match plan {
         PhysicalPlan::Filter { predicate, input } => match *input {
-            PhysicalPlan::OrExpand {
-                budget,
-                dedup,
-                input: inner,
-            } if commutes_below(&predicate, &inner, config) => {
+            PhysicalPlan::OrExpand { input: inner }
+                if commutes_below(&predicate, &inner, config) =>
+            {
                 report.pushed_filters += 1;
-                let pushed = PhysicalPlan::OrExpand {
-                    budget,
-                    dedup,
-                    input: Box::new((*inner).filter(predicate)),
-                };
+                let pushed = (*inner).filter(predicate).or_expand();
                 // the expand's new input may expose further pushdowns
                 push_below_expand(pushed, config, report)
             }
             other => other.filter(predicate),
         },
         PhysicalPlan::Project { f, input } => match *input {
-            PhysicalPlan::OrExpand {
-                budget,
-                dedup,
-                input: inner,
-            } => {
+            PhysicalPlan::OrExpand { input: inner } => {
                 // the whole head under the consistency promise, else the
                 // part of it that drops only or-free components
                 let (head, below) = if config.assume_consistent
@@ -671,28 +657,10 @@ fn push_below_expand(
                 } else if let Some((projection, head)) = or_free_projection(&f, &inner, config) {
                     (head, projection)
                 } else {
-                    return PhysicalPlan::Project {
-                        f,
-                        input: Box::new(PhysicalPlan::OrExpand {
-                            budget,
-                            dedup,
-                            input: inner,
-                        }),
-                    };
+                    return (*inner).or_expand().project(f);
                 };
                 report.pushed_projects += 1;
-                let pushed = push_below_expand(
-                    PhysicalPlan::OrExpand {
-                        budget,
-                        dedup,
-                        input: Box::new(PhysicalPlan::Project {
-                            f: below,
-                            input: inner,
-                        }),
-                    },
-                    config,
-                    report,
-                );
+                let pushed = push_below_expand((*inner).project(below).or_expand(), config, report);
                 if head == M::Id {
                     pushed
                 } else {

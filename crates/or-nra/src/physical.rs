@@ -21,9 +21,10 @@
 //!
 //! `OrExpand` is where the conceptual level meets physical reality: each row
 //! is α-expanded into its complete (or-set-free) instances **lazily**, one
-//! denotation at a time, with optional deduplication and a per-row **budget**
-//! that turns the paper's exponential normal-form bounds (Section 6) into an
-//! enforced resource limit instead of an accidental OOM.
+//! denotation at a time, with streaming deduplication; the engine's per-row
+//! denotation **budget** turns the paper's exponential normal-form bounds
+//! (Section 6) into an enforced resource limit instead of an accidental
+//! OOM.
 //!
 //! Plans are produced either directly through the builder methods
 //! ([`PhysicalPlan::scan`], [`PhysicalPlan::filter`], …) or from a morphism
@@ -97,13 +98,10 @@ pub enum PhysicalPlan {
         /// Upstream plan (rows of type `{t}`).
         input: Box<PhysicalPlan>,
     },
-    /// Expand each row into its complete (or-set-free) instances, lazily.
+    /// Expand each row into its complete (or-set-free) instances, lazily,
+    /// deduplicating while streaming.  The engine's denotation budget caps
+    /// each row's count.
     OrExpand {
-        /// Per-row cap on the number of produced denotations; exceeding it is
-        /// a reported resource-limit error, never an OOM.  `None` = unbounded.
-        budget: Option<u64>,
-        /// Deduplicate expanded rows incrementally while streaming.
-        dedup: bool,
         /// Upstream plan.
         input: Box<PhysicalPlan>,
     },
@@ -164,20 +162,9 @@ impl PhysicalPlan {
         }
     }
 
-    /// Or-expand each row into its complete instances (unbounded, deduped).
+    /// Or-expand each row into its complete instances.
     pub fn or_expand(self) -> PhysicalPlan {
         PhysicalPlan::OrExpand {
-            budget: None,
-            dedup: true,
-            input: Box::new(self),
-        }
-    }
-
-    /// Or-expand with a per-row denotation budget.
-    pub fn or_expand_budgeted(self, budget: u64) -> PhysicalPlan {
-        PhysicalPlan::OrExpand {
-            budget: Some(budget),
-            dedup: true,
             input: Box::new(self),
         }
     }
@@ -194,7 +181,7 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Flatten { input }
-            | PhysicalPlan::OrExpand { input, .. } => apply(input),
+            | PhysicalPlan::OrExpand { input } => apply(input),
             PhysicalPlan::Cartesian { left, right }
             | PhysicalPlan::Join { left, right, .. }
             | PhysicalPlan::Union { left, right } => {
@@ -213,7 +200,7 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Flatten { input }
-            | PhysicalPlan::OrExpand { input, .. } => input.input_arity(),
+            | PhysicalPlan::OrExpand { input } => input.input_arity(),
             PhysicalPlan::Cartesian { left, right } | PhysicalPlan::Union { left, right } => {
                 left.input_arity().max(right.input_arity())
             }
@@ -230,7 +217,7 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Flatten { input }
-            | PhysicalPlan::OrExpand { input, .. } => input.driving_scan(),
+            | PhysicalPlan::OrExpand { input } => input.driving_scan(),
             PhysicalPlan::Cartesian { left, .. }
             | PhysicalPlan::Join { left, .. }
             | PhysicalPlan::Union { left, .. } => left.driving_scan(),
@@ -253,34 +240,6 @@ impl PhysicalPlan {
         }
     }
 
-    /// Whether an operator's own morphism applies `normalize` or `α` — an
-    /// α-expansion outside `OrExpand`, the one operator that checks the
-    /// denotation budget (a dependent generator's `Flatten` lowering, say).
-    pub fn expands_in_morphisms(&self) -> bool {
-        let expands = |m: &Morphism| {
-            m.any_node(&mut |node| matches!(node, Morphism::Normalize | Morphism::Alpha))
-        };
-        match self {
-            PhysicalPlan::Scan(_) => false,
-            PhysicalPlan::Filter {
-                predicate: m,
-                input,
-            }
-            | PhysicalPlan::Project { f: m, input } => expands(m) || input.expands_in_morphisms(),
-            PhysicalPlan::Flatten { input } | PhysicalPlan::OrExpand { input, .. } => {
-                input.expands_in_morphisms()
-            }
-            PhysicalPlan::Cartesian { left, right } | PhysicalPlan::Union { left, right } => {
-                left.expands_in_morphisms() || right.expands_in_morphisms()
-            }
-            PhysicalPlan::Join {
-                predicate,
-                left,
-                right,
-            } => expands(predicate) || left.expands_in_morphisms() || right.expands_in_morphisms(),
-        }
-    }
-
     /// Number of operators in the plan.
     pub fn operator_count(&self) -> usize {
         match self {
@@ -288,7 +247,7 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Flatten { input }
-            | PhysicalPlan::OrExpand { input, .. } => 1 + input.operator_count(),
+            | PhysicalPlan::OrExpand { input } => 1 + input.operator_count(),
             PhysicalPlan::Cartesian { left, right } | PhysicalPlan::Union { left, right } => {
                 1 + left.operator_count() + right.operator_count()
             }
@@ -333,15 +292,8 @@ impl PhysicalPlan {
                 left.fmt_indented(f, depth + 1)?;
                 right.fmt_indented(f, depth + 1)
             }
-            PhysicalPlan::OrExpand {
-                budget,
-                dedup,
-                input,
-            } => {
-                match budget {
-                    Some(b) => writeln!(f, "{pad}OrExpand[budget={b}, dedup={dedup}]")?,
-                    None => writeln!(f, "{pad}OrExpand[dedup={dedup}]")?,
-                }
+            PhysicalPlan::OrExpand { input } => {
+                writeln!(f, "{pad}OrExpand")?;
                 input.fmt_indented(f, depth + 1)
             }
         }
@@ -384,12 +336,12 @@ mod tests {
             .filter(M::Eq)
             .project(M::Proj1)
             .join(PhysicalPlan::scan(1), M::Eq)
-            .or_expand_budgeted(64);
+            .or_expand();
         assert_eq!(plan.input_arity(), 2);
         assert_eq!(plan.driving_scan(), 0);
         assert_eq!(plan.operator_count(), 6);
         let rendered = plan.to_string();
-        assert!(rendered.contains("OrExpand[budget=64"));
+        assert!(rendered.starts_with("OrExpand\n"), "plan: {rendered}");
         assert!(rendered.contains("Scan(#1)"));
     }
 

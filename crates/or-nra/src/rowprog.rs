@@ -18,17 +18,26 @@
 //! [`RowProgram::compile`] translates the morphism fragment the engine's
 //! operators evaluate per row into a small instruction tree over ids; the
 //! few morphisms outside the fragment (`normalize`, `alpha`, `powerset` —
-//! whole-object conceptual operations the engine routes through dedicated
-//! operators anyway) compile to an [`Opaque`](RowProgram::Opaque) node that
-//! decodes, runs the tree-walking evaluator, and re-interns.  Compilation
-//! never fails; opacity is per-node, so a supported pipeline around one
-//! opaque step still runs interned.
+//! whole-object conceptual operations) compile to an
+//! [`Opaque`](RowProgram::Opaque) node that decodes, runs the tree-walking
+//! evaluator, and re-interns.  Compilation never fails; opacity is
+//! per-node, so a supported pipeline around one opaque step still runs
+//! interned.
+//!
+//! `normalize` and `alpha` α-expand, so they run under the engine's
+//! denotation budget, which `compile` takes: before evaluating, the step
+//! counts its input's complete instances with
+//! [`denotation_count`] — the count the interpreter admits `normalize` and
+//! `alpha` by — and fails with [`EvalError::BudgetExceeded`] above the
+//! budget.  A dependent generator's `Flatten` lowering α-expands here,
+//! inside a `Project`; `OrExpand` checks the same budget per row.
 
 use or_object::intern::{InternId, Interner, Node};
 
 use crate::error::EvalError;
 use crate::eval::eval;
 use crate::morphism::{Morphism, Prim};
+use crate::normalize::denotation_count;
 
 /// A compiled per-row program over interned rows.
 ///
@@ -99,59 +108,68 @@ pub enum RowProgram {
     },
     /// Fallback for morphisms outside the interned fragment: decode the
     /// row, run the tree-walking evaluator, re-intern the result.
-    Opaque(Box<Morphism>),
+    Opaque {
+        /// The morphism (`normalize`, `alpha` or `powerset`).
+        m: Box<Morphism>,
+        /// The denotation budget of a `normalize` or `alpha` step: an input
+        /// denoting more complete instances fails before evaluation.
+        budget: Option<u64>,
+    },
 }
 
 impl RowProgram {
     /// Compile a morphism into an interned row program against `arena`,
     /// pre-interning every constant.  Total: unsupported constructs become
-    /// per-node [`RowProgram::Opaque`] fallbacks.
-    pub fn compile(m: &Morphism, arena: &mut Interner) -> RowProgram {
+    /// per-node [`RowProgram::Opaque`] fallbacks.  `or_budget` is the
+    /// denotation budget its `normalize` and `alpha` steps run under
+    /// (`None` = unbounded).
+    pub fn compile(m: &Morphism, arena: &mut Interner, or_budget: Option<u64>) -> RowProgram {
+        let compile =
+            |m: &Morphism, arena: &mut Interner| Box::new(RowProgram::compile(m, arena, or_budget));
         match m {
             Morphism::Id => RowProgram::Id,
             Morphism::Compose(f, g) => {
                 // applied right-to-left: g first
                 let mut steps = Vec::new();
-                flatten_compose(g, arena, &mut steps);
-                flatten_compose(f, arena, &mut steps);
+                flatten_compose(g, arena, or_budget, &mut steps);
+                flatten_compose(f, arena, or_budget, &mut steps);
                 fuse_membership(&mut steps, arena);
                 RowProgram::Seq(steps)
             }
             Morphism::Proj1 => RowProgram::Proj1,
             Morphism::Proj2 => RowProgram::Proj2,
-            Morphism::PairWith(f, g) => RowProgram::Pair(
-                Box::new(RowProgram::compile(f, arena)),
-                Box::new(RowProgram::compile(g, arena)),
-            ),
+            Morphism::PairWith(f, g) => RowProgram::Pair(compile(f, arena), compile(g, arena)),
             Morphism::Bang => RowProgram::Const(arena.unit()),
             Morphism::Const(c) => RowProgram::Const(arena.intern(c)),
             Morphism::Eq => RowProgram::Eq,
-            Morphism::Cond(p, f, g) => RowProgram::Cond(
-                Box::new(RowProgram::compile(p, arena)),
-                Box::new(RowProgram::compile(f, arena)),
-                Box::new(RowProgram::compile(g, arena)),
-            ),
+            Morphism::Cond(p, f, g) => {
+                RowProgram::Cond(compile(p, arena), compile(f, arena), compile(g, arena))
+            }
             Morphism::Prim(p) => RowProgram::Prim(*p),
             Morphism::Eta => RowProgram::Eta,
             Morphism::Mu => RowProgram::Mu,
-            Morphism::Map(f) => RowProgram::Map(Box::new(RowProgram::compile(f, arena))),
+            Morphism::Map(f) => RowProgram::Map(compile(f, arena)),
             Morphism::Rho2 => RowProgram::Rho2,
             Morphism::Union => RowProgram::Union,
             Morphism::KEmptySet => RowProgram::Const(arena.set(Vec::new())),
             Morphism::OrEta => RowProgram::OrEta,
             Morphism::OrMu => RowProgram::OrMu,
-            Morphism::OrMap(f) => RowProgram::OrMap(Box::new(RowProgram::compile(f, arena))),
+            Morphism::OrMap(f) => RowProgram::OrMap(compile(f, arena)),
             Morphism::OrRho2 => RowProgram::OrRho2,
             Morphism::OrUnion => RowProgram::OrUnion,
             Morphism::KEmptyOrSet => RowProgram::Const(arena.orset(Vec::new())),
             Morphism::OrToSet => RowProgram::OrToSet,
             Morphism::SetToOr => RowProgram::SetToOr,
-            // whole-object conceptual operations: rare in per-row position
-            // (the engine runs α-expansion through its own operator), so
-            // they fall back to decode + eval + re-intern
-            Morphism::Alpha | Morphism::Powerset | Morphism::Normalize => {
-                RowProgram::Opaque(Box::new(m.clone()))
-            }
+            // whole-object conceptual operations: decode + eval +
+            // re-intern, the two α-expansions under the budget
+            Morphism::Alpha | Morphism::Normalize => RowProgram::Opaque {
+                m: Box::new(m.clone()),
+                budget: or_budget,
+            },
+            Morphism::Powerset => RowProgram::Opaque {
+                m: Box::new(m.clone()),
+                budget: None,
+            },
         }
     }
 
@@ -160,7 +178,7 @@ impl RowProgram {
     /// [`Value`](or_object::Value).)
     pub fn fully_interned(&self) -> bool {
         match self {
-            RowProgram::Opaque(_) => false,
+            RowProgram::Opaque { .. } => false,
             RowProgram::Seq(steps) => steps.iter().all(RowProgram::fully_interned),
             RowProgram::Pair(f, g) => f.fully_interned() && g.fully_interned(),
             RowProgram::Cond(p, f, g) => {
@@ -327,8 +345,14 @@ impl RowProgram {
                 }
                 run_steps(composite, row, arena)
             }
-            RowProgram::Opaque(m) => {
+            RowProgram::Opaque { m, budget } => {
                 let input = arena.decode(row);
+                if let Some(budget) = *budget {
+                    let needed = denotation_count(&input);
+                    if needed > u128::from(budget) {
+                        return Err(EvalError::BudgetExceeded { budget, needed });
+                    }
+                }
                 let output = eval(m, &input)?;
                 Ok(arena.intern(&output))
             }
@@ -412,12 +436,17 @@ fn constant_of(prog: &RowProgram) -> Option<InternId> {
 
 /// Append `m` (flattening nested compositions) to a step sequence in
 /// application order.
-fn flatten_compose(m: &Morphism, arena: &mut Interner, steps: &mut Vec<RowProgram>) {
+fn flatten_compose(
+    m: &Morphism,
+    arena: &mut Interner,
+    or_budget: Option<u64>,
+    steps: &mut Vec<RowProgram>,
+) {
     if let Morphism::Compose(f, g) = m {
-        flatten_compose(g, arena, steps);
-        flatten_compose(f, arena, steps);
+        flatten_compose(g, arena, or_budget, steps);
+        flatten_compose(f, arena, or_budget, steps);
     } else {
-        steps.push(RowProgram::compile(m, arena));
+        steps.push(RowProgram::compile(m, arena, or_budget));
     }
 }
 
@@ -511,7 +540,7 @@ mod tests {
     /// evaluator on the decoded input, across the whole compiled fragment.
     fn agree(m: &M, v: &Value) {
         let mut arena = Interner::new();
-        let prog = RowProgram::compile(m, &mut arena);
+        let prog = RowProgram::compile(m, &mut arena, None);
         let row = arena.intern(v);
         let interned = prog.run(row, &mut arena).expect("row program runs");
         let expected = eval(m, v).expect("evaluator runs");
@@ -589,7 +618,7 @@ mod tests {
         use crate::derived;
         let mut arena = Interner::new();
         for (m, kind) in [(derived::or_member(), true), (derived::member(), false)] {
-            let prog = RowProgram::compile(&m, &mut arena);
+            let prog = RowProgram::compile(&m, &mut arena, None);
             assert!(
                 matches!(&prog, RowProgram::Seq(steps)
                     if matches!(steps.as_slice(), [RowProgram::Member { orset, .. }] if *orset == kind)),
@@ -599,7 +628,7 @@ mod tests {
             let guard = M::pair(M::Proj1, M::Proj2)
                 .then(m.clone())
                 .then(M::Prim(Prim::Not));
-            let prog = RowProgram::compile(&guard, &mut arena);
+            let prog = RowProgram::compile(&guard, &mut arena, None);
             assert!(matches!(&prog, RowProgram::Seq(steps)
                 if matches!(steps.as_slice(), [RowProgram::Pair(..), RowProgram::Member { .. }, RowProgram::Prim(Prim::Not)])));
         }
@@ -632,7 +661,7 @@ mod tests {
             (&member, Value::pair(Value::Int(1), Value::int_orset([1]))),
             (&member, Value::Int(1)),
         ] {
-            let prog = RowProgram::compile(m, &mut arena);
+            let prog = RowProgram::compile(m, &mut arena, None);
             let id = arena.intern(&row);
             let got = prog.run(id, &mut arena).unwrap_err().to_string();
             assert_eq!(got, eval(m, &row).unwrap_err().to_string(), "{row}");
@@ -642,17 +671,46 @@ mod tests {
     #[test]
     fn opaque_fallback_still_agrees() {
         let m = M::Normalize.then(M::OrToSet);
-        assert!(!RowProgram::compile(&m, &mut Interner::new()).fully_interned());
+        assert!(!RowProgram::compile(&m, &mut Interner::new(), None).fully_interned());
         agree(&m, &Value::set([Value::int_orset([1, 2])]));
+    }
+
+    /// A `normalize` or `alpha` step admits an input denoting exactly its
+    /// budget and rejects one more, before evaluating; `powerset` is not an
+    /// α-expansion and ignores the budget.
+    #[test]
+    fn expanding_steps_check_the_denotation_budget() {
+        // 3 × 2 = 6 complete instances
+        let v = Value::pair(Value::int_orset([1, 2, 3]), Value::int_orset([4, 5]));
+        let alpha_input = Value::set([Value::int_orset([1, 2, 3]), Value::int_orset([4, 5])]);
+        for (m, input) in [(M::Normalize, &v), (M::Alpha, &alpha_input)] {
+            let mut arena = Interner::new();
+            let row = arena.intern(input);
+            let over = RowProgram::compile(&m.clone().then(M::Id), &mut arena, Some(5));
+            assert_eq!(
+                over.run(row, &mut arena),
+                Err(EvalError::BudgetExceeded {
+                    budget: 5,
+                    needed: 6
+                })
+            );
+            let at = RowProgram::compile(&m, &mut arena, Some(6));
+            let got = at.run(row, &mut arena).unwrap();
+            assert_eq!(arena.value(got), eval(&m, input).unwrap());
+        }
+        let mut arena = Interner::new();
+        let row = arena.intern(&Value::int_set([1, 2, 3]));
+        let powerset = RowProgram::compile(&M::Powerset, &mut arena, Some(0));
+        assert!(powerset.run(row, &mut arena).is_ok());
     }
 
     #[test]
     fn compiled_fragment_is_fully_interned() {
         let mut arena = Interner::new();
         let q = M::pair(M::Proj2, M::constant(Value::Int(30))).then(M::Prim(Prim::Leq));
-        assert!(RowProgram::compile(&q, &mut arena).fully_interned());
+        assert!(RowProgram::compile(&q, &mut arena, None).fully_interned());
         let q = M::pair(M::Id, M::Proj1.then(M::Proj2)).then(M::Rho2);
-        assert!(RowProgram::compile(&q, &mut arena).fully_interned());
+        assert!(RowProgram::compile(&q, &mut arena, None).fully_interned());
     }
 
     #[test]
@@ -676,10 +734,10 @@ mod tests {
     fn shape_errors_match_the_evaluator() {
         let mut arena = Interner::new();
         let row = arena.intern(&Value::Int(3));
-        let prog = RowProgram::compile(&M::Proj1, &mut arena);
+        let prog = RowProgram::compile(&M::Proj1, &mut arena, None);
         assert!(prog.run(row, &mut arena).is_err());
         assert!(eval(&M::Proj1, &Value::Int(3)).is_err());
-        let prog = RowProgram::compile(&M::Mu, &mut arena);
+        let prog = RowProgram::compile(&M::Mu, &mut arena, None);
         let row = arena.intern(&Value::int_set([1]));
         assert!(prog.run(row, &mut arena).is_err());
     }

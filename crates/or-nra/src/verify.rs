@@ -157,9 +157,8 @@ pub struct VerifyConfig {
     /// Row type per input slot (`row_types[i]` types `Scan(i)`'s rows);
     /// missing or `None` entries leave the slot untyped.
     pub row_types: Vec<Option<Type>>,
-    /// The configuration-level default denotation budget
-    /// (`ExecConfig::or_budget`): an `OrExpand` without its own budget is
-    /// still budgeted when this is set.
+    /// The engine's denotation budget (`ExecConfig::or_budget`), the one
+    /// budget every `OrExpand` runs under.
     pub or_budget: Option<u64>,
     /// Demand an effective budget at every `OrExpand` (rule V10).  Serving
     /// layers with admission control set this; interactive/debug
@@ -505,14 +504,14 @@ fn walk(
                 }
             }
         }
-        PhysicalPlan::OrExpand { budget, input, .. } => {
-            if config.require_budgets && budget.or(config.or_budget).is_none() {
+        PhysicalPlan::OrExpand { input } => {
+            if config.require_budgets && config.or_budget.is_none() {
                 push(
                     violations,
                     Rule::UnbudgetedExpansion,
                     path,
-                    "OrExpand has no per-row denotation budget and the configuration \
-                     provides no default (`ExecConfig::or_budget`): unbounded-output \
+                    "OrExpand runs without a denotation budget: the configuration \
+                     provides none (`ExecConfig::or_budget`), and unbounded-output \
                      operators must pass budget admission",
                 );
             }
@@ -684,15 +683,18 @@ mod tests {
         };
         let violations = verify_plan(&plan, &config);
         assert_eq!(ids(&violations), vec!["V10"]);
-        // a plan-level budget satisfies the rule …
-        let budgeted = PhysicalPlan::scan(0).or_expand_budgeted(64);
-        assert_eq!(verify_plan(&budgeted, &config), Vec::new());
-        // … and so does a configuration-level default
-        let config = VerifyConfig {
-            or_budget: Some(1_000),
+        // the configuration's budget satisfies the rule …
+        let budgeted = VerifyConfig {
+            or_budget: Some(64),
+            ..config.clone()
+        };
+        assert_eq!(verify_plan(&plan, &budgeted), Vec::new());
+        // … and a configuration that demands none does not ask for one
+        let lenient = VerifyConfig {
+            require_budgets: false,
             ..config
         };
-        assert_eq!(verify_plan(&plan, &config), Vec::new());
+        assert_eq!(verify_plan(&plan, &lenient), Vec::new());
     }
 
     #[test]

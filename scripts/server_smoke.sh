@@ -66,6 +66,25 @@ STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/query" \
 [ "$STATUS" = "422" ] || { echo "expected 422 over the denotation budget, got $STATUS"; exit 1; }
 curl -sf "$BASE/stats" | grep -q '"errors":2'
 
+# the `keyed` binding's head reads the row, so it α-expands inside a
+# projection: a denotation budget of 1 rejects it with 422, and a budget
+# of 4 (part 1's four worlds) admits it on the engine with the binding's
+# answer
+KEYED='{ (fst(r), w) | r <- options, w <- toset(normalize(r)) }'
+BODY="$(mktemp)"
+STATUS="$(curl -s -o "$BODY" -w '%{http_code}' -X POST "$BASE/query" \
+    -d "{\"db\":\"example\",\"statement\":\"$KEYED\",\"budget\":{\"denotations\":1}}")"
+[ "$STATUS" = "422" ] || { echo "expected 422 over the denotation budget, got $STATUS"; exit 1; }
+grep -q 'or-expansion budget' "$BODY" || { echo "bad budget error: $(cat "$BODY")"; exit 1; }
+rm -f "$BODY"
+out="$(curl -sf -X POST "$BASE/query" \
+    -d "{\"db\":\"example\",\"statement\":\"$KEYED\",\"budget\":{\"denotations\":4}}")"
+echo "$out" | grep -q '"route":"engine"' || { echo "keyed not engine-served under a budget: $out"; exit 1; }
+WANT="$(echo "$out" | sed 's/.*"value":"\([^"]*\)".*/\1/')"
+curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ c | c <- keyed }"}' \
+    | grep -qF "\"value\":\"$WANT\"" || { echo "keyed binding disagrees: $WANT"; exit 1; }
+curl -sf "$BASE/stats" | grep -q '"errors":3'
+
 # the `choices` binding's head drops the part id below the expansion and
 # adds to an or-set component: the same answer, engine-served
 CHOICES='{ (fst(snd(w)), snd(snd(w)) + 1) | r <- options, w <- toset(normalize(r)) }'

@@ -1031,6 +1031,130 @@ proptest! {
         }
     }
 
+    /// Differential test for the denotation budget where the engine
+    /// α-expands inside a row program: statements on the `Flatten`
+    /// lowering, a guard that calls `normalize`, and a join pipeline
+    /// feeding the expansion, under budgets below, at and above the
+    /// largest count a row's `normalize` argument denotes (and none).  The
+    /// interpreter and the engine — Engine and EngineChecked modes, at
+    /// pinned workers {1, 2, 4}, columnar on and off — admit and reject at
+    /// the same budget, with the same error text, and admitted statements
+    /// answer the same.  Engine mode serves every statement on the engine
+    /// (EngineChecked runs the interpreter first, so its rejections are the
+    /// interpreter's).
+    /// Or-sets may be empty (their rows denote no worlds); `bags` rows hold
+    /// a set of or-sets.
+    #[test]
+    fn budgeted_in_morphism_expansions_agree_with_interpreter(
+        seed in any::<u64>(), rows in 1usize..=12
+    ) {
+        use or_engine::ExecConfig;
+        use or_lang::session::{ExecMode, QueryBudget, Route, Session, SessionError};
+
+        let hash = |i: i64, salt: u64| {
+            seed.wrapping_add(salt)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(i as u64)
+                .rotate_left(23)
+        };
+        // 0..=3 alternatives (at least one in row 0, which fixes the type)
+        let alternatives = |i: i64, salt: u64| {
+            let h = hash(i, salt);
+            let width = if i == 0 { 1 + h % 3 } else { h % 4 } as i64;
+            Value::int_orset((0..width).map(|k| ((h >> 8) as i64 + k * 3) % 5))
+        };
+        let n = rows as i64;
+        let fan = Value::set((0..n).map(|i| {
+            Value::pair(Value::Int(i), Value::pair(alternatives(i, 1), alternatives(i, 2)))
+        }));
+        let bags = Value::set((0..n).map(|i| {
+            let bag = (0..=hash(i, 3) % 3).map(|k| alternatives(i, 4 + k));
+            Value::pair(Value::Int(i), Value::set(bag))
+        }));
+        let x = Value::set((0..n).map(|i| Value::pair(alternatives(i, 7), Value::Int(i % 3))));
+        let y = Value::set((0..n).map(|i| Value::pair(Value::Int(i % 4), alternatives(i, 8))));
+
+        // the largest count a `normalize` argument denotes, per statement
+        let items = |v: &Value| v.elements().unwrap().to_vec();
+        let fst = |v: &Value| match v {
+            Value::Pair(a, _) => (**a).clone(),
+            other => unreachable!("{other}"),
+        };
+        let snd = |v: &Value| match v {
+            Value::Pair(_, b) => (**b).clone(),
+            other => unreachable!("{other}"),
+        };
+        let max_of = |vs: Vec<Value>| vs.iter().map(denotation_count).max().unwrap_or(0);
+        let fan_max = max_of(items(&fan).iter().map(snd).collect());
+        let bags_max = max_of(items(&bags).iter().map(snd).collect());
+        let joined: Vec<Value> = items(&x)
+            .iter()
+            .flat_map(|a| items(&y).into_iter().filter(|b| snd(a) == fst(b)).map(|b| Value::pair(fst(a), snd(&b))).collect::<Vec<_>>())
+            .collect();
+        let join_max = max_of(joined);
+        let k = (seed % 5) as i64;
+        let statements = [
+            ("{ w | r <- fan, w <- toset(normalize(snd(r))) }".to_string(), fan_max),
+            ("{ (fst(r), w) | r <- fan, w <- toset(normalize(snd(r))) }".to_string(), fan_max),
+            ("{ (fst(r), w) | r <- fan, w <- toset(normalize(r)) }".to_string(), fan_max),
+            (format!("{{ fst(r) | r <- fan, ormember(({k}, {}), normalize(snd(r))) }}", (k + 3) % 5), fan_max),
+            ("{ (fst(r), w) | r <- bags, w <- toset(normalize(snd(r))) }".to_string(), bags_max),
+            (
+                "{ w | r <- { (fst(a), snd(b)) | a <- x, b <- y, snd(a) == fst(b) }, w <- toset(normalize(r)) }".to_string(),
+                join_max,
+            ),
+        ];
+
+        let mut session = Session::new();
+        for (name, value) in [("fan", &fan), ("bags", &bags), ("x", &x), ("y", &y)] {
+            session.bind(name, value.clone());
+        }
+        let core = session.core();
+        let is_budget_error = |e: &str| e.contains("or-expansion budget exceeded") && e.contains("denotes");
+        for (stmt, max) in &statements {
+            let max = u64::try_from(*max).unwrap();
+            let budgets = [None, Some(max.saturating_sub(1)), Some(max), Some(max + 1)];
+            for denotations in budgets {
+                let budget = match denotations {
+                    Some(d) => QueryBudget::unlimited().with_denotations(d),
+                    None => QueryBudget::unlimited(),
+                };
+                let want = core.eval_statement(stmt, ExecMode::Interp, ExecConfig::default(), budget);
+                // the interpreter rejects exactly below the largest count
+                let rejects = denotations.is_some_and(|d| d < max);
+                match &want {
+                    Err(SessionError::Runtime(e)) => prop_assert!(rejects && is_budget_error(&e.to_string()), "{}: {}", stmt, e),
+                    Err(other) => prop_assert!(false, "{}: {:?}", stmt, other),
+                    Ok(_) => prop_assert!(!rejects, "{} admitted under {:?}", stmt, denotations),
+                }
+                for workers in [1usize, 2, 4] {
+                    for columnar in [true, false] {
+                        let config = ExecConfig::default()
+                            .with_pinned_workers(workers)
+                            .with_batch_size(8)
+                            .with_columnar(columnar);
+                        for mode in [ExecMode::Engine, ExecMode::EngineChecked] {
+                            let got = core.eval_statement(stmt, mode, config, budget);
+                            let at = format!("{stmt} under {denotations:?}, {mode:?}, {workers} workers, columnar {columnar}");
+                            match (&got, &want) {
+                                (Ok(got), Ok(want)) => {
+                                    prop_assert_eq!(&got.value, &want.value, "{}", at);
+                                    prop_assert!(matches!(got.route, Route::Engine { .. }), "{}: {:?}", at, got.route);
+                                }
+                                (Err(SessionError::Engine(e)), Err(_)) => prop_assert!(is_budget_error(e), "{}: {}", at, e),
+                                // EngineChecked runs the interpreter first
+                                (Err(SessionError::Runtime(e)), Err(_)) if mode == ExecMode::EngineChecked => {
+                                    prop_assert!(is_budget_error(&e.to_string()), "{}: {}", at, e)
+                                }
+                                _ => prop_assert!(false, "{}: engine {:?}, interpreter {:?}", at, got, want),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// OrQL: the interpreter and the compiled algebra agree on parameterized
     /// queries over generated databases.
     #[test]
