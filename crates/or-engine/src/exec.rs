@@ -10,9 +10,12 @@
 //! interned row programs, broadcast sides materialized, equi-join tables
 //! id-keyed), and from there every operator computes on `u32`-sized
 //! [`InternId`]s.  The merge step sorts and deduplicates **ids** (using the
-//! arena's cached canonical order), and only the surviving result rows are
-//! decoded back into [`Value`]s — exactly one decode per result row,
-//! observable as [`ExecStats::value_decodes`].
+//! arena's cached canonical order), and the result leaves the executor
+//! still interned, as a [`ResultSet`].  Only a caller that asks for a
+//! [`Value`] decodes it ([`ResultSet::into_value`]: exactly one decode per
+//! result row, observable as [`ExecStats::value_decodes`]); a caller that
+//! wants text renders it from the arenas ([`ResultSet::write_text`]) and
+//! decodes nothing.
 //!
 //! ## One morsel pipeline
 //!
@@ -51,16 +54,17 @@
 //! or more lanes.  Ids compare with [`Interner::cmp`] within one arena and
 //! with [`Interner::cmp_across`] between sibling overlays (which may assign
 //! the same numeric id to different objects, so every merged id stays
-//! tagged with its owning lane).  Only the surviving rows are decoded —
-//! once per result row, from the arena that owns them.  A lane that panics
-//! does not abort the process: the panic is caught and reported as
-//! [`EngineError::WorkerPanic`].
+//! tagged with its owning lane).  The surviving rows, still lane-tagged
+//! ids, and the lane arenas that own them make up the [`ResultSet`].  A
+//! lane that panics does not abort the process: the panic is caught and
+//! reported as [`EngineError::WorkerPanic`].
 //!
 //! Below [`MIN_PARALLEL_ROWS`] driving rows an unpinned run uses one
 //! worker ([`ExecConfig::with_pinned_workers`] bypasses the threshold).
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -278,8 +282,9 @@ pub struct ExecStats {
     pub steals: u64,
     /// How many [`Value`] materializations the query performed — the
     /// interner's decode counter, summed over the query arena and every
-    /// worker overlay.  On the interned serving path this is (at most) one
-    /// decode per result row: rows stay ids until the final merge.
+    /// worker overlay.  Rows stay ids through the final merge, so
+    /// [`Executor::execute`] reports no row decodes and
+    /// [`ResultSet::into_value`] adds exactly one per result row.
     /// Opaque fallbacks (morphisms outside the interned row fragment) add
     /// to it, which is exactly what makes them visible.
     pub value_decodes: u64,
@@ -381,14 +386,14 @@ impl Executor {
     }
 
     /// Run `plan` over [`EngineInputs`] (possibly pre-interned against a
-    /// shared base arena) and return the result relation as a set value —
-    /// the complex-object representation of the canonical (sorted,
-    /// deduplicated) result rows — together with the execution counters.
-    pub fn run(
+    /// shared base arena) and return the result relation still interned —
+    /// every query runs through here; [`ResultSet::into_value`] or
+    /// [`ResultSet::write_text`] finishes it.
+    pub fn execute(
         &self,
         plan: &PhysicalPlan,
         inputs: &EngineInputs<'_>,
-    ) -> Result<(Value, ExecStats), EngineError> {
+    ) -> Result<ResultSet, EngineError> {
         // Admission: start the wall clock before any work and check it
         // immediately, so a zero budget rejects the query deterministically
         // without touching a single row.
@@ -515,8 +520,25 @@ impl Executor {
         let lanes = run_workers(arenas, |lane, arena| pipeline.lane(lane, arena))
             .into_iter()
             .collect::<Result<Vec<Lane>, EngineError>>()?;
-        let (rows, stats) = finish(lanes, shared_len, workers, frozen, counters.snapshot());
-        Ok((canonical_set(rows), stats))
+        Ok(finish(
+            lanes,
+            shared_len,
+            workers,
+            frozen,
+            counters.snapshot(),
+        ))
+    }
+
+    /// [`Executor::execute`] finished by [`ResultSet::into_value`]: the
+    /// result relation as a set value — the complex-object representation
+    /// of the canonical (sorted, deduplicated) result rows — together with
+    /// the execution counters.
+    pub fn run(
+        &self,
+        plan: &PhysicalPlan,
+        inputs: &EngineInputs<'_>,
+    ) -> Result<(Value, ExecStats), EngineError> {
+        self.execute(plan, inputs).map(ResultSet::into_value)
     }
 
     /// [`Executor::run`] under its older name, kept as a forward because
@@ -527,6 +549,69 @@ impl Executor {
         inputs: &EngineInputs<'_>,
     ) -> Result<(Value, ExecStats), EngineError> {
         self.run(plan, inputs)
+    }
+}
+
+/// A query's result relation, still interned: its canonical (sorted,
+/// deduplicated) rows as ids, each tagged with the lane whose arena owns
+/// it, plus those arenas — overlays on the frozen query arena, so the
+/// nodes a query built stay where it built them.
+///
+/// Two finishers read it: [`ResultSet::into_value`] materializes the
+/// `Value::Set` (one counted decode per row), and
+/// [`ResultSet::write_text`] (also `Display`) prints the OrQL text
+/// `into_value().0.to_string()` would print, walking the nodes straight
+/// into the caller's buffer.
+#[derive(Debug, Clone)]
+pub struct ResultSet {
+    arenas: Vec<Interner>,
+    rows: TaggedRun,
+    stats: ExecStats,
+}
+
+impl ResultSet {
+    /// The execution counters.  [`ExecStats::value_decodes`] counts the
+    /// decodes the query itself needed; [`ResultSet::into_value`] adds one
+    /// per row.
+    pub fn stats(&self) -> ExecStats {
+        self.stats
+    }
+
+    /// Decode every row, once, from the arena that owns it, into the
+    /// result relation's set value.
+    pub fn into_value(self) -> (Value, ExecStats) {
+        let ResultSet {
+            mut arenas,
+            rows,
+            mut stats,
+        } = self;
+        let values: Vec<Value> = rows
+            .iter()
+            .map(|&(lane, id)| arenas[lane as usize].decode(id))
+            .collect();
+        stats.value_decodes += values.len() as u64;
+        (canonical_set(values), stats)
+    }
+
+    /// Write the result relation's OrQL text into `out`, byte for byte
+    /// what `Value`'s `Display` prints for the decoded set: the rows are in
+    /// canonical order already, and each renders from its own arena
+    /// ([`Interner::write_text`]).
+    pub fn write_text<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_char('{')?;
+        for (i, &(lane, id)) in self.rows.iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            self.arenas[lane as usize].write_text(id, out)?;
+        }
+        out.write_char('}')
+    }
+}
+
+impl fmt::Display for ResultSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_text(f)
     }
 }
 
@@ -640,17 +725,17 @@ type TaggedRun = Vec<(u32, InternId)>;
 
 /// The tail every run shares: order the lanes' runs by driver offset,
 /// concatenate them when they are pairwise disjoint or merge them
-/// otherwise, decode each survivor once from the arena that owns it, and
-/// report the counters.  `frozen` is the decode and node count of the
-/// frozen query arena under a multi-lane run's overlays (`(0, 0)` on one
-/// lane, whose arena is the query arena itself).
+/// otherwise, and report the counters.  The rows stay ids, each tagged
+/// with the lane whose arena owns it.  `frozen` is the decode and node
+/// count of the frozen query arena under a multi-lane run's overlays
+/// (`(0, 0)` on one lane, whose arena is the query arena itself).
 fn finish(
     lanes: Vec<Lane>,
     shared_len: usize,
     workers: usize,
     (frozen_decodes, frozen_nodes): (u64, usize),
     (columnar_batches, scalar_fallback_batches): (u64, u64),
-) -> (Vec<Value>, ExecStats) {
+) -> ResultSet {
     let morsels = lanes.iter().map(|l| l.morsels).sum();
     let steals = lanes.iter().map(|l| l.steals).sum();
     let mut arenas = Vec::with_capacity(lanes.len());
@@ -677,21 +762,13 @@ fn finish(
         let last = *a.last().expect("empty runs filtered out");
         cmp_tagged(&arenas, shared_len, (*la, last), (*lb, b[0])) == Ordering::Less
     });
-    let merged = (!disjoint).then(|| merge_tree(&runs, &arenas, shared_len));
-    let mut rows: Vec<Value> = Vec::with_capacity(runs.iter().map(|(_, _, r)| r.len()).sum());
-    match merged {
-        None => {
-            for (_, lane, run) in &runs {
-                let arena = &mut arenas[*lane as usize];
-                rows.extend(run.iter().map(|&id| arena.decode(id)));
-            }
-        }
-        Some(merged) => rows.extend(
-            merged
-                .into_iter()
-                .map(|(lane, id)| arenas[lane as usize].decode(id)),
-        ),
-    }
+    let rows: TaggedRun = if disjoint {
+        runs.iter()
+            .flat_map(|(_, lane, run)| run.iter().map(move |&id| (*lane, id)))
+            .collect()
+    } else {
+        merge_tree(&runs, &arenas, shared_len)
+    };
 
     let value_decodes = frozen_decodes + arenas.iter().map(Interner::decode_count).sum::<u64>();
     let arena_nodes = arenas
@@ -710,7 +787,11 @@ fn finish(
         columnar_batches,
         scalar_fallback_batches,
     };
-    (rows, stats)
+    ResultSet {
+        arenas,
+        rows,
+        stats,
+    }
 }
 
 /// Canonical order on lane-tagged ids: [`Interner::cmp`] within one arena,
@@ -1003,17 +1084,22 @@ mod tests {
                 steals: 1,
             },
         ];
-        let (rows, stats) = finish(lanes, shared_len, 2, (0, shared_len), (0, 0));
+        let result = finish(lanes, shared_len, 2, (0, shared_len), (0, 0));
+        assert_eq!(result.stats().value_decodes, 0, "the tail decodes nothing");
+        // rendered from the sibling overlays, each row from its own arena
+        let text = result.to_string();
+        let (rows, stats) = result.into_value();
+        assert_eq!(text, rows.to_string());
         // "alpha" and "beta" both survive (distinct objects behind one
         // numeric id); "dup" and the shared int merge to one row each
         assert_eq!(
             rows,
-            vec![
+            Value::Set(vec![
                 Value::Int(42),
                 Value::str("alpha"),
                 Value::str("beta"),
                 Value::str("dup"),
-            ]
+            ])
         );
         assert_eq!((stats.rows, stats.morsels, stats.steals), (4, 3, 1));
         assert_eq!(stats.value_decodes, 4, "one decode per surviving row");

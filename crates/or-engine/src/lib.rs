@@ -38,10 +38,12 @@
 //! dedup are `u32` comparisons, join probes hash 4 bytes against tables
 //! built once per query, the merge sorts ids in the arena's canonical
 //! order, and α-expansion decodes worlds straight into the arena (or-free
-//! sub-rows are *reused* as ids).  `Value`s are materialized exactly once,
-//! at the result boundary — observable as
-//! [`exec::ExecStats::value_decodes`], which equals the result row count
-//! on the interned serving path.
+//! sub-rows are *reused* as ids).  The result leaves the executor still
+//! interned ([`exec::ResultSet`]): a caller that wants text renders it
+//! from the arenas and decodes nothing, and a caller that wants a `Value`
+//! decodes each row exactly once — observable as
+//! [`exec::ExecStats::value_decodes`], which then equals the result row
+//! count on the interned serving path.
 //!
 //! ## Columnar blocks
 //!
@@ -156,11 +158,11 @@ pub mod query;
 /// Convenient re-exports of the most frequently used items.
 pub mod prelude {
     pub use crate::error::EngineError;
-    pub use crate::exec::{EngineInputs, ExecConfig, ExecStats, Executor};
+    pub use crate::exec::{EngineInputs, ExecConfig, ExecStats, Executor, ResultSet};
     pub use crate::query::{run_morphism_on_value, run_plan, run_plan_optimized};
     pub use or_nra::physical::PhysicalPlan;
 }
 
 pub use error::EngineError;
-pub use exec::{EngineInputs, ExecConfig, ExecStats, Executor};
+pub use exec::{EngineInputs, ExecConfig, ExecStats, Executor, ResultSet};
 pub use query::{run_morphism_on_value, run_plan, run_plan_optimized, verify_gate};

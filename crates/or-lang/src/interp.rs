@@ -30,12 +30,25 @@ use crate::ast::{BinOp, Builtin, Expr, Qualifier};
 pub struct InterpError {
     /// Description of the problem.
     pub message: String,
+    /// What kind of failure it is.
+    pub kind: InterpErrorKind,
+}
+
+/// The kinds of [`InterpError`] a caller tells apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InterpErrorKind {
+    /// An α-expansion's argument denoted more complete instances than the
+    /// denotation budget ([`InterpLimits`]) admits.
+    DenotationBudget,
+    /// Any other failure, a passed deadline included.
+    Other,
 }
 
 impl InterpError {
     fn new(message: impl Into<String>) -> InterpError {
         InterpError {
             message: message.into(),
+            kind: InterpErrorKind::Other,
         }
     }
 }
@@ -144,10 +157,13 @@ impl Ctx<'_> {
         };
         let total = denotation_count(v);
         if total > u128::from(budget) {
-            return Err(InterpError::new(format!(
-                "or-expansion budget exceeded: the argument of {what} denotes {total} \
-                 complete instances but the budget is {budget}"
-            )));
+            return Err(InterpError {
+                message: format!(
+                    "or-expansion budget exceeded: the argument of {what} denotes {total} \
+                     complete instances but the budget is {budget}"
+                ),
+                kind: InterpErrorKind::DenotationBudget,
+            });
         }
         Ok(())
     }

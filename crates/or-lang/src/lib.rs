@@ -50,10 +50,10 @@ pub mod session;
 pub use ast::{BinOp, Builtin, Expr, Qualifier};
 pub use check::{check_type, infer_type, CheckError};
 pub use compile::{compile_closed, compile_query, compile_with_env, CompileError};
-pub use interp::{interpret, interpret_limited, InterpError, InterpLimits};
+pub use interp::{interpret, interpret_limited, InterpError, InterpErrorKind, InterpLimits};
 pub use parser::{parse, parse_statement, ParseError, Statement};
 pub use plan::{plan_query, PlanError, PlannedQuery};
 pub use session::{
-    EngineStats, Evaluated, ExecMode, PlannedStatement, QueryBudget, Route, ScriptError, Session,
-    SessionCore, SessionError, SessionResult,
+    Answer, EngineStats, Evaluated, ExecMode, PlannedStatement, QueryBudget, Route, ScriptError,
+    Session, SessionCore, SessionError, SessionResult,
 };

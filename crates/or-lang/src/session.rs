@@ -10,10 +10,14 @@
 //! All binding state lives in a [`SessionCore`]: the value environment, the
 //! type environment, and a frozen-arena [`Snapshot`] of every set-valued
 //! binding's interned rows.  Evaluation on a core is **read-only** —
-//! [`SessionCore::eval_statement`] takes `&self`, runs the statement to a
-//! complete [`Evaluated`] outcome (value, type, routing decision), and
-//! mutates nothing; [`SessionCore::commit`] then applies the outcome's
-//! binding, if any.  This split is what makes sessions shareable: a server
+//! [`SessionCore::evaluate`] takes `&self` and a parsed statement, runs it
+//! to a complete [`Evaluated`] outcome (answer, type, routing decision),
+//! and mutates nothing; [`SessionCore::commit`] then applies the outcome's
+//! binding, if any.  An engine-served answer stays interned in the query's
+//! arenas ([`Answer`]): a caller that only prints it renders its text from
+//! there and never builds a [`Value`], and [`SessionCore::eval_statement`]
+//! (parse, evaluate, decode) is what callers that want the `Value` use.
+//! This split is what makes sessions shareable: a server
 //! can hand one `Arc<SessionCore>` to any number of concurrent readers
 //! (each engine query chains a private overlay arena on the core's frozen
 //! snapshot base), while writers clone-and-swap the core.  It is also what
@@ -40,9 +44,11 @@
 //! * [`ExecMode::EngineChecked`] — the engine result is additionally
 //!   **cross-checked** against the interpreter (the pre-engine-first
 //!   behaviour); a disagreement is reported as
-//!   [`SessionError::EngineMismatch`] rather than returned as data.  This
-//!   mode pays for both executions and exists for differential testing —
-//!   the proptest suites drive sessions in this mode.
+//!   [`SessionError::EngineMismatch`] rather than returned as data.  A
+//!   statement the interpreter rejects for its denotation budget still
+//!   runs on the engine, and the engine admitting it is a mismatch too.
+//!   This mode pays for both executions and exists for differential
+//!   testing — the proptest suites drive sessions in this mode.
 //!
 //! The engine's fragment covers comprehensions over one *or several*
 //! set-valued bindings (multi-generator comprehensions become multi-input
@@ -55,7 +61,7 @@
 //!
 //! ## One planning pipeline
 //!
-//! Every entry point — [`SessionCore::eval_statement`],
+//! Every entry point — [`SessionCore::evaluate`],
 //! [`SessionCore::plan_statement`] (which `or-analyze verify-plans`
 //! drives) and through them `or-server` — plans with one private
 //! `SessionCore::plan`: the direct planner ([`crate::plan`]), then the
@@ -107,28 +113,32 @@
 //! [`QueryBudget`] carries per-query admission limits — an α-expansion
 //! denotation cap and a wall-clock budget — that tighten the session's
 //! engine configuration for one statement ([`Session::run_budgeted`],
-//! or the `budget` parameter of [`SessionCore::eval_statement`]).  On the
+//! or the `budget` parameter of [`SessionCore::evaluate`]).  On the
 //! engine path a zero time budget rejects a statement at admission, before
 //! any row work, and every α-expansion checks its input's denotation count
 //! before expanding it: each row of an `OrExpand`, and the input of each
 //! `normalize` or `alpha` inside an operator's morphism (the `Flatten`
 //! lowering above).  The interpreter enforces the same limits
 //! ([`InterpLimits`]) on every statement it serves, counting denotations
-//! the same way, so both paths admit and reject a statement at the same
-//! budget.
+//! the same way per expansion.  The two paths expand the same rows, and so
+//! admit and reject at the same budget, except where the expand planner
+//! runs a guard below `OrExpand`: the engine then never expands the rows
+//! the guard drops, while the interpreter expands every row before
+//! filtering, so the engine can admit what the interpreter rejects
+//! ([`ExecMode::EngineChecked`] reports that as a mismatch).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use or_engine::{verify_gate, EngineInputs, ExecConfig, Executor};
+use or_engine::{verify_gate, EngineInputs, ExecConfig, Executor, ResultSet};
 use or_nra::optimize::{optimize_expansion, ExpandPlannerConfig};
 use or_nra::physical::PhysicalPlan;
 use or_object::snapshot::Snapshot;
 use or_object::{Type, Value};
 
 use crate::check::{infer_type, CheckError, TypeEnv};
-use crate::interp::{interpret_limited, Env, InterpError, InterpLimits};
+use crate::interp::{interpret_limited, Env, InterpError, InterpErrorKind, InterpLimits};
 use crate::parser::{parse_statement, ParseError, Statement};
 use crate::plan::{plan_query_with, PlanError, PlannedQuery};
 
@@ -275,7 +285,7 @@ impl QueryBudget {
 }
 
 /// How a statement was executed — the routing decision
-/// [`SessionCore::eval_statement`] reports and [`EngineStats::record`]
+/// [`SessionCore::evaluate`] reports and [`EngineStats::record`]
 /// tallies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Route {
@@ -310,21 +320,67 @@ impl Route {
     }
 }
 
+/// A statement's answer as its executor left it.  An engine-served
+/// statement's rows stay interned in the query's arenas until a caller
+/// asks for a [`Value`] ([`Answer::into_value`]) — or for text
+/// ([`Answer::write_text`]), which decodes nothing.
+#[derive(Debug, Clone)]
+pub enum Answer {
+    /// The engine's result relation, still interned.
+    Rows(ResultSet),
+    /// A value the interpreter computed.
+    Value(Value),
+}
+
+impl Answer {
+    /// The answer as a [`Value`], decoding engine rows once each.
+    pub fn into_value(self) -> Value {
+        match self {
+            Answer::Rows(rows) => rows.into_value().0,
+            Answer::Value(value) => value,
+        }
+    }
+
+    /// Write the answer's OrQL text into `out`: the bytes
+    /// `self.into_value().to_string()` would hold, rendered from the
+    /// engine's arenas when the engine served the statement.
+    pub fn write_text<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Answer::Rows(rows) => rows.write_text(out),
+            Answer::Value(value) => write!(out, "{value}"),
+        }
+    }
+}
+
 /// A fully evaluated statement, not yet committed: the value and type to
 /// report, the name to bind (for `let` statements), and the routing
-/// decision to tally.  Produced read-only by
-/// [`SessionCore::eval_statement`]; nothing becomes visible to later
-/// statements until [`SessionCore::commit`] applies it.
+/// decision to tally.  Produced read-only — by [`SessionCore::evaluate`]
+/// with the value still an [`Answer`], and by
+/// [`SessionCore::eval_statement`] with it decoded into a [`Value`] (the
+/// default `A`).  Nothing becomes visible to later statements until
+/// [`SessionCore::commit`] applies it.
 #[derive(Debug, Clone)]
-pub struct Evaluated {
+pub struct Evaluated<A = Value> {
     /// The computed value.
-    pub value: Value,
+    pub value: A,
     /// Its inferred type.
     pub ty: Type,
     /// The name to bind, if the statement was a `let`.
     pub bound: Option<String>,
     /// How the statement was executed.
     pub route: Route,
+}
+
+impl Evaluated<Answer> {
+    /// Decode the answer into a [`Value`] ([`Answer::into_value`]).
+    pub fn into_value(self) -> Evaluated {
+        Evaluated {
+            value: self.value.into_value(),
+            ty: self.ty,
+            bound: self.bound,
+            route: self.route,
+        }
+    }
 }
 
 /// Counters and diagnostics for the engine routing (see
@@ -499,12 +555,19 @@ impl SessionCore {
     /// value; values containing nulls cannot be bound this way).
     pub fn bind(&mut self, name: impl Into<String>, value: Value) {
         let name = name.into();
-        if let Ok(ty) = value.infer_type() {
-            if self.types.get(&name) != Some(&ty) {
-                self.plans.invalidate_referencing(&name);
-            }
-            self.types.insert(name.clone(), ty);
+        match value.infer_type() {
+            Ok(ty) => self.bind_typed(name, ty, value),
+            Err(_) => self.store(name, Arc::new(value)),
         }
+    }
+
+    /// Bind `value` of type `ty` under `name`, dropping the cached plans a
+    /// change of the binding's type makes stale.
+    fn bind_typed(&mut self, name: String, ty: Type, value: Value) {
+        if self.types.get(&name) != Some(&ty) {
+            self.plans.invalidate_referencing(&name);
+        }
+        self.types.insert(name.clone(), ty);
         self.store(name, Arc::new(value));
     }
 
@@ -519,12 +582,8 @@ impl SessionCore {
     }
 
     /// Parse, type-check and evaluate one statement **without mutating
-    /// anything** — bindings, snapshot and statistics are untouched no
-    /// matter how the statement fares.  On success the returned
-    /// [`Evaluated`] carries everything a later [`SessionCore::commit`]
-    /// needs; on error the core is exactly as it was, so the same
-    /// statement can be retried (the error-atomicity guarantee the
-    /// concurrent server relies on).
+    /// anything**: [`SessionCore::evaluate`] with the answer decoded into
+    /// a [`Value`].
     pub fn eval_statement(
         &self,
         source: &str,
@@ -533,6 +592,26 @@ impl SessionCore {
         budget: QueryBudget,
     ) -> Result<Evaluated, SessionError> {
         let statement = parse_statement(source)?;
+        self.evaluate(source, statement, mode, config, budget)
+            .map(Evaluated::into_value)
+    }
+
+    /// Type-check and evaluate one parsed statement **without mutating
+    /// anything** — bindings, snapshot and statistics are untouched no
+    /// matter how the statement fares.  `source` is the statement's text,
+    /// for diagnostics.  On success the returned [`Evaluated`] carries
+    /// everything a later [`SessionCore::commit`] needs, with an
+    /// engine-served answer still interned; on error the core is exactly
+    /// as it was, so the same statement can be retried (the
+    /// error-atomicity guarantee the concurrent server relies on).
+    pub fn evaluate(
+        &self,
+        source: &str,
+        statement: Statement,
+        mode: ExecMode,
+        config: ExecConfig,
+        budget: QueryBudget,
+    ) -> Result<Evaluated<Answer>, SessionError> {
         let (expr, bound) = match statement {
             Statement::Expr(expr) => (expr, None),
             Statement::Bind(name, expr) => (expr, Some(name)),
@@ -544,25 +623,39 @@ impl SessionCore {
         // fallback, and the EngineChecked cross-check.  The deadline clock
         // starts here, per statement.
         let limits = InterpLimits::new(config.or_budget, config.time_budget);
+        let interpret = || interpret_limited(&expr, &self.interp_env(&expr), &limits);
         let (value, route) = match mode {
-            ExecMode::Interp => (
-                interpret_limited(&expr, &self.interp_env(&expr), &limits)?,
-                Route::Interp,
-            ),
+            ExecMode::Interp => (Answer::Value(interpret()?), Route::Interp),
             // Engine-first: the engine is the serving path; the interpreter
             // runs only when the statement is outside the plannable fragment.
             ExecMode::Engine => match self.try_engine(&expr, config)? {
-                Ok((value, route)) => (value, route),
+                Ok((rows, route)) => (Answer::Rows(rows), route),
                 Err(fallback) => (
-                    interpret_limited(&expr, &self.interp_env(&expr), &limits)?,
+                    Answer::Value(interpret()?),
                     Route::from_fallback(source, fallback),
                 ),
             },
             // Differential mode: both executors run, answers must agree.
             ExecMode::EngineChecked => {
-                let interpreted = interpret_limited(&expr, &self.interp_env(&expr), &limits)?;
+                let interpreted = match interpret() {
+                    // A denotation-budget rejection is compared too: the
+                    // engine must not admit the statement either.
+                    Err(e) if e.kind == InterpErrorKind::DenotationBudget => {
+                        return Err(match self.try_engine(&expr, config) {
+                            Ok(Ok((rows, _))) => SessionError::EngineMismatch {
+                                query: source.to_string(),
+                                engine: rows.to_string(),
+                                interp: e.to_string(),
+                            },
+                            // outside the fragment, or rejected there too
+                            _ => e.into(),
+                        });
+                    }
+                    interpreted => interpreted?,
+                };
                 match self.try_engine(&expr, config)? {
-                    Ok((engine_value, route)) => {
+                    Ok((rows, route)) => {
+                        let (engine_value, _) = rows.into_value();
                         if engine_value != interpreted {
                             return Err(SessionError::EngineMismatch {
                                 query: source.to_string(),
@@ -570,9 +663,12 @@ impl SessionCore {
                                 interp: interpreted.to_string(),
                             });
                         }
-                        (interpreted, route)
+                        (Answer::Value(interpreted), route)
                     }
-                    Err(fallback) => (interpreted, Route::from_fallback(source, fallback)),
+                    Err(fallback) => (
+                        Answer::Value(interpreted),
+                        Route::from_fallback(source, fallback),
+                    ),
                 }
             }
         };
@@ -584,29 +680,14 @@ impl SessionCore {
         })
     }
 
-    /// Apply a successful evaluation's binding (if it was a `let`) and
-    /// return the reportable result.  This is the *only* place statement
-    /// evaluation mutates the core — callers that evaluated on a shared
-    /// core decide here whether (and into which clone) to commit.  A
-    /// binding is stored without a copy; the one deep copy is the value the
-    /// returned [`SessionResult`] owns.
-    pub fn commit(&mut self, evaluated: Evaluated) -> SessionResult {
-        let Evaluated {
-            mut value,
-            ty,
-            bound,
-            ..
-        } = evaluated;
-        if let Some(name) = &bound {
-            if self.types.get(name) != Some(&ty) {
-                self.plans.invalidate_referencing(name);
-            }
-            self.types.insert(name.clone(), ty.clone());
-            let stored = Arc::new(value);
-            value = Value::clone(&stored);
-            self.store(name.clone(), stored);
+    /// Apply a successful evaluation's binding, if it was a `let`.  This
+    /// is the *only* place statement evaluation mutates the core — callers
+    /// that evaluated on a shared core decide here whether (and into which
+    /// clone) to commit.  The value is stored as it is, without a copy.
+    pub fn commit(&mut self, evaluated: Evaluated) {
+        if let Some(name) = evaluated.bound {
+            self.bind_typed(name, evaluated.ty, evaluated.value);
         }
-        SessionResult { value, ty, bound }
     }
 
     /// The interpreter's environment for `expr`: only the bindings the
@@ -643,7 +724,7 @@ impl SessionCore {
         }
     }
 
-    /// The plan [`SessionCore::eval_statement`] would hand the engine for
+    /// The plan [`SessionCore::evaluate`] would hand the engine for
     /// `source`, without executing anything — `None` when the statement is
     /// outside the plannable fragment (the interpreter would serve it).
     /// This is the serving route itself (`SessionCore::plan`), and the
@@ -733,7 +814,7 @@ impl SessionCore {
         planned: &PlannedStatement,
         config: ExecConfig,
         cache_hit: bool,
-    ) -> Result<(Value, Route), SessionError> {
+    ) -> Result<(ResultSet, Route), SessionError> {
         let mut inputs = EngineInputs::with_base(self.snapshot.arena().clone());
         for name in &planned.inputs {
             let published = self
@@ -742,17 +823,16 @@ impl SessionCore {
                 .expect("plan inputs were checked against the snapshot");
             inputs.push_interned(published.rows(), published.ids());
         }
-        match Executor::new(config).run(&planned.plan, &inputs) {
-            Ok((value, stats)) => Ok((
-                value,
-                Route::Engine {
-                    cache_hit,
-                    columnar_batches: stats.columnar_batches,
-                    scalar_fallback_batches: stats.scalar_fallback_batches,
-                },
-            )),
-            Err(e) => Err(SessionError::Engine(e.to_string())),
-        }
+        let rows = Executor::new(config)
+            .execute(&planned.plan, &inputs)
+            .map_err(|e| SessionError::Engine(e.to_string()))?;
+        let stats = rows.stats();
+        let route = Route::Engine {
+            cache_hit,
+            columnar_batches: stats.columnar_batches,
+            scalar_fallback_batches: stats.scalar_fallback_batches,
+        };
+        Ok((rows, route))
     }
 
     /// Try to run `expr` on the physical engine.  The inner `Err(fallback)`
@@ -764,7 +844,7 @@ impl SessionCore {
         &self,
         expr: &crate::ast::Expr,
         config: ExecConfig,
-    ) -> Result<Result<(Value, Route), PlanError>, SessionError> {
+    ) -> Result<Result<(ResultSet, Route), PlanError>, SessionError> {
         // The statement-shape cache: a statement whose normalized
         // expression was planned before — against inputs that still carry
         // the same row types — skips planning and verification entirely.
@@ -951,11 +1031,21 @@ impl Session {
         source: &str,
         budget: QueryBudget,
     ) -> Result<SessionResult, SessionError> {
-        let evaluated = self
+        let Evaluated {
+            value,
+            ty,
+            bound,
+            route,
+        } = self
             .core
             .eval_statement(source, self.mode, self.engine_config, budget)?;
-        self.stats.record(&evaluated.route);
-        Ok(self.core.commit(evaluated))
+        self.stats.record(&route);
+        if let Some(name) = &bound {
+            // the binding keeps the evaluated value; the caller gets a copy
+            self.core
+                .bind_typed(name.clone(), ty.clone(), value.clone());
+        }
+        Ok(SessionResult { value, ty, bound })
     }
 
     /// Run a multi-statement script: one statement per line, with blank
@@ -1963,6 +2053,75 @@ mod tests {
             .with_time(Duration::from_millis(5))
             .apply_to(ExecConfig::default().with_time_budget(Duration::from_millis(50)));
         assert_eq!(timed.time_budget, Some(Duration::from_millis(5)));
+    }
+
+    /// EngineChecked compares a denotation-budget rejection too: when the
+    /// interpreter rejects a statement the engine admits, that is a
+    /// mismatch; when both reject, the interpreter's error stands; a
+    /// deadline error is the interpreter's without running the engine.
+    #[test]
+    fn engine_checked_compares_denotation_budget_rejections() {
+        let mut s = Session::new();
+        s.bind(
+            "alts",
+            Value::set([
+                Value::pair(
+                    Value::Int(1),
+                    Value::pair(Value::int_orset([1]), Value::int_orset([2])),
+                ),
+                Value::pair(
+                    Value::Int(2),
+                    Value::pair(Value::int_orset([1, 2, 3]), Value::int_orset([4, 5])),
+                ),
+            ]),
+        );
+        let core = s.core();
+        let budget = QueryBudget::unlimited().with_denotations(2);
+        let eval = |stmt: &str, mode, budget| {
+            core.eval_statement(stmt, mode, ExecConfig::default(), budget)
+        };
+        // The guard reads only the or-free id, so the engine runs it below
+        // the expansion and never expands row 2 (6 worlds); the
+        // interpreter expands every row first.
+        let pushed = "{ w | r <- alts, w <- toset(normalize(r)), fst(w) < 2 }";
+        let interp = match eval(pushed, ExecMode::Interp, budget) {
+            Err(SessionError::Runtime(e)) => e,
+            other => panic!("expected the interpreter's budget error, got {other:?}"),
+        };
+        assert_eq!(interp.kind, InterpErrorKind::DenotationBudget);
+        let engine = eval(pushed, ExecMode::Engine, budget).unwrap();
+        assert_eq!(engine.value.to_string(), "{(1, (1, 2))}");
+        match eval(pushed, ExecMode::EngineChecked, budget) {
+            Err(SessionError::EngineMismatch {
+                query,
+                engine,
+                interp: message,
+            }) => {
+                assert_eq!(query, pushed);
+                assert_eq!(engine, "{(1, (1, 2))}");
+                assert_eq!(message, interp.to_string());
+            }
+            other => panic!("expected a mismatch, got {other:?}"),
+        }
+        // both reject: the interpreter's error
+        let expand = "{ w | r <- alts, w <- toset(normalize(r)) }";
+        assert!(matches!(
+            eval(expand, ExecMode::Engine, budget),
+            Err(SessionError::Engine(_))
+        ));
+        assert_eq!(
+            eval(expand, ExecMode::EngineChecked, budget).unwrap_err(),
+            eval(expand, ExecMode::Interp, budget).unwrap_err()
+        );
+        // a deadline error is not a budget kind and stays the interpreter's
+        let late = QueryBudget::unlimited().with_time(Duration::ZERO);
+        match eval(pushed, ExecMode::EngineChecked, late) {
+            Err(SessionError::Runtime(e)) => {
+                assert_eq!(e.kind, InterpErrorKind::Other);
+                assert!(e.message.contains("time budget"), "{e}");
+            }
+            other => panic!("expected the interpreter's deadline error, got {other:?}"),
+        }
     }
 
     /// One frozen core serves concurrent readers: evaluation is `&self`,

@@ -64,9 +64,12 @@
 //! ([`Interner::decode_count`]), and the engine surfaces the counter through
 //! its `ExecStats` so tests can assert the "at most one decode per result
 //! row" discipline.  [`Interner::value`] is the raw uncounted reconstruction
-//! kept for error paths and tests.
+//! kept for error paths and tests.  A caller that only needs a result's
+//! text does not decode at all: [`Interner::write_text`] walks the nodes
+//! into the caller's buffer and prints the bytes `Value`'s `Display` would.
 
 use std::collections::HashSet;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -685,6 +688,47 @@ impl Interner {
     pub fn decode(&mut self, id: InternId) -> Value {
         self.decodes += 1;
         self.value(id)
+    }
+
+    /// Write the OrQL text of the object `id` names into `out`: exactly
+    /// the bytes `Value`'s `Display` prints for [`Interner::value`]`(id)`,
+    /// with no tree built.  Collection children are stored in canonical
+    /// order, which is the order `Display` prints them in, and strings
+    /// print with `{:?}` as `Display` prints them.
+    pub fn write_text<W: fmt::Write>(&self, id: InternId, out: &mut W) -> fmt::Result {
+        match self.node(id) {
+            Node::Unit => out.write_str("()"),
+            Node::Bool(b) => write!(out, "{b}"),
+            Node::Int(i) => write!(out, "{i}"),
+            Node::Str(s) => write!(out, "{s:?}"),
+            Node::Null => out.write_str("null"),
+            Node::Pair(a, b) => {
+                out.write_char('(')?;
+                self.write_text(*a, out)?;
+                out.write_str(", ")?;
+                self.write_text(*b, out)?;
+                out.write_char(')')
+            }
+            Node::Set(ids) => self.write_list(ids, ("{", "}"), out),
+            Node::OrSet(ids) => self.write_list(ids, ("<", ">"), out),
+            Node::Bag(ids) => self.write_list(ids, ("[|", "|]"), out),
+        }
+    }
+
+    fn write_list<W: fmt::Write>(
+        &self,
+        ids: &[InternId],
+        (open, close): (&str, &str),
+        out: &mut W,
+    ) -> fmt::Result {
+        out.write_str(open)?;
+        for (i, &id) in ids.iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            self.write_text(id, out)?;
+        }
+        out.write_str(close)
     }
 
     /// Reconstruct the [`Value`] an id names (uncounted; prefer

@@ -5,8 +5,9 @@
 //! Decoding accepts any standard JSON document (objects, arrays, strings
 //! with escapes, integer and fractional numbers, `true`/`false`/`null`).
 //! Encoding is driven through [`Json`] constructors plus its `Display`
-//! impl (`to_string()`); object member order is preserved, strings are
-//! escaped per RFC 8259.
+//! impl (`to_string()`), or member by member through [`ObjectWriter`]
+//! when a member is streamed; object member order is preserved, strings
+//! are escaped per RFC 8259.
 
 use std::fmt;
 
@@ -124,34 +125,110 @@ impl fmt::Display for Json {
                 write!(f, "]")
             }
             Json::Obj(members) => {
-                write!(f, "{{")?;
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write_escaped(f, key)?;
-                    write!(f, ":{value}")?;
+                let mut object = ObjectWriter::new(f)?;
+                for (key, value) in members {
+                    object.member(key, value)?;
                 }
-                write!(f, "}}")
+                object.end()
             }
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Writes one JSON object member by member, in exactly the bytes
+/// [`Json::Obj`]'s `Display` writes (which is built on it), so a response
+/// can stream a member straight into its body instead of building a
+/// [`Json`] value first.
+pub struct ObjectWriter<'a, W: fmt::Write> {
+    out: &'a mut W,
+    members: usize,
+}
+
+impl<'a, W: fmt::Write> ObjectWriter<'a, W> {
+    /// Open an object in `out`.
+    pub fn new(out: &'a mut W) -> Result<ObjectWriter<'a, W>, fmt::Error> {
+        out.write_char('{')?;
+        Ok(ObjectWriter { out, members: 0 })
     }
-    write!(f, "\"")
+
+    fn key(&mut self, key: &str) -> fmt::Result {
+        if self.members > 0 {
+            self.out.write_char(',')?;
+        }
+        self.members += 1;
+        write_escaped(self.out, key)?;
+        self.out.write_char(':')
+    }
+
+    /// Write the member `key: value`.
+    pub fn member(&mut self, key: &str, value: &Json) -> fmt::Result {
+        self.key(key)?;
+        write!(self.out, "{value}")
+    }
+
+    /// Write a string member whose contents `write` streams through an
+    /// escaping writer: the bytes of `member(key, &Json::str(text))` for
+    /// the `text` it writes, without that `String`.
+    pub fn str_member(
+        &mut self,
+        key: &str,
+        write: impl FnOnce(&mut Escaped<'_, W>) -> fmt::Result,
+    ) -> fmt::Result {
+        self.key(key)?;
+        self.out.write_char('"')?;
+        write(&mut Escaped(self.out))?;
+        self.out.write_char('"')
+    }
+
+    /// Close the object.
+    pub fn end(self) -> fmt::Result {
+        self.out.write_char('}')
+    }
+}
+
+/// A writer that JSON-escapes everything written through it into the
+/// wrapped writer: the inside of a string literal, for
+/// [`ObjectWriter::str_member`].
+pub struct Escaped<'a, W: fmt::Write>(&'a mut W);
+
+impl<W: fmt::Write> fmt::Write for Escaped<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape(self.0, s)
+    }
+}
+
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    escape(out, s)?;
+    out.write_char('"')
+}
+
+/// Escape `s` per RFC 8259 into `out`: `"` and `\` by a backslash, `\n`,
+/// `\r` and `\t` by name, every other control character as `\u00xx`.
+/// Each run of bytes that needs no escape goes out in one `write_str`;
+/// every byte that does is ASCII, so the runs split on character
+/// boundaries.
+fn escape<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let named = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if named.is_empty() {
+            write!(out, "\\u{byte:04x}")?;
+        } else {
+            out.write_str(named)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])
 }
 
 /// A JSON parse error with the byte offset it occurred at.
@@ -470,6 +547,96 @@ mod tests {
         assert!(Json::parse(&at_limit).is_ok());
         let past_limit = format!("[{at_limit}]");
         assert!(Json::parse(&past_limit).is_err());
+    }
+
+    /// The escaper as it was, one `write!` per character: the reference
+    /// the run-based escaper matches byte for byte.
+    fn escaped_per_char(s: &str) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => write!(out, "\\\"").unwrap(),
+                '\\' => write!(out, "\\\\").unwrap(),
+                '\n' => write!(out, "\\n").unwrap(),
+                '\r' => write!(out, "\\r").unwrap(),
+                '\t' => write!(out, "\\t").unwrap(),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => write!(out, "{c}").unwrap(),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Every control character, quotes, backslashes, DEL, `/`, and 2-, 3-
+    /// and 4-byte UTF-8, by index.
+    fn piece(k: u32) -> char {
+        match k {
+            0..=0x1f => char::from_u32(k).unwrap(),
+            0x20 => '"',
+            0x21 => '\\',
+            0x22 => '\u{7f}',
+            0x23 => '/',
+            0x24 => 'é',
+            0x25 => '€',
+            0x26 => '😀',
+            0x27 => '\u{2028}',
+            _ => char::from_u32(u32::from(b'a') + k % 26).unwrap(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 256,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Escaping a run at a time writes what escaping a character at a
+        /// time wrote, and the parser reads the string back.
+        #[test]
+        fn run_escaping_matches_per_character_escaping(
+            picks in proptest::collection::vec(0u32..0x30, 0..40)
+        ) {
+            let s: String = picks.into_iter().map(piece).collect();
+            let json = Json::str(s.as_str()).to_string();
+            proptest::prop_assert_eq!(&json, &escaped_per_char(&s));
+            proptest::prop_assert_eq!(Json::parse(&json).unwrap(), Json::Str(s));
+        }
+    }
+
+    #[test]
+    fn every_control_character_escapes_as_before() {
+        let s: String = (0..0x30).map(piece).collect();
+        let json = Json::str(s.as_str()).to_string();
+        assert_eq!(json, escaped_per_char(&s));
+        assert!(json.contains(r"\u0000") && json.contains(r"\u001f") && json.contains(r"\n"));
+        assert_eq!(Json::parse(&json).unwrap(), Json::Str(s));
+    }
+
+    /// A streamed string member writes the bytes of the `Json` member.
+    #[test]
+    fn object_writer_streams_the_bytes_json_writes() {
+        let text = "{(1, \"a\\\\b\"), (2, \"café\")}";
+        let mut body = String::new();
+        let mut object = ObjectWriter::new(&mut body).unwrap();
+        object.member("ok", &Json::Bool(true)).unwrap();
+        object
+            .str_member("value", |out| {
+                use std::fmt::Write as _;
+                // in pieces, as a renderer writes
+                text.split_inclusive(',')
+                    .try_for_each(|piece| out.write_str(piece))
+            })
+            .unwrap();
+        object.member("bound", &Json::Null).unwrap();
+        object.end().unwrap();
+        let built = Json::obj([
+            ("ok", Json::Bool(true)),
+            ("value", Json::str(text)),
+            ("bound", Json::Null),
+        ]);
+        assert_eq!(body, built.to_string());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * **Reads** (expression statements) clone the `Arc` out of the lock —
 //!   held for nanoseconds — and then evaluate entirely lock-free:
-//!   [`SessionCore::eval_statement`] takes `&self`, and every engine-served
+//!   [`SessionCore::evaluate`] takes `&self`, and every engine-served
 //!   query chains a private overlay arena on the core's frozen snapshot
 //!   base.  Any number of queries run concurrently against one snapshot.
 //! * **Writes** (`let` statements) serialize on the writer mutex, evaluate
@@ -16,6 +16,11 @@
 //!   `Arc`s, not bindings, and the snapshot layer shares the interned
 //!   relation rows underneath.  In-flight readers keep the core they
 //!   started with; new readers see the new one.
+//!
+//! Each statement is parsed once, and the answer's text goes from the
+//! engine's arenas, JSON-escaped, straight into the response body: a read
+//! builds no `Value`, and a write decodes its answer once, for the
+//! binding it commits.
 //!
 //! Statement evaluation is atomic (eval-then-commit, see
 //! `or_lang::session`), so a failed statement — budget rejection, engine
@@ -50,12 +55,12 @@ use std::time::{Duration, Instant};
 use or_engine::ExecConfig;
 use or_lang::parser::{parse_statement, Statement};
 use or_lang::session::{
-    EngineStats, ExecMode, QueryBudget, Route, ScriptError, Session, SessionCore, SessionError,
-    SessionResult,
+    Answer, EngineStats, Evaluated, ExecMode, QueryBudget, Route, ScriptError, Session,
+    SessionCore, SessionError,
 };
 
 use crate::http::{read_request, write_response, Request};
-use crate::json::Json;
+use crate::json::{Json, ObjectWriter};
 
 /// Recover a lock guard even when a previous holder panicked.  Every
 /// shared structure behind these locks is updated atomically (the per-db
@@ -459,26 +464,8 @@ fn query(state: &State, body: &str) -> (u16, String) {
         }
     };
     db.queries.fetch_add(1, Ordering::Relaxed);
-    match run_statement(state, &db, statement, budget) {
-        Ok((result, route)) => {
-            let route_name = match &route {
-                Route::Engine { .. } => "engine",
-                Route::Interp => "interp",
-                Route::Fallback { .. } => "fallback",
-            };
-            let mut members = vec![
-                ("ok", Json::Bool(true)),
-                ("db", Json::str(db_name)),
-                ("value", Json::str(result.value.to_string())),
-                ("type", Json::str(result.ty.to_string())),
-                ("route", Json::str(route_name)),
-            ];
-            match result.bound {
-                Some(bound) => members.push(("bound", Json::str(bound))),
-                None => members.push(("bound", Json::Null)),
-            }
-            (200, Json::obj(members).to_string())
-        }
+    match run_statement(state, &db, db_name, statement, budget) {
+        Ok(body) => (200, body),
         Err(e) => {
             db.errors.fetch_add(1, Ordering::Relaxed);
             (422, error_body(&e.to_string()))
@@ -487,42 +474,68 @@ fn query(state: &State, body: &str) -> (u16, String) {
 }
 
 /// Evaluate one statement against a database, with reads lock-free and
-/// writes serialized + copy-on-write (see the module docs).
+/// writes serialized + copy-on-write (see the module docs), and return the
+/// response body.  The statement is parsed once, here, and the answer's
+/// text goes from the engine's arenas straight into the body: a read
+/// builds no `Value`, and a write decodes its answer once, for the
+/// binding.
 fn run_statement(
     state: &State,
     db: &Db,
-    statement: &str,
+    db_name: &str,
+    source: &str,
     budget: QueryBudget,
-) -> Result<(SessionResult, Route), SessionError> {
+) -> Result<String, SessionError> {
     let config = state.config;
-    let is_bind = matches!(parse_statement(statement), Ok(Statement::Bind(..)));
-    if is_bind {
+    let statement = parse_statement(source)?;
+    if matches!(statement, Statement::Bind(..)) {
         // Writer path: the mutex serializes `let` statements, so this
         // evaluation runs against the latest core with no competing commit
         // (readers are unaffected — they hold their own `Arc`).
         let guard = relock(db.write.lock());
         let core = relock(db.core.read()).clone();
-        let evaluated = core.eval_statement(statement, config.mode, config.exec, budget)?;
+        let evaluated = core.evaluate(source, statement, config.mode, config.exec, budget)?;
+        // render from the interned rows before decoding them for the binding
+        let body = answer_body(db_name, &evaluated);
+        let evaluated = evaluated.into_value();
         let route = evaluated.route.clone();
         let mut next = (*core).clone();
-        let result = next.commit(evaluated);
+        next.commit(evaluated);
         *relock(db.core.write()) = Arc::new(next);
         drop(guard);
         relock(db.stats.lock()).record(&route);
-        Ok((result, route))
+        Ok(body)
     } else {
         // Reader path: grab the current snapshot and evaluate lock-free.
         let core = relock(db.core.read()).clone();
-        let evaluated = core.eval_statement(statement, config.mode, config.exec, budget)?;
-        let route = evaluated.route.clone();
-        relock(db.stats.lock()).record(&route);
-        let result = SessionResult {
-            value: evaluated.value,
-            ty: evaluated.ty,
-            bound: None,
-        };
-        Ok((result, route))
+        let evaluated = core.evaluate(source, statement, config.mode, config.exec, budget)?;
+        relock(db.stats.lock()).record(&evaluated.route);
+        Ok(answer_body(db_name, &evaluated))
     }
+}
+
+/// The `200` body for an evaluated statement: the members
+/// `ok, db, value, type, route, bound`, with the value's text rendered
+/// and JSON-escaped straight into the body.
+fn answer_body(db_name: &str, evaluated: &Evaluated<Answer>) -> String {
+    let route = match &evaluated.route {
+        Route::Engine { .. } => "engine",
+        Route::Interp => "interp",
+        Route::Fallback { .. } => "fallback",
+    };
+    let bound = evaluated.bound.as_deref().map_or(Json::Null, Json::str);
+    let mut body = String::new();
+    // writing into a `String` does not fail
+    let _ = ObjectWriter::new(&mut body).and_then(|mut object| {
+        object.member("ok", &Json::Bool(true))?;
+        object.member("db", &Json::str(db_name))?;
+        object.str_member("value", |text| evaluated.value.write_text(text))?;
+        object.member("type", &Json::str(evaluated.ty.to_string()))?;
+        object.member("route", &Json::str(route))?;
+        object.member("bound", &bound)?;
+        object.end()
+    });
+    body
 }
 
 #[cfg(test)]
@@ -579,6 +592,50 @@ mod tests {
             example.get("scalar_fallback_batches").unwrap().as_u64(),
             Some(0)
         );
+    }
+
+    /// A `200` body is byte for byte what the server built before answers
+    /// were rendered from the engine's arenas — `Json::obj` over
+    /// `Json::str(value.to_string())` — for reads and `let`s, engine-served
+    /// and interpreted, over strings that need escaping, or-sets and empty
+    /// results.  The values come from an interpreter session.
+    #[test]
+    fn answer_bodies_hold_the_json_of_the_displayed_value() {
+        let script = "let names = { (1, \"back\\slash\"), (2, \"café 😀\"), (3, \"\") }\n\
+                      let alts = { (1, (<|1, 2|>, <|\"x\\y\", \"z\"|>)), (2, (<|3|>, <|\"w\"|>)) }";
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        server.load_db("d", script).unwrap();
+        let mut oracle = Session::new();
+        oracle.run_script(script).unwrap();
+        let statements = [
+            ("{ snd(n) | n <- names, fst(n) <= 2 }", "engine"),
+            ("{ n | n <- names, fst(n) > 9 }", "engine"),
+            ("{ w | r <- alts, w <- toset(normalize(r)) }", "engine"),
+            ("{ (snd(r), fst(r)) | r <- alts }", "engine"),
+            (
+                "let picked = { snd(n) | n <- names, fst(n) >= 2 }",
+                "engine",
+            ),
+            ("{ (x, x) | x <- picked }", "engine"),
+            ("normalize(alts)", "fallback"),
+            ("let tabbed = { (1, \"tab\there\") }", "fallback"),
+            ("{ snd(t) | t <- tabbed }", "engine"),
+        ];
+        for (statement, route) in statements {
+            let request = Json::obj([("db", Json::str("d")), ("statement", Json::str(statement))]);
+            let (status, body) = query(&server.state, &request.to_string());
+            assert_eq!(status, 200, "{body}");
+            let want = oracle.run(statement).unwrap();
+            let expected = Json::obj([
+                ("ok", Json::Bool(true)),
+                ("db", Json::str("d")),
+                ("value", Json::str(want.value.to_string())),
+                ("type", Json::str(want.ty.to_string())),
+                ("route", Json::str(route)),
+                ("bound", want.bound.map_or(Json::Null, Json::str)),
+            ]);
+            assert_eq!(body, expected.to_string(), "{statement}");
+        }
     }
 
     #[test]

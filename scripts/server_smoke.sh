@@ -44,6 +44,17 @@ curl -sf -X POST "$BASE/query" \
 curl -sf -X POST "$BASE/query" -d '{"db":"example","statement":"{ x | x <- pricey }"}' \
     | grep -q '"value":"{4, 5}"'
 
+# strings that need escaping come back byte for byte: bind a relation
+# whose strings hold a backslash and a non-ASCII character, then read it
+# back through an engine-served statement; the whole body must match
+curl -sf -X POST "$BASE/query" \
+    -d '{"db":"example","statement":"let labels = { (1, \"back\\slash\"), (2, \"café\") }"}' \
+    | grep -q '"bound":"labels"'
+out="$(curl -sf -X POST "$BASE/query" \
+    -d '{"db":"example","statement":"{ (snd(l), fst(l)) | l <- labels, fst(l) <= 2 }"}')"
+WANT='{"ok":true,"db":"example","value":"{(\"back\\\\slash\", 1), (\"café\", 2)}","type":"{(string * int)}","route":"engine","bound":null}'
+[ "$out" = "$WANT" ] || { echo "bad escaped result: $out"; exit 1; }
+
 # a `let` with a literal value is planned by substitution and engine-served
 LET='let k = 2 in { fst(r) | r <- parts, fst(r) <= k }'
 out="$(curl -sf -X POST "$BASE/query" -d "{\"db\":\"example\",\"statement\":\"$LET\"}")"

@@ -1039,9 +1039,10 @@ proptest! {
     /// interpreter and the engine — Engine and EngineChecked modes, at
     /// pinned workers {1, 2, 4}, columnar on and off — admit and reject at
     /// the same budget, with the same error text, and admitted statements
-    /// answer the same.  Engine mode serves every statement on the engine
-    /// (EngineChecked runs the interpreter first, so its rejections are the
-    /// interpreter's).
+    /// answer the same.  Engine mode serves every statement on the engine.
+    /// EngineChecked runs both executors on a rejection too — the engine
+    /// admitting what the interpreter rejects would be a mismatch — so its
+    /// rejections are exactly the interpreter's error.
     /// Or-sets may be empty (their rows denote no worlds); `bags` rows hold
     /// a set of or-sets.
     #[test]
@@ -1141,10 +1142,12 @@ proptest! {
                                     prop_assert_eq!(&got.value, &want.value, "{}", at);
                                     prop_assert!(matches!(got.route, Route::Engine { .. }), "{}: {:?}", at, got.route);
                                 }
-                                (Err(SessionError::Engine(e)), Err(_)) => prop_assert!(is_budget_error(e), "{}: {}", at, e),
-                                // EngineChecked runs the interpreter first
-                                (Err(SessionError::Runtime(e)), Err(_)) if mode == ExecMode::EngineChecked => {
-                                    prop_assert!(is_budget_error(&e.to_string()), "{}: {}", at, e)
+                                (Err(SessionError::Engine(e)), Err(_)) if mode == ExecMode::Engine => {
+                                    prop_assert!(is_budget_error(e), "{}: {}", at, e)
+                                }
+                                // both executors rejected: the interpreter's error
+                                (Err(got), Err(want)) if mode == ExecMode::EngineChecked => {
+                                    prop_assert_eq!(got, want, "{}", at)
                                 }
                                 _ => prop_assert!(false, "{}: engine {:?}, interpreter {:?}", at, got, want),
                             }
